@@ -81,9 +81,15 @@ GROUPS: tuple[GroupSpec, ...] = (
         group="supervisor-state",
         file="runtime/supervisor.py",
         tag_const="SUPERVISOR_SCHEMA",
-        consts=("STATUS_SCHEMA", "CELL_STATES"),
+        dict_key_funcs=("_state_record",),
+    ),
+    GroupSpec(
+        group="status-snapshot",
+        file="runtime/supervisor.py",
+        tag_const="STATUS_SCHEMA",
+        consts=("CELL_STATES",),
         funcs=("cell_job_id",),
-        dict_key_funcs=("_state_record", "build_status"),
+        dict_key_funcs=("build_status", "sweep_progress"),
     ),
     GroupSpec(
         group="trace-store",

@@ -134,7 +134,7 @@ REPRO_ENV_OPTIONS: dict[str, EnvOption] = {
         ),
         EnvOption(
             "REPRO_BROKER_TIMEOUT",
-            "coordinator wait budget in seconds (unset = wait forever)",
+            "coordinator wait budget, positive seconds (unset = wait forever)",
             kind="float",
             owner="repro.runtime.broker",
         ),

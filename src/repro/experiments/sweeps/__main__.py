@@ -112,7 +112,7 @@ def _show_costs(spec, scale, args: argparse.Namespace) -> None:
             unknown += 1
         else:
             by_workload.setdefault(job.workload, []).append(cost)
-    print("  estimated cost (trace instrs × LLC budget, relative units):")
+    print("  estimated cost (scaled trace instructions):")
     total = 0
     for workload in sorted(by_workload):
         costs = by_workload[workload]

@@ -15,16 +15,17 @@ Queue layout::
       done/<job-id>.json                    # result + per-job telemetry
       failed/<job-id>.json                  # terminal error after retry cap
 
-``COST`` is the job's deterministic cost estimate (trace length × LLC
-cycle budget, :func:`~repro.runtime.runner.estimate_job_cost`), recorded
-both in the payload and in the filename — as a weight token ``__w``,
-whose letter can never occur inside the job id's hex digest — so the
-**longest-first scheduler** can order claims from one ``listdir``:
-stragglers start first and tail latency drops. Jobs without an estimate
-(and pre-scheduler queue files, which have no ``__w`` token) fall back to
-FIFO order after every costed job; ``scheduler="fifo"``
-(``REPRO_BROKER_SCHEDULER=fifo``) disables the ordering entirely for A/B
-timing.
+``COST`` is the job's deterministic cost estimate (its scaled trace
+length in instructions, :func:`~repro.runtime.runner.estimate_job_cost`;
+host time ranks with it at Spearman 0.74, against −0.06 for the earlier
+trace length × LLC round trip), recorded both in the payload and in the
+filename — as a weight token ``__w``, whose letter can never occur inside
+the job id's hex digest — so the **longest-first scheduler** can order
+claims from one ``listdir``: stragglers start first and tail latency
+drops. Jobs without an estimate (and pre-scheduler queue files, which
+have no ``__w`` token) fall back to FIFO order after every costed job;
+``scheduler="fifo"`` (``REPRO_BROKER_SCHEDULER=fifo``) disables the
+ordering entirely for A/B timing.
 
 Job lifecycle:
 
@@ -739,6 +740,16 @@ def _env_float(name: str, default: float | None) -> float | None:
         raise BrokerError(f"{name} must be a number, got {raw!r}") from None
 
 
+def _check_timeout(timeout: float | None) -> float | None:
+    """``None`` (wait forever) or a positive deadline in seconds."""
+    if timeout is not None and timeout <= 0:
+        raise BrokerError(
+            f"broker timeout (REPRO_BROKER_TIMEOUT) must be a positive number "
+            f"of seconds, got {timeout:g}; unset it to wait without a deadline"
+        )
+    return timeout
+
+
 def broker_env_options() -> dict:
     """Broker tunables from ``REPRO_BROKER_*`` environment variables."""
     max_attempts_raw = read_env("REPRO_BROKER_MAX_ATTEMPTS")
@@ -753,7 +764,7 @@ def broker_env_options() -> dict:
     return {
         "lease_seconds": _env_float("REPRO_BROKER_LEASE", DEFAULT_LEASE_SECONDS),
         "max_attempts": max_attempts,
-        "timeout": _env_float("REPRO_BROKER_TIMEOUT", None),
+        "timeout": _check_timeout(_env_float("REPRO_BROKER_TIMEOUT", None)),
         "steal": env_flag("REPRO_BROKER_STEAL"),
         "scheduler": env_str("REPRO_BROKER_SCHEDULER", DEFAULT_SCHEDULER),
     }
@@ -785,7 +796,7 @@ class BrokerBackend:
         self.queue = BrokerQueue(cache_dir, lease_seconds, max_attempts, scheduler)
         self.cache = ResultCache(cache_dir)
         self.steal = steal
-        self.timeout = timeout
+        self.timeout = _check_timeout(timeout)
         self.poll_seconds = poll_seconds
         self.worker_id = worker_id or default_worker_id()
         self._job_records: list[dict] = []
@@ -802,7 +813,7 @@ class BrokerBackend:
     ) -> list[SimulationResult | list[SimulationResult]]:
         from .runner import BatchJob
 
-        deadline = time.time() + self.timeout if self.timeout else None
+        deadline = None if self.timeout is None else time.time() + self.timeout
         order: list[str] = []
         self.reused_results = 0
         for job in jobs:

@@ -202,22 +202,26 @@ def plan_batch_units(
 
 
 def estimate_job_cost(job: WorkUnit) -> int | None:
-    """Relative cost estimate: scaled trace length × LLC cycle budget.
+    """Cost estimate in trace instructions: the job's scaled trace length.
 
-    Simulation wall time is dominated by how many trace instructions run
-    and how many stall cycles each one drags in, and the LLC round trip is
-    the dominant stall term — so the product ranks jobs well enough for
-    the broker's longest-first scheduler without executing anything. The
-    estimate is deterministic (profile table + config only, no I/O) and
-    dimensionless; only its *ordering* matters. ``None`` — the scheduler's
-    FIFO fallback — is returned for a workload the profile table does not
-    know, rather than guessing a rank for a job that will fail anyway.
+    Simulation host time tracks how many trace instructions a job runs.
+    The LLC round trip, which an earlier model multiplied in, barely moves
+    it. Measured on 81 cells (fleet, dense-column and profile-matrix
+    cells), host time ranked against trace length with Spearman 0.74 and
+    against trace length × LLC round trip with −0.06; within one
+    workload's dense latency column, latency explained little (0.26).
 
-    A :class:`BatchJob` walks the trace with every lane's config live per
-    cycle-step, so its cost is the sum of its members' — trace length ×
-    the per-cycle config count's LLC budget — which is what keeps
-    longest-first scheduling meaningful when wide batch units and
-    singletons share a queue.
+    The estimate is deterministic (profile table + scale only, no I/O).
+    Consumers use its ordering (longest-first claims), its ratios
+    (supervisor sizing) and, calibrated by measured ``run_s``, its units
+    (the ``status`` ETA's host seconds per instruction). ``None`` — the
+    scheduler's FIFO fallback — is returned for a workload the profile
+    table does not know, rather than guessing a rank for a job that will
+    fail anyway.
+
+    A :class:`BatchJob` walks the trace once per lane, so its cost is the
+    sum of its members' — which is what keeps longest-first scheduling
+    meaningful when wide batch units and singletons share a queue.
     """
     from ..workloads.profiles import get_profile
 
@@ -232,7 +236,7 @@ def estimate_job_cost(job: WorkUnit) -> int | None:
         return None
     if job.workload_scale != 1.0:
         profile = profile.scaled(job.workload_scale)
-    return profile.default_trace_instrs * max(1, job.config.memory.llc_round_trip)
+    return profile.default_trace_instrs
 
 
 # ---------------------------------------------------------------------------

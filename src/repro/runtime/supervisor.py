@@ -66,7 +66,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from ..envopts import exported, read_env
 from ..errors import ConfigError
@@ -80,8 +80,13 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (sweeps import runtime)
 #: Durable supervisor-state record version (``queue/supervisor.json``).
 SUPERVISOR_SCHEMA = "supervisor-v1"
 
-#: ``status --json`` snapshot format version.
-STATUS_SCHEMA = "status-v1"
+#: ``status --json`` snapshot format version (v2: the sweep section's
+#: ``cost_rank_corr`` / ``cost_rank_cells``).
+STATUS_SCHEMA = "status-v2"
+
+#: Fewest completed cells over which the cost model's rank correlation
+#: is reported; below this it is ``None``.
+MIN_RANK_CELLS = 3
 
 #: Every state a sweep cell can be in, in lifecycle order. A cell only
 #: ever moves rightward through this tuple (``failed`` is terminal like
@@ -170,12 +175,12 @@ def supervisor_options(
         min_workers=(
             min_workers
             if min_workers is not None
-            else _env_int("REPRO_SUPERVISOR_MIN") or DEFAULT_MIN_WORKERS
+            else _pick(_env_int("REPRO_SUPERVISOR_MIN"), DEFAULT_MIN_WORKERS)
         ),
         max_workers=(
             max_workers
             if max_workers is not None
-            else _env_int("REPRO_SUPERVISOR_MAX") or DEFAULT_MAX_WORKERS
+            else _pick(_env_int("REPRO_SUPERVISOR_MAX"), DEFAULT_MAX_WORKERS)
         ),
         cooldown_seconds=(
             cooldown_seconds
@@ -216,7 +221,10 @@ def supervisor_options(
     return resolved
 
 
-def _pick(env_value: float | None, default: float) -> float:
+_N = TypeVar("_N", int, float)
+
+
+def _pick(env_value: _N | None, default: _N) -> _N:
     """Unlike ``or``, preserves an explicit ``0`` from the environment."""
     return env_value if env_value is not None else default
 
@@ -571,12 +579,18 @@ def sweep_progress(
     ``failed``, a live queue file is ``pending``/``claimed`` (with lease
     age and attempts), anything else is ``unsubmitted``.
 
-    The ETA calibrates seconds-per-cost-unit from cells that completed
-    *this run* (done records carrying ``run_s``) and divides the
-    remaining cells' cost estimates across ``active_workers``. Before
-    any telemetry exists it is ``None`` — an honest "no data yet" —
-    and it reaches ``0.0`` exactly when no runnable cells remain, so
-    the final prediction error is bounded by the longest single job.
+    The ETA calibrates host seconds per trace instruction (the unit of
+    :func:`~repro.runtime.runner.estimate_job_cost`) from cells that
+    completed *this run* (done records carrying ``run_s``) and divides
+    the remaining cells' cost estimates across ``active_workers``.
+    Before any telemetry exists it is ``None`` — an honest "no data
+    yet" — and it reaches ``0.0`` exactly when no runnable cells remain,
+    so the final prediction error is bounded by the longest single job.
+
+    The same cells measure the cost model itself: ``cost_rank_corr`` is
+    the Spearman rank correlation between their cost estimates and
+    measured ``run_s`` over ``cost_rank_cells`` cells — ``None`` below
+    :data:`MIN_RANK_CELLS` cells or when either side has no spread.
     """
     from .runner import estimate_job_cost
 
@@ -589,6 +603,7 @@ def sweep_progress(
     known_costs: list[int] = []
     telemetry_run_s = 0.0
     telemetry_cost = 0
+    measured: list[tuple[int, float]] = []
     remaining_cost = 0
     remaining_unknown = 0
     for cell in manifest.cells:
@@ -629,6 +644,7 @@ def sweep_progress(
             if cost is not None and run_s is not None:
                 telemetry_run_s += run_s
                 telemetry_cost += cost
+                measured.append((cost, run_s))
         elif state != "failed":
             if cost is not None:
                 remaining_cost += cost
@@ -677,8 +693,46 @@ def sweep_progress(
         "secs_per_cost": secs_per_cost,
         "active_workers": active_workers,
         "eta_s": eta_s,
+        "cost_rank_corr": (
+            _spearman([c for c, _ in measured], [r for _, r in measured])
+            if len(measured) >= MIN_RANK_CELLS
+            else None
+        ),
+        "cost_rank_cells": len(measured),
         "cell_states": cells,
     }
+
+
+def _spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
+    """Spearman rank correlation (average ranks for ties).
+
+    ``None`` when it is undefined: fewer than two pairs, or no spread on
+    either side.
+    """
+
+    def ranks(values: Sequence[float]) -> list[float]:
+        order = sorted(range(len(values)), key=values.__getitem__)
+        out = [0.0] * len(values)
+        i = 0
+        while i < len(order):
+            j = i
+            while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+                j += 1
+            for k in range(i, j + 1):
+                out[order[k]] = (i + j) / 2.0
+            i = j + 1
+        return out
+
+    if len(xs) < 2:
+        return None
+    rx, ry = ranks(xs), ranks(ys)
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    vx = sum((a - mx) ** 2 for a in rx)
+    vy = sum((b - my) ** 2 for b in ry)
+    if vx == 0 or vy == 0:
+        return None
+    return round(cov / math.sqrt(vx * vy), 4)
 
 
 def latest_manifest(cache_dir: str | os.PathLike[str]) -> SweepManifest | None:
@@ -932,9 +986,15 @@ def render_status(status: dict[str, Any]) -> str:
         else:
             lines.append(
                 f"eta         {_fmt_duration(eta)} "
-                f"(remaining cost {sweep['remaining_cost']:,} over "
+                f"(remaining cost {sweep['remaining_cost']:,} instrs over "
                 f"{sweep['active_workers']} worker(s))"
             )
+        rho = sweep["cost_rank_corr"]
+        rho_txt = "-" if rho is None else f"{rho:+.2f}"
+        lines.append(
+            f"cost model  rank corr {rho_txt} vs run time over "
+            f"{sweep['cost_rank_cells']} done cell(s)"
+        )
     return "\n".join(lines)
 
 

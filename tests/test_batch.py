@@ -247,7 +247,7 @@ class TestBatchCostAndClaimOrder:
     def test_batch_unit_claims_before_singletons(self, tmp_path):
         """Longest-first: a batch of N lanes outranks each lane alone."""
         queue = BrokerQueue(tmp_path)
-        single_ids = [queue.enqueue(_job(llc)) for llc in (30, 70)]
+        single_ids = [queue.enqueue(_job(30, scale=s)) for s in (0.05, 0.08)]
         batch_id = queue.enqueue(
             BatchJob("streaming", (_job(30).config, _job(70).config), 0.05)
         )

@@ -24,6 +24,7 @@ from repro.runtime import (
 from repro.runtime.broker import (
     BrokerBackend,
     BrokerQueue,
+    broker_env_options,
     config_from_canonical,
     job_from_spec,
     job_spec,
@@ -363,6 +364,30 @@ class TestRetryCapSurfacesCleanly:
         with pytest.raises(BrokerError) as err:
             backend.run_batch(_jobs(make_config("none")))
         assert "timed out" in str(err.value)
+
+
+class TestCoordinatorTimeout:
+    @pytest.mark.parametrize("raw", ["0", "-1", "-0.5"])
+    def test_non_positive_env_timeout_rejected(self, monkeypatch, raw):
+        # 0 used to mean "no deadline" and -1 "time out at once".
+        monkeypatch.setenv("REPRO_BROKER_TIMEOUT", raw)
+        with pytest.raises(BrokerError) as err:
+            broker_env_options()
+        assert "REPRO_BROKER_TIMEOUT" in str(err.value)
+
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0])
+    def test_non_positive_explicit_timeout_rejected(self, tmp_path, timeout):
+        with pytest.raises(BrokerError) as err:
+            BrokerBackend(tmp_path, timeout=timeout)
+        assert "REPRO_BROKER_TIMEOUT" in str(err.value)
+
+    def test_positive_or_unset_timeout_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BROKER_TIMEOUT", raising=False)
+        assert broker_env_options()["timeout"] is None
+        monkeypatch.setenv("REPRO_BROKER_TIMEOUT", "2.5")
+        assert broker_env_options()["timeout"] == 2.5
+        assert BrokerBackend(tmp_path, timeout=None).timeout is None
+        assert BrokerBackend(tmp_path, timeout=0.1).timeout == 0.1
 
 
 def queue_failed_count(cache_dir) -> int:

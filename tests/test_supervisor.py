@@ -19,7 +19,7 @@ import pytest
 import faultinject
 from repro.core.mechanisms import make_config
 from repro.errors import ConfigError
-from repro.runtime import SimJob
+from repro.runtime import SimJob, estimate_job_cost
 from repro.runtime.broker import BrokerQueue, run_worker
 from repro.runtime.cache import SCHEMA_TAG
 from repro.runtime.supervisor import (
@@ -28,6 +28,7 @@ from repro.runtime.supervisor import (
     STATUS_SCHEMA,
     SUPERVISOR_SCHEMA,
     Supervisor,
+    _spearman,
     build_status,
     cell_job_id,
     desired_workers,
@@ -127,6 +128,18 @@ class TestSupervisorOptions:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             supervisor_options(**kwargs)
+
+    def test_env_zero_max_workers_reaches_validation(self, monkeypatch):
+        # ``_env_int(...) or DEFAULT`` used to turn 0 into the default 4.
+        monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "0")
+        with pytest.raises(ConfigError, match="max_workers must be >= 1"):
+            supervisor_options()
+
+    def test_env_zero_min_workers_is_kept(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SUPERVISOR_MIN", "0")
+        monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "1")
+        opts = supervisor_options()
+        assert (opts.min_workers, opts.max_workers) == (0, 1)
 
     def test_malformed_env_value_is_a_config_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "lots")
@@ -413,12 +426,57 @@ class TestSweepProgress:
         )
         assert row["attempts"] == 3
 
+    def test_cost_rank_corr_is_none_below_three_done_cells(self, tmp_path):
+        manifest = _write_manifest(tmp_path)
+        queue = BrokerQueue(tmp_path)
+        queue._ensure_dirs()
+        progress = sweep_progress(tmp_path, manifest)
+        assert progress["cost_rank_cells"] == 0
+        assert progress["cost_rank_corr"] is None
+        for cell in manifest.cells[:2]:
+            _fake_done(queue, cell_job_id(cell))
+        progress = sweep_progress(tmp_path, manifest)
+        assert progress["cost_rank_cells"] == 2
+        assert progress["cost_rank_corr"] is None
+
+    @pytest.mark.parametrize("agrees", [True, False])
+    def test_cost_rank_corr_measures_the_model(self, tmp_path, agrees):
+        manifest = _write_manifest(tmp_path)
+        queue = BrokerQueue(tmp_path)
+        queue._ensure_dirs()
+        by_cost: dict[int, list] = {}
+        for cell in manifest.cells:
+            by_cost.setdefault(estimate_job_cost(cell.job()), []).append(cell)
+        cheap, dear = sorted(by_cost)  # smoke @ quick: two trace lengths
+        planted = by_cost[cheap][:2] + by_cost[dear][:2]
+        run_times = [1.0, 1.1, 5.0, 5.1] if agrees else [5.1, 5.0, 1.1, 1.0]
+        for cell, run_s in zip(planted, run_times):
+            _fake_done(queue, cell_job_id(cell), run_s=run_s)
+        progress = sweep_progress(tmp_path, manifest)
+        assert progress["cost_rank_cells"] == 4
+        # Cost ranks (0.5, 0.5, 2.5, 2.5) against run_s ranks 0..3.
+        expected = round(4 / 20**0.5, 4)
+        assert progress["cost_rank_corr"] == (expected if agrees else -expected)
+
     def test_latest_manifest_picks_the_newest(self, tmp_path):
         assert latest_manifest(tmp_path) is None
         manifest = _write_manifest(tmp_path)
         found = latest_manifest(tmp_path)
         assert found is not None
         assert found.spec_digest == manifest.spec_digest
+
+
+class TestSpearman:
+    def test_perfect_agreement_and_reversal(self):
+        assert _spearman([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
+        assert _spearman([1, 2, 3, 4], [4, 3, 2, 1]) == -1.0
+
+    def test_ties_take_average_ranks(self):
+        assert _spearman([1, 1, 2], [1, 2, 3]) == round(0.75**0.5, 4)
+
+    def test_undefined_is_none(self):
+        assert _spearman([1], [2]) is None
+        assert _spearman([5, 5, 5], [1, 2, 3]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +515,20 @@ class TestStatus:
         assert status["sweep"]["counts"]["done"] == 2
         json.dumps(status)
 
+    def test_render_shows_the_measured_rank_corr(self, tmp_path):
+        manifest = _write_manifest(tmp_path)
+        queue = BrokerQueue(tmp_path)
+        queue._ensure_dirs()
+        cells = sorted(manifest.cells, key=lambda c: estimate_job_cost(c.job()))
+        for i, cell in enumerate([cells[0], cells[1], cells[-1]]):
+            _fake_done(queue, cell_job_id(cell), run_s=1.0 + i)
+        status = build_status(tmp_path)
+        rho = status["sweep"]["cost_rank_corr"]
+        assert rho is not None and rho > 0
+        assert f"rank corr {rho:+.2f} vs run time over 3 done cell(s)" in (
+            render_status(status)
+        )
+
     def test_render_is_pure_text(self, tmp_path):
         manifest = _write_manifest(tmp_path)
         queue = BrokerQueue(tmp_path)
@@ -466,6 +538,7 @@ class TestStatus:
         assert "repro service status" in text
         assert "fake-worker" in text
         assert "sweep       smoke @ quick" in text
+        assert "cost model  rank corr - vs run time over 1 done cell(s)" in text
         assert "\x1b" not in text  # escapes belong to the watch loop only
 
 
