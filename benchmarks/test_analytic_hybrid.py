@@ -1,8 +1,8 @@
 """Bench guard: hybrid fidelity vs all-exact, on the dense grid.
 
 Runs one workload's full column of the ROADMAP's ``dense-latency-btb``
-sweep at quick scale — the same 120 cells ``test_batched_grid.py``
-measures — once with every cell on the exact engine and once under
+sweep at quick scale (120 cells) once with every cell on the exact
+engine and once under
 ``--fidelity hybrid`` (:mod:`repro.analytic`): per series, a 3x2 anchor
 grid runs exact, the fitted closed-form model synthesizes the rest, and
 high-uncertainty or extrapolating cells are re-dispatched exact. Both

@@ -2,7 +2,7 @@
 """Aggregate ``benchmarks/results/BENCH_*.json`` into one perf report.
 
 Each perf-guard benchmark leaves a machine-readable payload behind
-(``BENCH_batched_grid.json``, ``BENCH_analytic_hybrid.json``, ...). This
+(``BENCH_analytic_hybrid.json``, ...). This
 script folds every payload into a single longitudinal markdown table —
 one row per benchmark with its headline speedup and timings — followed by
 a flattened per-benchmark detail section. CI appends the output to the

@@ -1,22 +1,13 @@
-"""Per-stage cycle/time attribution for both engines (``--profile-stages``).
+"""Per-stage cycle/time attribution (``--profile-stages``).
 
-The sweeps CLI turns the process-wide profiler on
-(:func:`enable`), the runtime's job executors consult it
-(:func:`active`), and every *stage activation* — one ``tick`` (or, in the
-batched engine's fused loop, one gated-in stage call) — is timed with
-``perf_counter`` and accumulated per stage name. The resulting table
-answers "where do the cycles go": how many cycles each stage actually
-acted, and how much wall time those activations cost.
-
-Attribution semantics differ slightly, and meaningfully, per engine:
-
-* the per-cell :class:`~repro.core.engine.FrontEndEngine` calls every
-  stage every cycle, so a stage's tick count equals the cycle count and
-  its time includes the idle early-outs;
-* the batched :class:`~repro.core.batch.BatchedEngine` only calls a stage
-  on cycles its gate opens, so tick counts there show how often each
-  stage was *live* — exactly the signal that motivates the fused gate
-  loop — and the fast-forward oracle appears as its own row.
+The sweeps CLI turns the process-wide profiler on (:func:`enable`), the
+runtime's job executor consults it (:func:`active`), and every *stage
+activation* is timed with ``perf_counter`` and accumulated per stage
+name. An activation is a cycle on which the stage's gate opened, so the
+engine called its ``tick`` (:mod:`repro.core.engine`): a stage's
+activation count says how many cycles it could act, and its seconds what
+those activations cost. Stages that are idle most cycles — fill arrivals,
+squashes — show far fewer activations than the run has cycles.
 
 Profiling never changes simulated results (the wrappers are pure
 pass-throughs), but it does add per-call overhead, so wall-clock numbers
@@ -58,9 +49,8 @@ class StageProfiler:
     def wrap(self, name: str, fn: Callable) -> Callable:
         """A pass-through wrapper timing every call of ``fn`` under ``name``.
 
-        Multiple callables may share a name (the batched BPU's predict /
-        probe / wrong-path walk entry points all attribute to the BPU
-        stage); their counts and times pool into one row.
+        Callables sharing a name (the same stage in several runs) pool
+        their counts and times into one row.
         """
         row = self.rows.setdefault(name, [0, 0.0])
 
@@ -82,7 +72,7 @@ class StageProfiler:
             )
         total = sum(row[1] for row in self.rows.values())
         lines = [
-            "per-stage attribution (activations = cycles the stage ran):",
+            "per-stage attribution (activations = cycles the stage's gate opened):",
             f"  {'stage':<16s} {'activations':>12s} {'seconds':>9s} {'share':>6s}",
         ]
         for name, (calls, seconds) in self.rows.items():
@@ -116,11 +106,11 @@ def disable() -> None:
 
 
 class _TimedStage:
-    """Stage wrapper for the per-cell engine's generic tick loop.
+    """Stage wrapper whose ``tick`` is the profiler's timed wrapper.
 
-    ``tick`` is replaced by the profiler's timed wrapper; everything else
-    (``counters()``, ``name``, stage-specific attributes read by the
-    results aggregation) delegates to the wrapped stage.
+    Everything else (``counters()``, ``name``, the stage attributes the
+    engine's gates and the results aggregation read) delegates to the
+    wrapped stage.
     """
 
     def __init__(self, inner: object, profiler: StageProfiler):
@@ -134,7 +124,7 @@ class _TimedStage:
 def run_profiled_single(
     workload: "Workload", config: "SimConfig", profiler: StageProfiler
 ) -> "SimulationResult":
-    """One per-cell simulation with every stage tick timed.
+    """One simulation with every stage tick timed.
 
     Bit-identical to ``Simulator(workload, config).run()`` — the wrappers
     forward arguments and state untouched; only wall time is observed.

@@ -16,10 +16,14 @@ One simulated cycle is a fixed-order pass over a mechanism's stage list
 
 Every stage implements ``tick(state, cycle)`` over the shared
 :class:`PipelineState` and reports its own counters through
-``counters()``; :func:`repro.core.results.aggregate_stage_counters`
-flattens them into the engine's stats dict. Mechanisms are assembled from
-these parts by :func:`repro.core.mechanisms.compose_stages` — adding a
-mechanism is a composition exercise, not engine surgery (see
+``counters()``. The engine calls a tick only on cycles its *gate* opens,
+and each gate in :meth:`repro.core.engine.FrontEndEngine.run` mirrors the
+early-out guard at the head of its tick — so a stage that changes what
+its tick does when idle must change its gate with it. Counters flatten
+into the engine's stats dict through
+:func:`repro.core.results.aggregate_stage_counters`. Mechanisms are
+assembled from these parts by :func:`repro.core.mechanisms.compose_stages`
+— adding a mechanism is a composition exercise, not engine surgery (see
 ``docs/architecture.md``).
 """
 

@@ -322,8 +322,8 @@ class MissProbeBPU(BPUStage):
         self.predecode_latency = ctx.config.core.predecode_latency
         self.throttle_blocks = ctx.config.prefetch.throttle_blocks
         # Predecode entry point; a pure function of (cfg, block, miss_pc),
-        # so the batched engine rebinds it to a per-workload memo shared
-        # across lanes (BTBEntry is immutable — sharing results is safe).
+        # bound at construction so a per-engine wrapper (tracing, timing)
+        # can stand in for it.
         self._fill = boomerang_fill
 
     def _advance_miss_probe(self, state: PipelineState, cycle: int) -> None:

@@ -41,8 +41,8 @@ class PredecodeFillArrival(FillArrival):
         super().__init__(ctx)
         self.btb = ctx.btb
         self.cfg = ctx.workload.cfg
-        # Pure function of (cfg, block); the batched engine rebinds it to
-        # a per-workload memo shared across lanes (entries are immutable).
+        # Pure function of (cfg, block), bound at construction so a
+        # per-engine wrapper (tracing, timing) can stand in for it.
         self._predecode = predecode_block
 
     def tick(self, state: PipelineState, cycle: int) -> None:

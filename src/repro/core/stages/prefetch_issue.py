@@ -45,9 +45,10 @@ class FTQScanPrefetchIssue:
 
     def tick(self, state: PipelineState, cycle: int) -> None:
         # Scan FTQ entries pushed since the last tick into the probe queue,
-        # oldest first. The BPU pushes at most one entry per cycle and this
-        # stage runs every cycle, so n_new is 0 or 1; the index loop keeps
-        # a hypothetical multi-push BPU correct without allocating.
+        # oldest first. The BPU pushes at most one entry per cycle and the
+        # engine ticks this stage on every cycle that follows a push, so
+        # n_new is 0 or 1; the index loop keeps a hypothetical multi-push
+        # BPU correct without allocating.
         ftq = self.ftq
         n_new = ftq.pushed - self._scan_mark
         if n_new:

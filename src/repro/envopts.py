@@ -75,16 +75,6 @@ REPRO_ENV_OPTIONS: dict[str, EnvOption] = {
             choices=("auto", "serial", "pool", "broker"),
         ),
         EnvOption(
-            "REPRO_BATCH",
-            "group same-workload jobs into batched engine runs (0/false/no off)",
-            kind="flag",
-        ),
-        EnvOption(
-            "REPRO_BATCH_WIDTH",
-            "max configs per batched engine run (>= 2; default 16)",
-            kind="int",
-        ),
-        EnvOption(
             "REPRO_FIDELITY",
             "result fidelity tier: exact | analytic | hybrid",
             kind="choice",

@@ -6,11 +6,10 @@ Usage::
     python -m repro.experiments.sweeps show <name> [--scale S] [--fidelity F]
     python -m repro.experiments.sweeps run  <name> [--scale S]
         [--workload-set W] [--jobs N] [--cache-dir D] [--backend B]
-        [--batch] [--batch-width N] [--fidelity F] [--profile-stages]
-        [--no-table] [--serve]
+        [--fidelity F] [--profile-stages] [--no-table] [--serve]
     python -m repro.experiments.sweeps run --resume <manifest>
-        [--jobs N] [--cache-dir D] [--backend B] [--batch]
-        [--batch-width N] [--profile-stages] [--no-table]
+        [--jobs N] [--cache-dir D] [--backend B] [--profile-stages]
+        [--no-table]
 
 ``run`` executes the named grid through the shared experiment runtime —
 ``--jobs``/``--cache-dir``/``--backend`` configure it exactly like
@@ -20,13 +19,10 @@ way the figure modules do. The closing summary line reports unique jobs,
 simulations actually executed, disk hits, wall time and the backend's
 telemetry (for the broker: per-worker job counts, queue waits, retries).
 
-``--batch`` (or ``REPRO_BATCH``) groups same-workload cells into batched
-:class:`~repro.core.batch.BatchedEngine` runs of up to ``--batch-width``
-configs each; results are bit-identical and land in the per-cell cache
-under unchanged keys, so warm reruns, shards and ``--resume`` never see
-the difference. ``--profile-stages`` prints per-stage cycle/time
-attribution for whatever executed (per-cell or batched engines); it
-forces the serial backend because the collector is in-process.
+``--profile-stages`` prints per-stage attribution for whatever executed:
+how many cycles each stage's gate opened and what those activations cost
+(:mod:`repro.core.profiling`); it forces the serial backend because the
+collector is in-process.
 
 With a cache directory configured, ``run`` first writes a **manifest**
 (the resolved cell list — see :mod:`repro.experiments.sweeps.manifest`)
@@ -230,10 +226,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     extra: list[str] = []
     if args.jobs is not None:
         extra += ["--jobs", str(args.jobs)]
-    if args.batch:
-        extra.append("--batch")
-    if args.batch_width is not None:
-        extra += ["--batch-width", str(args.batch_width)]
     if args.fidelity:
         extra += ["--fidelity", args.fidelity]
     if args.no_table:
@@ -265,8 +257,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.jobs,
             args.cache_dir,
             args.backend,
-            args.batch,
-            args.batch_width,
             args.fidelity,
         )
     ):
@@ -274,8 +264,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             backend=args.backend,
-            batch=args.batch,
-            batch_width=args.batch_width,
             fidelity=args.fidelity,
         )
     runtime = get_runtime()
@@ -345,8 +333,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=cache_dir,
         backend=args.backend,
-        batch=args.batch,
-        batch_width=args.batch_width,
         fidelity=manifest.fidelity,
     )
     runtime = get_runtime()
@@ -443,17 +429,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--backend",
         help="serial|pool|broker|auto (or REPRO_BACKEND); broker needs --cache-dir",
-    )
-    p_run.add_argument(
-        "--batch",
-        action="store_true",
-        default=None,
-        help="group same-workload cells into batched engine runs (or REPRO_BATCH)",
-    )
-    p_run.add_argument(
-        "--batch-width",
-        type=int,
-        help="max configs per batched run, >= 2 (or REPRO_BATCH_WIDTH)",
     )
     p_run.add_argument(
         "--fidelity",

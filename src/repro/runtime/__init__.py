@@ -7,7 +7,7 @@ Public surface:
   reading transparently from loose records and compacted shards),
 * :func:`scan_cache` / :func:`prune_cache` / :func:`compact_cache` — cache
   lifecycle (also the ``python -m repro.runtime list|prune|compact`` CLI),
-* :class:`SimJob` / :class:`ExperimentRuntime` — batched execution,
+* :class:`SimJob` / :class:`ExperimentRuntime` — memoized job execution,
 * :class:`ExecutorBackend` and the ``serial`` / ``pool`` / ``broker``
   backends (:data:`BACKEND_NAMES`, selected via ``REPRO_BACKEND``),
 * :class:`BrokerQueue` / :class:`BrokerBackend` / :func:`run_worker` — the
@@ -31,19 +31,14 @@ from .executors import (
     resolve_backend_name,
 )
 from .runner import (
-    DEFAULT_BATCH_WIDTH,
-    BatchJob,
     ExperimentRuntime,
     RuntimeOptions,
     SimJob,
     backend_summary,
     configure_runtime,
     estimate_job_cost,
-    execute_batch_job,
     execute_job,
-    execute_work,
     get_runtime,
-    plan_batch_units,
     resolve_options,
 )
 from .shards import WorkloadCompaction, compact_cache
@@ -60,9 +55,7 @@ from .supervisor import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "DEFAULT_BATCH_WIDTH",
     "SCHEMA_TAG",
-    "BatchJob",
     "BrokerBackend",
     "BrokerQueue",
     "CacheTagInfo",
@@ -84,12 +77,9 @@ __all__ = [
     "configure_runtime",
     "desired_workers",
     "estimate_job_cost",
-    "execute_batch_job",
     "execute_job",
-    "execute_work",
     "get_runtime",
     "make_backend",
-    "plan_batch_units",
     "prune_cache",
     "render_status",
     "resolve_backend_name",

@@ -78,7 +78,7 @@ from .confighash import canonicalize, config_digest
 from .faultpoints import maybe_fault
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
-    from .runner import WorkUnit
+    from .runner import SimJob
 
 #: Queue record format version (independent of the engine schema tag).
 #: v2: batched work units — specs may carry ``configs``/``digests`` lists
@@ -87,7 +87,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
 #: v3: requeue-aware wait telemetry — requeued specs carry ``requeued_at``,
 #: done records report ``queue_wait_s`` from the *latest* (re)queue time
 #: and the new ``age_s`` from the original ``enqueued_at``.
-BROKER_SCHEMA = "broker-v3"
+#: v4: one job per spec again — v2's ``configs``/``digests`` specs and
+#: list-valued ``results`` done records are gone. A spec of any other
+#: queue schema is stale, like one of another engine schema
+#: (:func:`_stale_spec`).
+BROKER_SCHEMA = "broker-v4"
 
 #: Defaults, overridable via REPRO_BROKER_* (see :func:`broker_env_options`).
 DEFAULT_LEASE_SECONDS = 300.0
@@ -156,66 +160,51 @@ def config_from_canonical(obj: object) -> object:
     return obj
 
 
-def job_spec(job: WorkUnit) -> dict:
-    """The JSON work-unit description a worker needs to execute ``job``.
-
-    A single :class:`~repro.runtime.runner.SimJob` carries one ``config``;
-    a :class:`~repro.runtime.runner.BatchJob` carries ``configs`` and the
-    matching per-member ``digests`` (the unit's own ``digest`` is the
-    batch digest its job id is derived from).
-    """
-    from .runner import BatchJob, estimate_job_cost
+def job_spec(job: SimJob) -> dict:
+    """The JSON job description a worker needs to execute ``job``."""
+    from .runner import estimate_job_cost
 
     workload, scale_tok, digest = job.key
-    spec = {
+    return {
         "schema": BROKER_SCHEMA,
         "engine_schema": SCHEMA_TAG,
         "workload": workload,
         "scale": scale_tok,
         "digest": digest,
+        "config": canonicalize(job.config),
         "cost": estimate_job_cost(job),
         "enqueued_at": time.time(),
     }
-    if isinstance(job, BatchJob):
-        spec["configs"] = [canonicalize(config) for config in job.configs]
-        spec["digests"] = [config_digest(config) for config in job.configs]
-    else:
-        spec["config"] = canonicalize(job.config)
-    return spec
 
 
-def _rebuild_config(obj: object) -> SimConfig:
-    config = config_from_canonical(obj)
-    if not isinstance(config, SimConfig):
-        raise BrokerError("job spec config does not describe a SimConfig")
-    return config
+def _stale_spec(spec: dict | None) -> bool:
+    """Was this readable spec written under another engine or queue schema?
+
+    Such a spec is dead weight: its counters (engine schema) or its very
+    shape (queue schema — e.g. a ``broker-v3`` batch spec carrying
+    ``configs``/``digests`` lists) do not match this code, so it is
+    purged from ``pending/`` and from expired claims, and terminal-failed
+    rather than executed if claimed. An unreadable spec is not stale;
+    the claim path handles it.
+    """
+    return spec is not None and (
+        spec.get("engine_schema") != SCHEMA_TAG
+        or spec.get("schema") != BROKER_SCHEMA
+    )
 
 
-def job_from_spec(spec: dict) -> WorkUnit:
-    """Rebuild the work unit a spec describes.
+def job_from_spec(spec: dict) -> SimJob:
+    """Rebuild the job a spec describes.
 
-    Every config digest is recomputed from the rebuilt config and checked
+    The config digest is recomputed from the rebuilt config and checked
     against the spec's — catching serialization drift or a worker running
     different config code before it can produce a wrongly-keyed result.
-    For a batched spec the member digests are checked individually (the
-    batch digest is derived from them, so it is covered transitively).
     """
-    from .runner import BatchJob, SimJob
+    from .runner import SimJob
 
-    if "configs" in spec:
-        configs = tuple(_rebuild_config(obj) for obj in spec["configs"])
-        batch = BatchJob(spec["workload"], configs, float(spec["scale"]))
-        for config, expected in zip(configs, spec["digests"]):
-            if config_digest(config) != expected:
-                raise BrokerError(
-                    f"config digest mismatch for batch job "
-                    f"{spec['workload']!r}: the spec says {expected[:16]} "
-                    f"but this worker's code computes "
-                    f"{config_digest(config)[:16]} — submitter and worker "
-                    f"are running different repro versions"
-                )
-        return batch
-    config = _rebuild_config(spec["config"])
+    config = config_from_canonical(spec["config"])
+    if not isinstance(config, SimConfig):
+        raise BrokerError("job spec config does not describe a SimConfig")
     job = SimJob(spec["workload"], config, float(spec["scale"]))
     if config_digest(config) != spec["digest"]:
         raise BrokerError(
@@ -284,10 +273,8 @@ class BrokerQueue:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         scheduler: str = DEFAULT_SCHEDULER,
     ):
-        if lease_seconds <= 0:
-            raise BrokerError("lease_seconds must be positive")
-        if max_attempts < 1:
-            raise BrokerError("max_attempts must be >= 1")
+        _check_lease(lease_seconds)
+        _check_max_attempts(max_attempts)
         if scheduler not in SCHEDULERS:
             valid = ", ".join(SCHEDULERS)
             raise BrokerError(
@@ -308,13 +295,13 @@ class BrokerQueue:
             directory.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
-    def job_id(job: WorkUnit) -> str:
+    def job_id(job: SimJob) -> str:
         workload, scale_tok, digest = job.key
         return f"{workload}__s{scale_tok}__{digest[:16]}"
 
     # ------------------------------------------------------------- enqueue
 
-    def enqueue(self, job: WorkUnit) -> str:
+    def enqueue(self, job: SimJob) -> str:
         """Make ``job`` runnable unless it is already visible anywhere.
 
         Racing submitters are harmless: both write identical specs, and a
@@ -335,15 +322,16 @@ class BrokerQueue:
     def _visible(self, job_id: str) -> bool:
         """Is a runnable/leased spec for ``job_id`` already in the queue?
 
-        A *pending* spec written by an older engine version (an
-        interrupted run that predates a source change) is dead weight —
-        its claimer would only terminal-fail it on the schema check — so
-        it is deleted here and reported not-visible, letting the caller
-        enqueue a fresh current-schema spec instead. A *claimed* spec in
-        the same situation whose lease has expired (its old-schema owner
-        crashed) is equally dead weight and gets the same treatment;
-        while its lease is live it stays visible — a running worker is
-        never robbed, even a doomed one.
+        A *pending* spec written under another engine or queue schema (an
+        interrupted run that predates a source change, see
+        :func:`_stale_spec`) is dead weight — its claimer would only
+        terminal-fail it on the schema check — so it is deleted here and
+        reported not-visible, letting the caller enqueue a fresh
+        current-schema spec instead. A *claimed* spec in the same
+        situation whose lease has expired (its old-schema owner crashed)
+        is equally dead weight and gets the same treatment; while its
+        lease is live it stays visible — a running worker is never
+        robbed, even a doomed one.
         """
         visible = False
         now = time.time()
@@ -358,8 +346,7 @@ class BrokerQueue:
                 parsed = _parse_job_name(name)
                 if parsed is None or parsed[0] != job_id:
                     continue
-                spec = _read_json(directory / name)
-                if spec is not None and spec.get("engine_schema") != SCHEMA_TAG:
+                if _stale_spec(_read_json(directory / name)):
                     if directory is self.pending:
                         (directory / name).unlink(missing_ok=True)
                         continue
@@ -461,15 +448,11 @@ class BrokerQueue:
     def complete(
         self,
         claimed: ClaimedJob,
-        result: SimulationResult | list[SimulationResult],
+        result: SimulationResult,
         worker_id: str,
         run_seconds: float,
     ) -> dict:
-        """Publish the result(s) + telemetry, then release the claim.
-
-        A batched unit publishes ``results`` — one entry per member
-        config, in config order — where a single job publishes
-        ``result``; the coordinator dispatches on which key is present.
+        """Publish the result + telemetry, then release the claim.
 
         ``queue_wait_s`` measures from the job's *latest* (re)queue time
         (:attr:`ClaimedJob.runnable_at`), so a retried job's wait never
@@ -497,19 +480,12 @@ class BrokerQueue:
             ),
             "run_s": round(run_seconds, 6),
             "completed_at": time.time(),
+            "result": {
+                "workload": result.workload,
+                "mechanism": result.mechanism,
+                "raw": result.raw,
+            },
         }
-
-        def serialize(one: SimulationResult) -> dict:
-            return {
-                "workload": one.workload,
-                "mechanism": one.mechanism,
-                "raw": one.raw,
-            }
-
-        if isinstance(result, list):
-            record["results"] = [serialize(one) for one in result]
-        else:
-            record["result"] = serialize(result)
         atomic_write_json(self.done / f"{claimed.job_id}.json", record)
         claimed.path.unlink(missing_ok=True)
         return record
@@ -565,8 +541,8 @@ class BrokerQueue:
         atomic rename (one recoverer wins), a claim whose job already has
         a done record is just a leftover to delete, and a job that has
         exhausted its attempts goes to ``failed/`` instead. An expired
-        claim whose spec was written by an *older engine schema* (a
-        worker running pre-source-change code that crashed) is deleted
+        claim whose spec was written under another engine or queue schema
+        (a worker running pre-source-change code that crashed) is deleted
         rather than requeued — its next claimer could only terminal-fail
         it on the schema check, poisoning a fresh resubmission of the
         same job id. Returns how many jobs changed state.
@@ -595,7 +571,7 @@ class BrokerQueue:
             if not expired:
                 continue
             spec = _read_json(path)
-            if spec is not None and spec.get("engine_schema") != SCHEMA_TAG:
+            if _stale_spec(spec):
                 # Dead weight from a crashed old-schema worker: purge it
                 # (like a stale pending spec) so a current-schema spec
                 # can be enqueued in its place.
@@ -680,12 +656,13 @@ def execute_claimed(
     besides being published in the done record (the delivery path — it
     works even when the cache directory is read-only for workers).
     """
-    if claimed.spec.get("engine_schema") != SCHEMA_TAG:
+    if _stale_spec(claimed.spec):
         queue._fail_terminal(
             claimed.job_id,
             claimed.attempts + 1,
-            f"engine schema mismatch: job submitted by "
-            f"{claimed.spec.get('engine_schema')!r}, worker runs {SCHEMA_TAG!r}",
+            f"schema mismatch: job submitted by "
+            f"{claimed.spec.get('schema')!r}/{claimed.spec.get('engine_schema')!r}, "
+            f"worker runs {BROKER_SCHEMA!r}/{SCHEMA_TAG!r}",
         )
         claimed.path.unlink(missing_ok=True)
         return None
@@ -699,10 +676,10 @@ def execute_claimed(
     beater.start()
     started = time.time()
     try:
-        from .runner import execute_work
+        from .runner import execute_job
 
         job = job_from_spec(claimed.spec)
-        result = execute_work(job)
+        result = execute_job(job)
     except Exception as exc:  # noqa: BLE001 - any failure becomes a record
         stop.set()
         beater.join()
@@ -712,16 +689,7 @@ def execute_claimed(
     beater.join()
     record = queue.complete(claimed, result, worker_id, time.time() - started)
     if cache is not None:
-        # A batched unit mirrors each member under its own per-cell key —
-        # the cache never learns that cells were produced in a batch.
-        if isinstance(result, list):
-            from .runner import BatchJob
-
-            assert isinstance(job, BatchJob)
-            for member, one in zip(job.members, result):
-                cache.put(member.key[0], member.key[1], member.key[2], one)
-        else:
-            cache.put(job.key[0], job.key[1], job.key[2], result)
+        cache.put(*job.key, result)
     return record
 
 
@@ -750,8 +718,34 @@ def _check_timeout(timeout: float | None) -> float | None:
     return timeout
 
 
+def _check_lease(lease_seconds: float) -> float:
+    """A positive lease duration in seconds."""
+    if lease_seconds <= 0:
+        raise BrokerError(
+            f"broker lease (REPRO_BROKER_LEASE) must be a positive number of "
+            f"seconds, got {lease_seconds:g}; unset it for the default "
+            f"{DEFAULT_LEASE_SECONDS:g}"
+        )
+    return lease_seconds
+
+
+def _check_max_attempts(max_attempts: int) -> int:
+    """At least one execution attempt per job."""
+    if max_attempts < 1:
+        raise BrokerError(
+            f"broker attempt cap (REPRO_BROKER_MAX_ATTEMPTS) must be an "
+            f"integer >= 1, got {max_attempts}; unset it for the default "
+            f"{DEFAULT_MAX_ATTEMPTS}"
+        )
+    return max_attempts
+
+
 def broker_env_options() -> dict:
-    """Broker tunables from ``REPRO_BROKER_*`` environment variables."""
+    """Broker tunables from ``REPRO_BROKER_*`` environment variables.
+
+    Out-of-range values are rejected here, with an error naming the
+    variable and the value.
+    """
     max_attempts_raw = read_env("REPRO_BROKER_MAX_ATTEMPTS")
     try:
         max_attempts = (
@@ -761,9 +755,12 @@ def broker_env_options() -> dict:
         raise BrokerError(
             f"REPRO_BROKER_MAX_ATTEMPTS must be an integer, got {max_attempts_raw!r}"
         ) from None
+    lease_seconds = _env_float("REPRO_BROKER_LEASE", None)
     return {
-        "lease_seconds": _env_float("REPRO_BROKER_LEASE", DEFAULT_LEASE_SECONDS),
-        "max_attempts": max_attempts,
+        "lease_seconds": (
+            DEFAULT_LEASE_SECONDS if lease_seconds is None else _check_lease(lease_seconds)
+        ),
+        "max_attempts": _check_max_attempts(max_attempts),
         "timeout": _check_timeout(_env_float("REPRO_BROKER_TIMEOUT", None)),
         "steal": env_flag("REPRO_BROKER_STEAL"),
         "scheduler": env_str("REPRO_BROKER_SCHEDULER", DEFAULT_SCHEDULER),
@@ -808,11 +805,7 @@ class BrokerBackend:
     def from_env(cls, cache_dir: str | os.PathLike) -> "BrokerBackend":
         return cls(cache_dir, **broker_env_options())
 
-    def run_batch(
-        self, jobs: list
-    ) -> list[SimulationResult | list[SimulationResult]]:
-        from .runner import BatchJob
-
+    def run_batch(self, jobs: list[SimJob]) -> list[SimulationResult]:
         deadline = None if self.timeout is None else time.time() + self.timeout
         order: list[str] = []
         self.reused_results = 0
@@ -821,27 +814,18 @@ class BrokerBackend:
             if self.queue.read_done(job_id) is not None:
                 # A surviving done record (e.g. an interrupted earlier
                 # batch) is the answer — nothing is (re-)executed for it.
-                # The counter is in member simulations, so a batched unit
-                # counts one reuse per lane.
-                self.reused_results += (
-                    len(job.configs) if isinstance(job, BatchJob) else 1
-                )
+                self.reused_results += 1
             else:
                 self.queue.enqueue(job)
             order.append(job_id)
         unresolved = dict.fromkeys(order)  # insertion-ordered job-id set
-        results: dict[str, SimulationResult | list[SimulationResult]] = {}
+        results: dict[str, SimulationResult] = {}
         self._job_records = []
         while unresolved:
             for job_id in list(unresolved):
                 record = self.queue.read_done(job_id)
                 if record is not None:
-                    if "results" in record:
-                        results[job_id] = [
-                            SimulationResult(**one) for one in record["results"]
-                        ]
-                    else:
-                        results[job_id] = SimulationResult(**record["result"])
+                    results[job_id] = SimulationResult(**record["result"])
                     self._job_records.append(record)
                     del unresolved[job_id]
                     continue

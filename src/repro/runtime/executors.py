@@ -49,10 +49,7 @@ from ..workloads.workload import load_workload, trace_store_env_value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
     from ..core.results import SimulationResult
-    from .runner import WorkUnit
-
-    #: A batch unit yields one result per member config; a plain job, one.
-    WorkResult = SimulationResult | list[SimulationResult]
+    from .runner import SimJob
 
 #: Every name ``--backend`` / ``REPRO_BACKEND`` accepts.
 BACKEND_NAMES: tuple[str, ...] = ("auto", "serial", "pool", "broker")
@@ -77,20 +74,13 @@ def resolve_backend_name(name: str | None) -> str:
 
 @runtime_checkable
 class ExecutorBackend(Protocol):
-    """Executes one batch of simulation work units; see module docstring.
-
-    A work unit is either a single :class:`~repro.runtime.runner.SimJob`
-    (its result slot is one :class:`SimulationResult`) or a
-    :class:`~repro.runtime.runner.BatchJob` (its slot is a list, one
-    result per member config, in config order). The runtime plans the
-    units and fans batched results back out — backends only move work.
-    """
+    """Executes one batch of simulation jobs; see module docstring."""
 
     #: Backend name as selected (``serial`` / ``pool`` / ``broker``).
     name: str
 
-    def run_batch(self, jobs: list["WorkUnit"]) -> list["WorkResult"]:
-        """Execute every work unit; results align with ``jobs`` order."""
+    def run_batch(self, jobs: list["SimJob"]) -> list["SimulationResult"]:
+        """Execute every job; results align with ``jobs`` order."""
         ...
 
     def telemetry(self) -> dict:
@@ -99,14 +89,14 @@ class ExecutorBackend(Protocol):
 
 
 class SerialBackend:
-    """Run every work unit in the current process, in submission order."""
+    """Run every job in the current process, in submission order."""
 
     name = "serial"
 
-    def run_batch(self, jobs: list["WorkUnit"]) -> list["WorkResult"]:
-        from .runner import execute_work
+    def run_batch(self, jobs: list["SimJob"]) -> list["SimulationResult"]:
+        from .runner import execute_job
 
-        return [execute_work(job) for job in jobs]
+        return [execute_job(job) for job in jobs]
 
     def telemetry(self) -> dict:
         return {}
@@ -129,8 +119,8 @@ class ProcessPoolBackend:
         self.max_workers = max_workers
         self._used_pool = False
 
-    def run_batch(self, jobs: list["WorkUnit"]) -> list["WorkResult"]:
-        from .runner import execute_work
+    def run_batch(self, jobs: list["SimJob"]) -> list["SimulationResult"]:
+        from .runner import execute_job
 
         self._used_pool = False
         if self.max_workers > 1 and len(jobs) > 1:
@@ -160,12 +150,12 @@ class ProcessPoolBackend:
                     with ProcessPoolExecutor(
                         max_workers=workers, mp_context=ctx
                     ) as pool:
-                        results = list(pool.map(execute_work, jobs))
+                        results = list(pool.map(execute_job, jobs))
                     self._used_pool = True
                     return results
                 except OSError:
                     pass  # no pool support (restricted sandbox) — run serially
-        return [execute_work(job) for job in jobs]
+        return [execute_job(job) for job in jobs]
 
     def telemetry(self) -> dict:
         return {"pool_workers": self.max_workers if self._used_pool else 1}

@@ -38,7 +38,6 @@ runtime is configured from ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` /
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -47,7 +46,7 @@ from ..config import SimConfig
 from ..core import profiling
 from ..core.results import SimulationResult
 from ..core.simulator import Simulator
-from ..envopts import env_flag, env_str, read_env
+from ..envopts import env_str, read_env
 from ..errors import ConfigError
 from ..workloads.workload import configure_trace_store, load_workload
 from .cache import ResultCache
@@ -59,12 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (analytic imports us)
 
 #: Keys are (workload name, scale token, config digest).
 RunKey = tuple[str, str, str]
-
-#: Default lane count per batch job (``REPRO_BATCH_WIDTH``). Wide enough
-#: that a dense grid's per-workload group usually fits in a few units,
-#: small enough that one unit stays a reasonable work-stealing quantum
-#: for the broker and a reasonable pool task.
-DEFAULT_BATCH_WIDTH = 16
 
 #: Default fidelity tier (``REPRO_FIDELITY``): every cell exact.
 DEFAULT_FIDELITY = "exact"
@@ -101,107 +94,7 @@ def execute_job(job: SimJob) -> SimulationResult:
     return Simulator(workload, job.config).run()
 
 
-@dataclass(frozen=True)
-class BatchJob:
-    """N same-workload simulations to run in one batched trace pass.
-
-    A batch job is a *work unit*, not a cache entity: its results are the
-    member :class:`SimJob` results, stored under the members' unchanged
-    per-cell keys. The batch's own key exists only so queue-level
-    machinery (broker job ids, done records) can address the unit; its
-    digest is a SHA-256 over the member config digests, the same 64-hex
-    shape as a config digest so the ``digest[:16]`` job-id grammar holds.
-    """
-
-    workload: str
-    configs: tuple[SimConfig, ...]
-    workload_scale: float = 1.0
-
-    @property
-    def members(self) -> tuple[SimJob, ...]:
-        """The per-cell jobs this unit computes, in lane order."""
-        return tuple(
-            SimJob(self.workload, config, self.workload_scale)
-            for config in self.configs
-        )
-
-    @property
-    def key(self) -> RunKey:
-        digest = hashlib.sha256(
-            "\n".join(config_digest(config) for config in self.configs).encode()
-        ).hexdigest()
-        return (self.workload, scale_token(self.workload_scale), digest)
-
-
-#: Anything an executor backend can be handed: one simulation, or a
-#: batched unit expanding to one result per member config.
-WorkUnit = SimJob | BatchJob
-
-
-def execute_batch_job(job: BatchJob) -> list[SimulationResult]:
-    """Run one batched unit; one result per config, in config order.
-
-    Results are bit-identical to running each member through
-    :func:`execute_job` — the :class:`~repro.core.batch.BatchedEngine`
-    is golden-equivalent to the per-cell engine by construction (and
-    pinned by ``tests/test_batch.py``).
-    """
-    from ..core.batch import BatchedEngine
-
-    workload = load_workload(job.workload, scale=job.workload_scale)
-    engine = BatchedEngine(workload, job.configs, profiler=profiling.active())
-    return [
-        SimulationResult(
-            workload=workload.name, mechanism=config.mechanism, raw=raw
-        )
-        for config, raw in zip(job.configs, engine.run())
-    ]
-
-
-def execute_work(unit: WorkUnit) -> SimulationResult | list[SimulationResult]:
-    """Execute any work unit (the backend-side dispatch point)."""
-    if isinstance(unit, BatchJob):
-        return execute_batch_job(unit)
-    return execute_job(unit)
-
-
-def plan_batch_units(
-    jobs: list[SimJob], width: int
-) -> tuple[list[WorkUnit], list[list[int]]]:
-    """Group same-workload jobs into batched units of at most ``width``.
-
-    Jobs group by ``(workload, scale)`` in first-appearance order; each
-    group is chunked into :class:`BatchJob` units of ``width`` lanes,
-    with singleton leftovers (and one-job groups) staying plain
-    :class:`SimJob` units — a one-lane batch is just the per-cell engine
-    with extra steps. Returns the units plus, aligned with them, the
-    original ``jobs`` indices each unit's flattened results map back to.
-    """
-    if width < 2:
-        raise ValueError("batch width must be >= 2")
-    groups: dict[tuple[str, float], list[int]] = {}
-    for position, job in enumerate(jobs):
-        groups.setdefault((job.workload, job.workload_scale), []).append(position)
-    units: list[WorkUnit] = []
-    positions: list[list[int]] = []
-    for (workload, scale), indices in groups.items():
-        for start in range(0, len(indices), width):
-            chunk = indices[start : start + width]
-            if len(chunk) == 1:
-                units.append(jobs[chunk[0]])
-            else:
-                units.append(
-                    BatchJob(
-                        workload,
-                        tuple(jobs[i].config for i in chunk),
-                        scale,
-                    )
-                )
-            positions.append(chunk)
-    return units, positions
-
-
-def estimate_job_cost(job: WorkUnit) -> int | None:
+def estimate_job_cost(job: SimJob) -> int | None:
     """Cost estimate in trace instructions: the job's scaled trace length.
 
     Simulation host time tracks how many trace instructions a job runs.
@@ -218,18 +111,9 @@ def estimate_job_cost(job: WorkUnit) -> int | None:
     scheduler's FIFO fallback — is returned for a workload the profile
     table does not know, rather than guessing a rank for a job that will
     fail anyway.
-
-    A :class:`BatchJob` walks the trace once per lane, so its cost is the
-    sum of its members' — which is what keeps longest-first scheduling
-    meaningful when wide batch units and singletons share a queue.
     """
     from ..workloads.profiles import get_profile
 
-    if isinstance(job, BatchJob):
-        member_costs = [estimate_job_cost(member) for member in job.members]
-        if any(cost is None for cost in member_costs):
-            return None
-        return sum(member_costs)  # type: ignore[arg-type]
     try:
         profile = get_profile(job.workload)
     except ConfigError:
@@ -251,8 +135,6 @@ class RuntimeOptions:
     jobs: int
     cache_dir: str | None
     backend: str
-    batch: bool = False
-    batch_width: int = DEFAULT_BATCH_WIDTH
     fidelity: str = DEFAULT_FIDELITY
     anchors: str = "3x2"
     max_rel_err: float = DEFAULT_MAX_REL_ERR
@@ -262,8 +144,6 @@ def resolve_options(
     jobs: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     backend: str | None = None,
-    batch: bool | None = None,
-    batch_width: int | None = None,
     fidelity: str | None = None,
     anchors: str | None = None,
     max_rel_err: float | None = None,
@@ -275,10 +155,10 @@ def resolve_options(
     read, so a stale or malformed ``REPRO_*`` value can never override or
     break an explicit choice. Otherwise the environment variable applies
     (``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ``REPRO_BACKEND``,
-    ``REPRO_BATCH``, ``REPRO_BATCH_WIDTH``, ``REPRO_FIDELITY``,
-    ``REPRO_ANALYTIC_ANCHORS``, ``REPRO_ANALYTIC_MAX_ERR``), and finally
-    the default (``1``, no cache, ``auto``, batching off, width 16,
-    ``exact`` fidelity, ``3x2`` anchors, 0.10 escalation bound).
+    ``REPRO_FIDELITY``, ``REPRO_ANALYTIC_ANCHORS``,
+    ``REPRO_ANALYTIC_MAX_ERR``), and finally the default (``1``, no
+    cache, ``auto``, ``exact`` fidelity, ``3x2`` anchors, 0.10 escalation
+    bound).
     Validation happens here for every entry path — constructor,
     :func:`configure_runtime`, CLI flags.
     """
@@ -313,22 +193,6 @@ def resolve_options(
             "the broker backend needs a shared cache directory for its job "
             "queue: pass --cache-dir or set REPRO_CACHE_DIR"
         )
-    if batch is None:
-        batch = env_flag("REPRO_BATCH", default=False)
-    if batch_width is None:
-        raw = env_str("REPRO_BATCH_WIDTH", str(DEFAULT_BATCH_WIDTH))
-        try:
-            batch_width = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BATCH_WIDTH must be an integer >= 2, got {raw!r}"
-            ) from None
-        if batch_width < 2:
-            raise ValueError(
-                f"REPRO_BATCH_WIDTH must be an integer >= 2, got {raw!r}"
-            )
-    elif batch_width < 2:
-        raise ValueError("batch_width must be >= 2")
     if fidelity is None:
         fidelity = env_str("REPRO_FIDELITY", DEFAULT_FIDELITY)
     if fidelity not in FIDELITY_NAMES:
@@ -362,8 +226,6 @@ def resolve_options(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        batch=batch,
-        batch_width=batch_width,
         fidelity=fidelity,
         anchors=anchors,
         max_rel_err=max_rel_err,
@@ -378,19 +240,13 @@ class ExperimentRuntime:
         jobs: int = 1,
         cache_dir: str | os.PathLike | None = None,
         backend: str = "auto",
-        batch: bool = False,
-        batch_width: int = DEFAULT_BATCH_WIDTH,
         fidelity: str = DEFAULT_FIDELITY,
         anchors: str = "3x2",
         max_rel_err: float = DEFAULT_MAX_REL_ERR,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if batch_width < 2:
-            raise ValueError("batch_width must be >= 2")
         self.jobs = jobs
-        self.batch = batch
-        self.batch_width = batch_width
         self.backend = resolve_backend_name(backend)
         self.fidelity = fidelity
         self.anchors = anchors
@@ -597,41 +453,19 @@ class ExperimentRuntime:
     ) -> list[SimulationResult]:
         """Dispatch a batch of cache misses to the executor backend.
 
-        With batching on, same-workload jobs are regrouped into
-        :class:`BatchJob` units first (:func:`plan_batch_units`); the
-        backend returns one result list per batched unit, which fans back
-        out here into per-job order — callers and the cache never see the
-        batching.
+        Returns one result per pending job, in ``pending`` order.
         """
         jobs = [job for _, job in pending]
-        units: list[WorkUnit]
-        if self.batch:
-            units, positions = plan_batch_units(jobs, self.batch_width)
-        else:
-            units = list(jobs)
-            positions = [[i] for i in range(len(jobs))]
         executor = make_backend(self.backend, jobs=self.jobs, cache_dir=self.cache_dir)
-        unit_results = executor.run_batch(units)
-        results: list[SimulationResult | None] = [None] * len(jobs)
-        for unit, chunk, unit_result in zip(units, positions, unit_results):
-            if isinstance(unit, BatchJob):
-                for position, result in zip(chunk, unit_result):
-                    results[position] = result
-            else:
-                results[chunk[0]] = unit_result
+        results = executor.run_batch(jobs)
         # The broker can answer jobs from done records that survived an
         # earlier (interrupted) batch; those were not simulated by anyone
-        # now, so they must not count as executions. (Its counter is in
-        # member simulations, batched or not.)
+        # now, so they must not count as executions.
         self.executed += len(jobs) - getattr(executor, "reused_results", 0)
         telemetry = dict(executor.telemetry())
         telemetry["backend"] = executor.name
-        if self.batch:
-            batched_units = [u for u in units if isinstance(u, BatchJob)]
-            telemetry["batch_units"] = len(batched_units)
-            telemetry["batched_jobs"] = sum(len(u.configs) for u in batched_units)
         self._merge_telemetry(telemetry)
-        return results  # type: ignore[return-value]
+        return results
 
     def _merge_telemetry(self, telemetry: dict) -> None:
         """Accumulate executor telemetry across the runtime's batches.
@@ -697,8 +531,6 @@ def _from_options(options: RuntimeOptions) -> ExperimentRuntime:
         jobs=options.jobs,
         cache_dir=options.cache_dir,
         backend=options.backend,
-        batch=options.batch,
-        batch_width=options.batch_width,
         fidelity=options.fidelity,
         anchors=options.anchors,
         max_rel_err=options.max_rel_err,
@@ -717,8 +549,6 @@ def configure_runtime(
     jobs: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     backend: str | None = None,
-    batch: bool | None = None,
-    batch_width: int | None = None,
     fidelity: str | None = None,
     anchors: str | None = None,
     max_rel_err: float | None = None,
@@ -739,8 +569,7 @@ def configure_runtime(
     global _RUNTIME
     runtime = _from_options(
         resolve_options(
-            jobs, cache_dir, backend, batch, batch_width,
-            fidelity, anchors, max_rel_err,
+            jobs, cache_dir, backend, fidelity, anchors, max_rel_err,
         )
     )
     if cache_dir is not None and read_env("REPRO_TRACE_STORE") is None:

@@ -37,10 +37,8 @@ Sweep progress joins the *active sweep manifest*
 directories and the result cache: every cell is in exactly one of
 :data:`CELL_STATES` (``unsubmitted → pending → claimed → done/failed``),
 and the ETA divides the remaining cost estimate by the fleet's observed
-seconds-per-cost-unit (completed cells' ``run_s`` telemetry). Cells of a
-``--batch`` run travel under batch job ids, so they step straight from
-``unsubmitted`` to ``done`` (via the cache) without visiting the
-per-cell queue states — still monotonic, just coarser.
+seconds-per-cost-unit (completed cells' ``run_s`` telemetry). A cell
+cached by an earlier run steps straight from ``unsubmitted`` to ``done``.
 
 :func:`serve_sweep` ties it together: one call (or ``python -m
 repro.runtime serve <sweep>``) starts the sweep coordinator as a
@@ -90,7 +88,7 @@ MIN_RANK_CELLS = 3
 
 #: Every state a sweep cell can be in, in lifecycle order. A cell only
 #: ever moves rightward through this tuple (``failed`` is terminal like
-#: ``done``); batched runs may skip the queue states entirely.
+#: ``done``); a cell cached by an earlier run skips the queue states.
 CELL_STATES: tuple[str, ...] = (
     "unsubmitted",
     "pending",

@@ -36,8 +36,6 @@ TRACKED_KEYS: tuple[str, ...] = (
     "exact_cells",
     "analytic_cells",
     "reduction",
-    "batch_width",
-    "batch_units",
     "max_rel_err",
     "bit_identical",
     "bounds_ok",

@@ -22,6 +22,7 @@ from repro.runtime import (
     run_worker,
 )
 from repro.runtime.broker import (
+    BROKER_SCHEMA,
     BrokerBackend,
     BrokerQueue,
     broker_env_options,
@@ -561,3 +562,147 @@ class TestStaleClaimedSpecs:
         assert record is not None
         assert record["attempts"] == 1  # the dead claim's attempt is gone
         assert queue.counts()["failed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Broker env validation: errors name the variable and the value
+# ---------------------------------------------------------------------------
+
+
+class TestBrokerEnvValidation:
+    @pytest.mark.parametrize("raw", ["0", "-5", "-0.5"])
+    def test_non_positive_env_lease_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_BROKER_LEASE", raw)
+        with pytest.raises(BrokerError) as err:
+            broker_env_options()
+        assert "REPRO_BROKER_LEASE" in str(err.value)
+        assert f"got {float(raw):g}" in str(err.value)
+
+    @pytest.mark.parametrize("lease", [0, 0.0, -5.0])
+    def test_non_positive_explicit_lease_rejected(self, tmp_path, lease):
+        with pytest.raises(BrokerError, match="REPRO_BROKER_LEASE"):
+            BrokerQueue(tmp_path, lease_seconds=lease)
+        with pytest.raises(BrokerError, match="REPRO_BROKER_LEASE"):
+            BrokerBackend(tmp_path, lease_seconds=lease)
+
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_env_max_attempts_below_one_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_BROKER_MAX_ATTEMPTS", raw)
+        with pytest.raises(BrokerError) as err:
+            broker_env_options()
+        assert "REPRO_BROKER_MAX_ATTEMPTS" in str(err.value)
+        assert f"got {raw}" in str(err.value)
+
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_explicit_max_attempts_below_one_rejected(self, tmp_path, attempts):
+        with pytest.raises(BrokerError, match="REPRO_BROKER_MAX_ATTEMPTS"):
+            BrokerQueue(tmp_path, max_attempts=attempts)
+
+    def test_valid_and_unset_values_accepted(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BROKER_LEASE", raising=False)
+        monkeypatch.delenv("REPRO_BROKER_MAX_ATTEMPTS", raising=False)
+        options = broker_env_options()
+        assert options["lease_seconds"] == 300.0
+        assert options["max_attempts"] == 3
+        monkeypatch.setenv("REPRO_BROKER_LEASE", "0.5")
+        monkeypatch.setenv("REPRO_BROKER_MAX_ATTEMPTS", "1")
+        options = broker_env_options()
+        assert options["lease_seconds"] == 0.5
+        assert options["max_attempts"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Queue format: broker-v3 batch specs left in a live queue
+# ---------------------------------------------------------------------------
+
+
+class TestDeletedBatchSpecs:
+    """A ``broker-v3`` batch spec — ``configs``/``digests`` lists instead
+    of one ``config`` — may survive in a queue written by older code. It
+    must leave the queue through the stale-schema path: never executed,
+    never crashing a worker or a coordinator."""
+
+    CONFIGS = (make_config("none"), make_config("fdip"))
+
+    def _v3_spec(self) -> dict:
+        from repro.runtime import SCHEMA_TAG, config_digest, scale_token
+
+        digests = [config_digest(c) for c in self.CONFIGS]
+        return {
+            "schema": "broker-v3",
+            # Same engine as this code: only the queue schema is stale.
+            "engine_schema": SCHEMA_TAG,
+            "workload": WL,
+            "scale": scale_token(SCALE),
+            "digest": "ab" * 32,
+            "cost": 999_999_999,  # would be claimed first, longest-first
+            "enqueued_at": time.time(),
+            "configs": [canonicalize(c) for c in self.CONFIGS],
+            "digests": digests,
+        }
+
+    def _plant(self, queue: BrokerQueue, where: str, age: float = 0.0) -> str:
+        import json
+
+        from repro.runtime import scale_token
+
+        queue._ensure_dirs()
+        job_id = f"{WL}__s{scale_token(SCALE)}__{'ab' * 8}"
+        path = getattr(queue, where) / f"{job_id}__w999999999__a0.json"
+        path.write_text(json.dumps(self._v3_spec()))
+        _backdate(path, seconds=age)
+        return job_id
+
+    def _assert_never_executed(self, tmp_path) -> None:
+        from repro.runtime import ResultCache
+
+        cache = ResultCache(tmp_path)
+        for config in self.CONFIGS:
+            assert cache.get(*SimJob(WL, config, SCALE).key) is None
+
+    def test_worker_fails_it_without_executing(self, tmp_path):
+        queue = BrokerQueue(tmp_path)
+        job_id = self._plant(queue, "pending")
+        completed = run_worker(tmp_path, drain=True, max_idle=0.2, poll_seconds=0.05)
+        assert completed == 0
+        assert queue.counts() == {"pending": 0, "claimed": 0, "done": 0, "failed": 1}
+        failure = queue.read_failed(job_id)
+        assert "schema mismatch" in failure["error"]
+        assert "broker-v3" in failure["error"]
+        self._assert_never_executed(tmp_path)
+
+    def test_coordinator_completes_its_jobs_beside_it(self, tmp_path):
+        queue = BrokerQueue(tmp_path)
+        self._plant(queue, "pending")
+        jobs = _jobs(make_config("boomerang"))
+        results = BrokerBackend(tmp_path, timeout=60).run_batch(jobs)
+        assert results[0].raw == SerialBackend().run_batch(jobs)[0].raw
+        self._assert_never_executed(tmp_path)
+
+    def test_expired_claim_is_purged_not_requeued(self, tmp_path):
+        queue = BrokerQueue(tmp_path, lease_seconds=30)
+        self._plant(queue, "claimed", age=60)
+        assert queue.recover_expired() == 1
+        assert queue.counts() == {"pending": 0, "claimed": 0, "done": 0, "failed": 0}
+
+    def test_pending_spec_is_purged_by_a_same_id_enqueue(self, tmp_path):
+        queue = BrokerQueue(tmp_path)
+        job = _jobs(make_config("none"))[0]
+        job_id = queue.enqueue(job)
+        # Overwrite the fresh spec with the v3 shape under the same id.
+        import json
+
+        path = next(queue.pending.glob(f"{job_id}__*a0.json"))
+        path.write_text(json.dumps(self._v3_spec()))
+        queue.enqueue(job)
+        spec = json.loads(next(queue.pending.glob(f"{job_id}__*a0.json")).read_text())
+        assert spec["schema"] == BROKER_SCHEMA and "config" in spec
+
+    def test_status_renders_over_it(self, tmp_path):
+        from repro.runtime import build_status, render_status
+
+        queue = BrokerQueue(tmp_path)
+        self._plant(queue, "pending")
+        status = build_status(tmp_path)
+        assert status["queue"]["pending"] == 1
+        assert "pending 1" in render_status(status)

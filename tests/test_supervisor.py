@@ -20,7 +20,7 @@ import faultinject
 from repro.core.mechanisms import make_config
 from repro.errors import ConfigError
 from repro.runtime import SimJob, estimate_job_cost
-from repro.runtime.broker import BrokerQueue, run_worker
+from repro.runtime.broker import BROKER_SCHEMA, BrokerQueue, run_worker
 from repro.runtime.cache import SCHEMA_TAG
 from repro.runtime.supervisor import (
     BACKOFF_CAP_SECONDS,
@@ -325,7 +325,7 @@ def _fake_done(queue: BrokerQueue, job_id: str, run_s: float = 2.0) -> None:
     atomic_write_json(
         queue.done / f"{job_id}.json",
         {
-            "schema": "broker-v3",
+            "schema": BROKER_SCHEMA,
             "engine_schema": SCHEMA_TAG,
             "job_id": job_id,
             "worker": "fake-worker",
