@@ -17,8 +17,13 @@ profile always builds the same program byte-for-byte.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import TypeVar
 
 from ..config import INSTR_BYTES
 from ..errors import WorkloadError
@@ -31,6 +36,11 @@ _FUNC_ALIGN = 16
 
 #: Largest basic block the builder emits, in instructions.
 _MAX_BB_INSTRS = 24
+
+#: Terminator kinds of a function's non-final blocks, in weight order.
+_MIX_KINDS = (BranchKind.COND, BranchKind.CALL, BranchKind.JUMP)
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -50,6 +60,56 @@ class _FunctionPlan:
 def _zipf_weights(n: int, s: float = 0.8) -> list[float]:
     """Zipf-like popularity weights for ``n`` ranked items."""
     return [1.0 / (rank + 1) ** s for rank in range(n)]
+
+
+def _cum_weights(weights: Iterable[float]) -> list[float]:
+    """Cumulative table for :func:`_weighted_pick`.
+
+    Rejects the weight vectors :meth:`random.Random.choices` rejects: an
+    empty one, or one whose total is not positive and finite.
+    """
+    cum = list(accumulate(weights))
+    if not (cum and cum[-1] > 0.0 and math.isfinite(cum[-1])):
+        raise WorkloadError(f"weights must have a positive finite total, got {cum}")
+    return cum
+
+
+def _weighted_pick(rng: random.Random, pop: Sequence[_T], cum: list[float]) -> _T:
+    """``rng.choices(pop, weights=w, k=1)[0]`` where ``cum = _cum_weights(w)``.
+
+    This is CPython's ``choices`` algorithm, one ``rng.random()`` draw and
+    a bisect, so it returns the same element and leaves the PRNG in the
+    same state; it just skips rebuilding the table and the per-call checks.
+    """
+    return pop[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
+
+
+class _DrawTables:
+    """The cumulative-weight tables of one :func:`build_cfg` call.
+
+    Built once per build, so a weighted draw never rebuilds its weights.
+    """
+
+    def __init__(self, profile: WorkloadProfile):
+        self.kinds_with_calls = _cum_weights(
+            [profile.frac_cond, profile.frac_call, profile.frac_jump]
+        )
+        # Leaf functions cannot call; fold the call share into conditionals.
+        self.kinds_leaf = _cum_weights(
+            [profile.frac_cond + profile.frac_call, 0.0, profile.frac_jump]
+        )
+        self.cond_dists = range(len(profile.cond_dist_weights))
+        self.cond_dist = _cum_weights(profile.cond_dist_weights)
+        self.biases = tuple(p for _, p in profile.bias_mixture)
+        self.bias = _cum_weights(w for w, _ in profile.bias_mixture)
+        self._call_sites: dict[int, list[float]] = {}
+
+    def call_site(self, n: int) -> list[float]:
+        """Zipf(1.4) table over a direct call site's ``n`` candidate callees."""
+        cum = self._call_sites.get(n)
+        if cum is None:
+            cum = self._call_sites[n] = _cum_weights(_zipf_weights(n, s=1.4))
+        return cum
 
 
 def _draw_bb_size(rng: random.Random, avg: float) -> int:
@@ -173,21 +233,12 @@ def _partition(items: list, n_groups: int) -> list[list]:
     return groups
 
 
-def _assign_kinds(
-    profile: WorkloadProfile, rng: random.Random, plan: _FunctionPlan
-) -> None:
+def _assign_kinds(tables: _DrawTables, rng: random.Random, plan: _FunctionPlan) -> None:
     """Choose a terminating-branch kind for every block of one function."""
     n_bbs = len(plan.bb_sizes)
     has_callees = bool(plan.callees)
-    mix_kinds = [BranchKind.COND, BranchKind.CALL, BranchKind.JUMP]
-    mix_weights = [profile.frac_cond, profile.frac_call, profile.frac_jump]
-    if not has_callees:
-        # Leaf functions cannot call; fold the call share into conditionals.
-        mix_weights = [profile.frac_cond + profile.frac_call, 0.0, profile.frac_jump]
-
-    kinds = [
-        rng.choices(mix_kinds, weights=mix_weights, k=1)[0] for _ in range(n_bbs - 1)
-    ]
+    cum = tables.kinds_with_calls if has_callees else tables.kinds_leaf
+    kinds = [_weighted_pick(rng, _MIX_KINDS, cum) for _ in range(n_bbs - 1)]
     kinds.append(BranchKind.RET)
 
     if has_callees and BranchKind.CALL not in kinds[:-1] and n_bbs >= 2:
@@ -218,6 +269,7 @@ def _layout(
 
 def _pick_cond_target(
     profile: WorkloadProfile,
+    tables: _DrawTables,
     rng: random.Random,
     plan: _FunctionPlan,
     index: int,
@@ -230,20 +282,13 @@ def _pick_cond_target(
     (Figure 4) without starving path coverage. The skip count is derived
     from the profile's target-distance-in-cache-blocks distribution.
     """
-    weights = profile.cond_dist_weights
-    want_dist = rng.choices(range(len(weights)), weights=weights, k=1)[0]
+    want_dist = _weighted_pick(rng, tables.cond_dists, tables.cond_dist)
     # Convert a distance in cache blocks into a number of skipped basic
     # blocks (16 instructions per block / mean block length).
     bbs_per_cache_block = 16.0 / profile.avg_bb_instrs
     skip = max(1, round(want_dist * bbs_per_cache_block + rng.random()))
     last = len(plan.bb_starts) - 1
     return plan.bb_starts[min(last, index + 1 + skip)]
-
-
-def _draw_bias(profile: WorkloadProfile, rng: random.Random) -> float:
-    weights = [w for w, _ in profile.bias_mixture]
-    biases = [p for _, p in profile.bias_mixture]
-    return rng.choices(biases, weights=weights, k=1)[0]
 
 
 def _pick_correlation_source(
@@ -255,10 +300,8 @@ def _pick_correlation_source(
     so the source must sit close enough that its outcome is still in the
     predictor's recent global history when the dependent branch executes.
     """
-    for j in reversed(cond_indexes):
-        if index - j <= 12:
-            return j
-        break
+    if cond_indexes and index - cond_indexes[-1] <= 12:
+        return cond_indexes[-1]
     return None
 
 
@@ -276,6 +319,7 @@ def _indirect_target_set(
 
 def _resolve_function(
     profile: WorkloadProfile,
+    tables: _DrawTables,
     rng: random.Random,
     plan: _FunctionPlan,
     entries: dict[int, int],
@@ -283,6 +327,7 @@ def _resolve_function(
 ) -> None:
     """Create the StaticBlocks of one planned function."""
     last = len(plan.bb_starts) - 1
+    callee_entries = [entries[fid] for fid in plan.callees]
     loop_indexes: set[int] = set()
     cond_indexes: list[int] = []
     for i, (start, size, kind) in enumerate(
@@ -313,13 +358,13 @@ def _resolve_function(
                 target = plan.bb_starts[i - back]
                 loop_mean = max(1.0, profile.loop_mean_trip * rng.uniform(0.5, 2.0))
             else:
-                target = _pick_cond_target(profile, rng, plan, i)
+                target = _pick_cond_target(profile, tables, rng, plan, i)
                 src_idx = _pick_correlation_source(plan, i, cond_indexes)
                 if src_idx is not None and rng.random() < profile.corr_frac:
                     corr_src = plan.bb_starts[src_idx]
                     corr_invert = rng.random() < 0.5
                 else:
-                    bias = _draw_bias(profile, rng)
+                    bias = _weighted_pick(rng, tables.biases, tables.bias)
                 cond_indexes.append(i)
         elif kind == BranchKind.JUMP:
             lo = min(i + 2, last)
@@ -331,7 +376,6 @@ def _resolve_function(
                 indirect = _indirect_target_set(rng, candidates, 4)
                 target = indirect[0][0]
         elif kind == BranchKind.CALL:
-            callee_entries = [entries[fid] for fid in plan.callees]
             # Each call site gets its own rotation of the function's callee
             # pool, so distinct sites favour distinct callees (spreading
             # coverage over the pool) while any one site remains strongly
@@ -345,8 +389,7 @@ def _resolve_function(
                 )
                 target = indirect[0][0]
             else:
-                site_weights = _zipf_weights(len(site_pool), s=1.4)
-                target = rng.choices(site_pool, weights=site_weights, k=1)[0]
+                target = _weighted_pick(rng, site_pool, tables.call_site(len(site_pool)))
         elif kind == BranchKind.RET:
             target = 0
         else:  # pragma: no cover - builder never plans other kinds
@@ -401,6 +444,7 @@ def build_cfg(profile: WorkloadProfile, base_addr: int = 0x40_0000) -> ControlFl
     here indicates a builder bug, not bad user input.
     """
     rng = random.Random(profile.seed)
+    tables = _DrawTables(profile)
 
     plans = _plan_functions(profile, rng)
     driver_plan = _FunctionPlan(
@@ -416,7 +460,7 @@ def build_cfg(profile: WorkloadProfile, base_addr: int = 0x40_0000) -> ControlFl
 
     _assign_callees(profile, rng, plans[1:])
     for plan in plans[1:]:
-        _assign_kinds(profile, rng, plan)
+        _assign_kinds(tables, rng, plan)
 
     _layout(plans, rng, base_addr)
 
@@ -425,7 +469,7 @@ def build_cfg(profile: WorkloadProfile, base_addr: int = 0x40_0000) -> ControlFl
     handler_entries = [entries[p.func_id] for p in plans if p.layer == 1]
     _build_driver(profile, rng, handler_entries, driver_plan, blocks)
     for plan in plans[1:]:
-        _resolve_function(profile, rng, plan, entries, blocks)
+        _resolve_function(profile, tables, rng, plan, entries, blocks)
 
     functions = [
         Function(

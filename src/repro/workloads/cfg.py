@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 from ..config import INSTR_BYTES
 from ..errors import WorkloadError
-from .isa import BranchKind, block_of
+from .isa import INDIRECT_KINDS, BranchKind, block_of
+
+#: Kinds whose fall-through must be a block start (execution resumes there).
+_FALLS_THROUGH = frozenset((BranchKind.COND, BranchKind.CALL, BranchKind.IND_CALL))
+
+#: Kinds whose primary target must be a block start.
+_DIRECT = frozenset((BranchKind.COND, BranchKind.JUMP, BranchKind.CALL))
 
 
 @dataclass(frozen=True)
@@ -92,15 +98,19 @@ class ControlFlowGraph:
     functions: list[Function]
     entry: int
     name: str = "synthetic"
-    #: Populated lazily: cache-block number -> blocks whose branch lies there.
+    #: Cache-block number -> blocks whose branch lies there, sorted by
+    #: branch address. Filled eagerly by ``__post_init__``, so the set-up
+    #: cost stays in the build instead of the first predecoding cell.
     _branch_map: dict[int, list[StaticBlock]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self._branch_map = {}
         for blk in self.blocks.values():
-            self._branch_map.setdefault(block_of(blk.branch_pc), []).append(blk)
+            branch_pc = blk.start + (blk.n_instrs - 1) * INSTR_BYTES
+            self._branch_map.setdefault(block_of(branch_pc), []).append(blk)
         for entries in self._branch_map.values():
-            entries.sort(key=lambda b: b.branch_pc)
+            if len(entries) > 1:
+                entries.sort(key=lambda b: b.branch_pc)
 
     @property
     def n_blocks(self) -> int:
@@ -145,38 +155,41 @@ class ControlFlowGraph:
         branches and calls land on block starts; direct targets land on
         block starts; calls target function entries; indirect branches
         carry a non-empty, positively-weighted target set that includes
-        the primary target.
+        the primary target. One pass over the blocks, then one over the
+        functions.
         """
-        if self.entry not in self.blocks:
+        blocks = self.blocks
+        if self.entry not in blocks:
             raise WorkloadError(f"entry {self.entry:#x} is not a block start")
-        starts = set(self.blocks)
-        for blk in self.blocks.values():
-            if blk.n_instrs < 1:
-                raise WorkloadError(f"block {blk.start:#x} has no instructions")
-            if blk.kind in (BranchKind.COND, BranchKind.CALL, BranchKind.IND_CALL):
-                if blk.fallthrough not in starts:
+        func_entries = {f.entry for f in self.functions}
+        for blk in blocks.values():
+            start, n_instrs, kind, target = blk.start, blk.n_instrs, blk.kind, blk.target
+            if n_instrs < 1:
+                raise WorkloadError(f"block {start:#x} has no instructions")
+            if kind in _FALLS_THROUGH:
+                fallthrough = start + n_instrs * INSTR_BYTES
+                if fallthrough not in blocks:
                     raise WorkloadError(
-                        f"block {blk.start:#x} ({blk.kind.name}) falls through to "
-                        f"{blk.fallthrough:#x}, which is not a block start"
+                        f"block {start:#x} ({kind.name}) falls through to "
+                        f"{fallthrough:#x}, which is not a block start"
                     )
-            if blk.kind in (BranchKind.COND, BranchKind.JUMP, BranchKind.CALL):
-                if blk.target not in starts:
+            if kind in _DIRECT and target not in blocks:
+                raise WorkloadError(
+                    f"block {start:#x} targets {target:#x}, which is not a block start"
+                )
+            if kind == BranchKind.CALL:
+                if target not in func_entries:
                     raise WorkloadError(
-                        f"block {blk.start:#x} targets {blk.target:#x}, "
-                        "which is not a block start"
+                        f"call at {blk.branch_pc:#x} targets non-entry {target:#x}"
                     )
-            if blk.kind == BranchKind.CALL:
-                if not any(f.entry == blk.target for f in self.functions):
-                    raise WorkloadError(
-                        f"call at {blk.branch_pc:#x} targets non-entry {blk.target:#x}"
-                    )
-            if blk.kind in (BranchKind.IND_CALL, BranchKind.IND_JUMP):
-                if not blk.indirect_targets:
+            elif kind in INDIRECT_KINDS:
+                indirect = blk.indirect_targets
+                if not indirect:
                     raise WorkloadError(
                         f"indirect branch at {blk.branch_pc:#x} has no target set"
                     )
-                for tgt, weight in blk.indirect_targets:
-                    if tgt not in starts:
+                for tgt, weight in indirect:
+                    if tgt not in blocks:
                         raise WorkloadError(
                             f"indirect target {tgt:#x} is not a block start"
                         )
@@ -184,22 +197,22 @@ class ControlFlowGraph:
                         raise WorkloadError(
                             f"indirect target {tgt:#x} has non-positive weight"
                         )
-                if blk.target not in {t for t, _ in blk.indirect_targets}:
+                if target not in {tgt for tgt, _ in indirect}:
                     raise WorkloadError(
                         f"indirect branch at {blk.branch_pc:#x}: primary target "
                         "not in the target set"
                     )
-            if blk.kind == BranchKind.COND and not blk.is_loop:
-                if not (0.0 <= blk.bias <= 1.0):
-                    raise WorkloadError(
-                        f"conditional at {blk.branch_pc:#x} has bias {blk.bias}"
-                    )
+            cond_nonloop = kind == BranchKind.COND and not (blk.loop_mean > 0)
+            if cond_nonloop and not (0.0 <= blk.bias <= 1.0):
+                raise WorkloadError(
+                    f"conditional at {blk.branch_pc:#x} has bias {blk.bias}"
+                )
             if blk.corr_src:
-                if blk.kind != BranchKind.COND or blk.is_loop:
+                if not cond_nonloop:
                     raise WorkloadError(
                         f"correlation on non-conditional branch at {blk.branch_pc:#x}"
                     )
-                src = self.blocks.get(blk.corr_src)
+                src = blocks.get(blk.corr_src)
                 if src is None or src.kind != BranchKind.COND:
                     raise WorkloadError(
                         f"correlated branch at {blk.branch_pc:#x} has a "
@@ -207,7 +220,7 @@ class ControlFlowGraph:
                     )
         for func in self.functions:
             for start in func.block_starts:
-                if start not in starts:
+                if start not in blocks:
                     raise WorkloadError(
                         f"function {func.name} lists missing block {start:#x}"
                     )

@@ -1,9 +1,12 @@
 """Tests for the static CFG model and the synthetic program builder."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.builder import build_cfg, reachable_blocks
+from repro.workloads.builder import _cum_weights, _weighted_pick, build_cfg, reachable_blocks
 from repro.workloads.cfg import ControlFlowGraph, Function, StaticBlock
 from repro.workloads.isa import BranchKind, block_of
 from repro.workloads.profiles import ALL_PROFILES, APACHE, get_profile
@@ -191,3 +194,144 @@ class TestValidationCatchesCorruption:
         cfg = ControlFlowGraph(blocks=blocks, functions=funcs, entry=0x100)
         with pytest.raises(WorkloadError):
             cfg.validate()
+
+
+def _small_cfg(
+    blocks: dict[int, dict] | None = None,
+    functions: list[Function] | None = None,
+) -> ControlFlowGraph:
+    """A valid two-function CFG; ``blocks`` maps a start to field overrides.
+
+    ``main`` (0x100..0x124): COND, CALL g, IND_JUMP, a COND correlated with
+    the first one, RET. ``g`` (0x200..0x20c): two RETs.
+    """
+    base = {
+        0x100: StaticBlock(0x100, 2, BranchKind.COND, 0x110, 0),
+        0x108: StaticBlock(0x108, 2, BranchKind.CALL, 0x200, 0),
+        0x110: StaticBlock(
+            0x110, 2, BranchKind.IND_JUMP, 0x118, 0,
+            indirect_targets=((0x118, 1.0), (0x120, 0.5)),
+        ),
+        0x118: StaticBlock(0x118, 2, BranchKind.COND, 0x120, 0, corr_src=0x100),
+        0x120: StaticBlock(0x120, 2, BranchKind.RET, 0, 0),
+        0x200: StaticBlock(0x200, 2, BranchKind.RET, 0, 1),
+        0x208: StaticBlock(0x208, 2, BranchKind.RET, 0, 1),
+    }
+    for start, fields in (blocks or {}).items():
+        base[start] = replace(base[start], **fields)
+    if functions is None:
+        functions = [
+            Function(0, "main", 0x100, 0, (0x100, 0x108, 0x110, 0x118, 0x120)),
+            Function(1, "g", 0x200, 1, (0x200, 0x208)),
+        ]
+    return ControlFlowGraph(blocks=base, functions=functions, entry=0x100)
+
+
+class TestValidationErrorPaths:
+    """One case per ``raise`` in :meth:`ControlFlowGraph.validate`."""
+
+    def test_base_cfg_is_valid(self):
+        _small_cfg().validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({0x108: {"target": 0x208}}, "call at 0x10c targets non-entry 0x208"),
+            (
+                {0x100: {"n_instrs": 3}},
+                "block 0x100 \\(COND\\) falls through to 0x10c, which is not a block start",
+            ),
+            (
+                {0x110: {"indirect_targets": ((0x118, 1.0), (0x124, 0.5))}},
+                "indirect target 0x124 is not a block start",
+            ),
+            (
+                {0x110: {"indirect_targets": ((0x118, 1.0), (0x120, 0.0))}},
+                "indirect target 0x120 has non-positive weight",
+            ),
+            (
+                {0x110: {"indirect_targets": ((0x120, 1.0),)}},
+                "indirect branch at 0x114: primary target not in the target set",
+            ),
+            ({0x100: {"bias": 1.5}}, "conditional at 0x104 has bias 1.5"),
+            ({0x100: {"bias": -0.1}}, "conditional at 0x104 has bias -0.1"),
+            (
+                {0x118: {"loop_mean": 4.0}},
+                "correlation on non-conditional branch at 0x11c",
+            ),
+            (
+                {0x120: {"corr_src": 0x100}},
+                "correlation on non-conditional branch at 0x124",
+            ),
+            (
+                {0x118: {"corr_src": 0x108}},
+                "correlated branch at 0x11c has a non-conditional source 0x108",
+            ),
+            (
+                {0x118: {"corr_src": 0x400}},
+                "correlated branch at 0x11c has a non-conditional source 0x400",
+            ),
+        ],
+    )
+    def test_block_corruption_rejected(self, overrides, message):
+        with pytest.raises(WorkloadError, match=message):
+            _small_cfg(blocks=overrides).validate()
+
+    def test_loop_branch_bias_is_not_checked(self):
+        _small_cfg(blocks={0x100: {"loop_mean": 3.0, "bias": 7.0}}).validate()
+
+    def test_function_listing_missing_block_rejected(self):
+        funcs = [
+            Function(0, "main", 0x100, 0, (0x100, 0x108, 0x110, 0x118, 0x120, 0x128)),
+            Function(1, "g", 0x200, 1, (0x200, 0x208)),
+        ]
+        with pytest.raises(WorkloadError, match="function main lists missing block 0x128"):
+            _small_cfg(functions=funcs).validate()
+
+    def test_function_entry_not_first_block_rejected(self):
+        funcs = [
+            Function(0, "main", 0x100, 0, (0x100, 0x108, 0x110, 0x118, 0x120)),
+            Function(1, "g", 0x208, 1, (0x200, 0x208)),
+        ]
+        # The call in main targets 0x200, no longer an entry; retarget it.
+        cfg = _small_cfg(blocks={0x108: {"target": 0x208}}, functions=funcs)
+        with pytest.raises(WorkloadError, match="function g entry is not its first block"):
+            cfg.validate()
+
+
+class TestWeightedPick:
+    """``_weighted_pick`` is ``rng.choices(pop, weights=w, k=1)[0]``, exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+    def test_matches_choices_and_rng_state(self, seed):
+        gen = random.Random(seed)
+        for _ in range(40):
+            n = gen.randint(1, 9)
+            weights = [gen.choice((0.0, gen.random(), gen.uniform(0.0, 50.0), 1))
+                       for _ in range(n)]
+            if sum(weights) <= 0:
+                weights[gen.randrange(n)] = gen.random() + 0.01
+            pop = [f"item{i}" for i in range(n)]
+            cum = _cum_weights(weights)
+            ref, fast = random.Random(seed * 31 + n), random.Random(seed * 31 + n)
+            for _ in range(25):
+                want = ref.choices(pop, weights=weights, k=1)[0]
+                assert _weighted_pick(fast, pop, cum) == want
+                assert fast.getstate() == ref.getstate()
+
+    def test_zero_weight_is_never_drawn(self):
+        # A leaf function's kind mix: its CALL share is folded away.
+        weights = [0.64 + 0.24, 0.0, 0.12]
+        pop = ["cond", "call", "jump"]
+        cum = _cum_weights(weights)
+        ref, fast = random.Random(3), random.Random(3)
+        picks = [_weighted_pick(fast, pop, cum) for _ in range(5000)]
+        assert picks == [ref.choices(pop, weights=weights, k=1)[0] for _ in range(5000)]
+        assert "call" not in picks
+
+    @pytest.mark.parametrize(
+        "weights", [[], [0.0, 0.0], [1.0, -1.0], [float("inf"), 1.0]]
+    )
+    def test_rejects_what_choices_rejects(self, weights):
+        with pytest.raises(WorkloadError, match="positive finite total"):
+            _cum_weights(weights)

@@ -154,6 +154,8 @@ class TestGenerated:
         max_examples=40,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
+        # A failure prints a @reproduce_failure line to paste in as a fixture.
+        print_blob=True,
     )
     def test_gated_equals_reference(self, profile, config):
         check_equivalent(load_workload(profile), config)
