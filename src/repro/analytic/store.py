@@ -5,7 +5,7 @@ Mirrors the exact result cache's layout — one JSON record per cell under
 **disjoint schema tag** so the two populations can never mix::
 
     analytic-v1-<fingerprint12>     (this store)
-    engine-v1-<fingerprint12>       (repro.runtime.cache, exact results)
+    engine-v2-<fingerprint12>       (repro.runtime.cache, exact results)
 
 The fingerprint hashes the analytic package's own source *plus* the
 exact engine's :data:`~repro.runtime.cache.SCHEMA_TAG`: changing the
@@ -15,12 +15,8 @@ is itself dead. Records additionally carry (and :meth:`AnalyticStore.get`
 verifies) the full tag, so even a record copied across directories can
 never satisfy a lookup from the wrong tier. The exact cache's own tag
 regex matches only ``engine-v*`` directories, and this store's matches
-only ``analytic-v*``; ``python -m repro.runtime list|prune`` scans both,
-compaction touches neither (shards exist only under engine tags).
-
-Analytic records are deliberately loose-only (no shard layout): they are
-cheap to recompute from the anchors, so the compaction machinery's
-crash-safety complexity buys nothing here.
+only ``analytic-v*``; ``python -m repro.runtime list|prune`` scans both
+through the same :func:`~repro.runtime.cache.scan_tag_dirs`.
 """
 
 from __future__ import annotations
@@ -29,13 +25,12 @@ import hashlib
 import json
 import os
 import re
-import shutil
 from pathlib import Path
 
 from ..core.results import SimulationResult
 from ..runtime.atomicio import atomic_write_json
 from ..runtime.cache import SCHEMA_TAG as ENGINE_SCHEMA_TAG
-from ..runtime.cache import CacheTagInfo
+from ..runtime.cache import CacheTagInfo, prune_tag_dirs, scan_tag_dirs
 
 #: Bump on record format changes; model/engine changes are fingerprinted.
 _SCHEMA_MAJOR = "analytic-v1"
@@ -140,34 +135,7 @@ class AnalyticStore:
 
 def scan_analytic(cache_dir: str | os.PathLike[str]) -> list[CacheTagInfo]:
     """Per-analytic-tag record counts and sizes under ``cache_dir``."""
-    root = Path(cache_dir)
-    infos: list[CacheTagInfo] = []
-    if not root.is_dir():
-        return infos
-    for tag_dir in sorted(
-        p for p in root.iterdir() if p.is_dir() and _TAG_DIR_RE.match(p.name)
-    ):
-        records = 0
-        size = 0
-        for path in tag_dir.rglob("*.json"):
-            if not path.is_file():
-                continue
-            records += 1
-            try:
-                size += path.stat().st_size
-            except OSError:
-                pass
-        infos.append(
-            CacheTagInfo(
-                tag=tag_dir.name,
-                records=records,
-                size_bytes=size,
-                current=tag_dir.name == ANALYTIC_SCHEMA_TAG,
-                loose_records=records,
-            )
-        )
-    infos.sort(key=lambda i: (not i.current, i.tag))
-    return infos
+    return scan_tag_dirs(cache_dir, _TAG_DIR_RE, ANALYTIC_SCHEMA_TAG)
 
 
 def prune_analytic(
@@ -182,19 +150,4 @@ def prune_analytic(
     analytic tag shape are ever considered, so this can never delete
     exact-engine records however the two tiers share a cache directory.
     """
-    root = Path(cache_dir)
-    removed: list[CacheTagInfo] = []
-    for info in scan_analytic(root):
-        if schema_tag is None:
-            if info.current:
-                continue
-        elif info.tag != schema_tag:
-            continue
-        if dry_run:
-            removed.append(info)
-            continue
-        tag_dir = root / info.tag
-        shutil.rmtree(tag_dir, ignore_errors=True)
-        if not tag_dir.exists():
-            removed.append(info)
-    return removed
+    return prune_tag_dirs(cache_dir, scan_analytic(cache_dir), schema_tag, dry_run)

@@ -6,13 +6,13 @@ deliberately exclude the ``runtime`` layer from their fingerprint, and
 the broker queue and sweep manifests carry plain hand-bumped tags. So
 the exact constants that define what is **on disk** — record field
 sets, the queue filename grammar (including the ``__w`` cost token),
-the shard filename, the trace-store magic — have no drift protection
+the trace-store magic — have no drift protection
 at all: change one, forget the tag bump, and new code silently
 misreads (or silently orphans) old records.
 
 This module extracts those *format facts* straight from the AST:
 
-* literal constants (``SHARD_NAME``, ``_MAGIC``, ``_NAME_DIGEST_CHARS``),
+* literal constants (``_MAGIC``, ``_NAME_DIGEST_CHARS``),
 * filename-grammar functions (``_job_filename`` / ``_parse_job_name`` /
   ``_path`` / ``manifest_path``), fingerprinted by a docstring-stripped
   ``ast.dump`` so comments and formatting never count as drift,
@@ -55,8 +55,6 @@ class GroupSpec:
     funcs: tuple[str, ...] = ()
     #: Functions whose dict-literal keys are the record field sets.
     dict_key_funcs: tuple[str, ...] = ()
-    #: Extra ``(module, const names)`` contributing to this group.
-    extra_consts: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
 GROUPS: tuple[GroupSpec, ...] = (
@@ -65,10 +63,9 @@ GROUPS: tuple[GroupSpec, ...] = (
         file="runtime/cache.py",
         tag_const="_SCHEMA_MAJOR",
         consts=("_NAME_DIGEST_CHARS",),
-        regexes=("_TAG_DIR_RE", "_LOOSE_NAME_RE"),
+        regexes=("_TAG_DIR_RE",),
         funcs=("_path",),
         dict_key_funcs=("put",),
-        extra_consts=(("runtime/shards.py", ("SHARD_NAME",)),),
     ),
     GroupSpec(
         group="broker-queue",
@@ -256,14 +253,6 @@ def _collect_group(ctx: LintContext, spec: GroupSpec) -> GroupFacts | None:
         func = _find_function(src.tree, name)
         if func is not None:
             facts[f"keys:{name}"] = _dict_keys(func)
-    for modrel, names in spec.extra_consts:
-        extra = ctx.get(modrel)
-        if extra is None:
-            continue
-        extra_assigns = _assignments(extra.tree)
-        for name in names:
-            if name in extra_assigns:
-                facts[f"const:{modrel}:{name}"] = _const_repr(extra_assigns[name])
     payload = json.dumps(facts, sort_keys=True, separators=(",", ":"))
     fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
     return GroupFacts(

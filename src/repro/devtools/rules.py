@@ -131,7 +131,6 @@ def rule_env_reads(ctx: LintContext) -> list[Finding]:
 _DURABLE_MODULES = (
     "runtime/cache.py",
     "runtime/broker.py",
-    "runtime/shards.py",
     "runtime/supervisor.py",
     "workloads/tracestore.py",
     "experiments/sweeps/manifest.py",
@@ -161,7 +160,7 @@ def _open_mode(node: ast.Call) -> str | None:
 
 
 def rule_atomic_writes(ctx: LintContext) -> list[Finding]:
-    """Raw write idioms inside the cache/queue/shard/trace-store modules.
+    """Raw write idioms inside the cache/queue/trace-store modules.
 
     Durable records must be written via :mod:`repro.runtime.atomicio`
     (temp file in the destination directory + ``os.replace``); a plain

@@ -28,8 +28,7 @@ With a cache directory configured, ``run`` first writes a **manifest**
 (the resolved cell list — see :mod:`repro.experiments.sweeps.manifest`)
 under ``<cache-dir>/manifests/`` and prints its path. If the run is
 interrupted, ``run --resume <manifest>`` diffs that manifest against the
-cache (loose records and compacted shards alike) and submits *only* the
-missing cells; the finished table is bit-identical to an uninterrupted
+result cache and submits *only* the missing cells; the finished table is bit-identical to an uninterrupted
 run. Scale and workload set come from the manifest — passing ``--scale``
 or ``--workload-set`` alongside ``--resume`` is an error, and a manifest
 whose grid no longer matches the current sweep definition is refused.

@@ -15,8 +15,7 @@ specs travel as, so a cell can be rebuilt into a
 :class:`~repro.runtime.SimJob` by any process).
 
 ``sweeps run --resume <manifest>`` then diffs the manifest against the
-result cache — which reads transparently from loose records *and*
-compacted shards — and submits **only the missing cells**. Because every
+result cache and submits **only the missing cells**. Because every
 cell is content-addressed, the merged table of a resumed run is
 bit-identical to an uninterrupted one.
 
@@ -291,8 +290,8 @@ def missing_cells(
     """The cells with no cached result — the only jobs a resume submits.
 
     Probes go through :class:`~repro.runtime.cache.ResultCache`, so a
-    result is "present" whether it lives as a loose record or inside a
-    compacted shard. For a manifest written at a non-exact fidelity the
+    result is "present" exactly when a run would get a cache hit for
+    it. For a manifest written at a non-exact fidelity the
     caller passes the analytic store too: an estimate satisfies such a
     cell (that run would have synthesized it anyway), while an
     exact-fidelity manifest never consults the analytic tier. Each

@@ -4,9 +4,9 @@ Public surface:
 
 * :func:`config_digest` — exhaustive hash of a full ``SimConfig`` tree,
 * :class:`ResultCache` — persistent JSON result store (``SCHEMA_TAG``-versioned,
-  reading transparently from loose records and compacted shards),
-* :func:`scan_cache` / :func:`prune_cache` / :func:`compact_cache` — cache
-  lifecycle (also the ``python -m repro.runtime list|prune|compact`` CLI),
+  one file per record),
+* :func:`scan_cache` / :func:`prune_cache` — cache lifecycle (also the
+  ``python -m repro.runtime list|prune`` CLI),
 * :class:`SimJob` / :class:`ExperimentRuntime` — memoized job execution,
 * :class:`ExecutorBackend` and the ``serial`` / ``pool`` / ``broker``
   backends (:data:`BACKEND_NAMES`, selected via ``REPRO_BACKEND``),
@@ -41,7 +41,6 @@ from .runner import (
     get_runtime,
     resolve_options,
 )
-from .shards import WorkloadCompaction, compact_cache
 from .supervisor import (
     Supervisor,
     SupervisorOptions,
@@ -68,11 +67,9 @@ __all__ = [
     "SimJob",
     "Supervisor",
     "SupervisorOptions",
-    "WorkloadCompaction",
     "backend_summary",
     "build_status",
     "canonicalize",
-    "compact_cache",
     "config_digest",
     "configure_runtime",
     "desired_workers",

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.runtime list    [--cache-dir DIR]
     python -m repro.runtime prune   [--cache-dir DIR] [--schema-tag TAG] [--dry-run]
-    python -m repro.runtime compact [--cache-dir DIR] [--dry-run]
     python -m repro.runtime worker  [--cache-dir DIR] [--worker-id ID]
                                     [--drain] [--max-idle SEC] [--max-jobs N]
     python -m repro.runtime queue   [--cache-dir DIR]
@@ -16,20 +15,14 @@ Usage::
                                     [--backoff SEC] [--worker-idle SEC]
 
 ``list`` shows every schema-tag directory in the on-disk result cache with
-its record count (loose files plus shard entries) and size, marking the
-tag the running code would read (records under any other tag are
-unreachable — the engine fingerprint changed since they were written).
+its record count and size, marking the tag the running code would read
+(records under any other tag are unreachable — the engine fingerprint
+changed since they were written).
 Analytic-tier record tags (``analytic-v*`` — model-synthesized estimates,
 see ``repro.analytic.store``) are listed alongside the exact engine's.
 ``prune`` deletes those stale tags; pass ``--schema-tag`` to delete one
 specific tag instead (including the current one, to force cold runs) —
 each tier only ever matches (and deletes) its own tag shape.
-
-``compact`` folds the current tag's loose one-record files into one
-append-only shard per workload (``shard.jsonl`` — see
-``repro.runtime.shards``): a dense sweep's thousands of tiny files become
-a handful, reads stay transparent, and the fold is crash-safe (atomic
-shard rewrite; loose files deleted only after the rename lands).
 
 ``worker`` starts a work-stealing broker worker against the queue under
 ``<cache-dir>/queue/`` (see ``docs/runtime.md``): it claims pending jobs
@@ -66,7 +59,6 @@ from ..envopts import env_str
 from ..errors import ConfigError
 from .broker import BrokerQueue, run_worker
 from .cache import SCHEMA_TAG, prune_cache, scan_cache
-from .shards import compact_cache
 
 
 def _fmt_size(n: int) -> str:
@@ -98,15 +90,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
     stale_records = 0
     for info in infos:
         marker = "current" if info.current else "stale"
-        layout = ""
-        if info.shard_files:
-            layout = (
-                f" ({info.loose_records} loose + {info.shard_records} in "
-                f"{info.shard_files} shard(s))"
-            )
         print(
             f"  {info.tag:<48s} {info.records:6d} records  "
-            f"{_fmt_size(info.size_bytes):>10s}  [{marker}]{layout}"
+            f"{_fmt_size(info.size_bytes):>10s}  [{marker}]"
         )
         if not info.current:
             stale_records += info.records
@@ -145,41 +131,6 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     for tag in sorted(failed):
         print(f"failed to remove {tag} (permissions?)", file=sys.stderr)
     return 1 if failed else 0
-
-
-def _cmd_compact(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    stats = compact_cache(cache_dir, dry_run=args.dry_run)
-    verb = "would fold" if args.dry_run else "folded"
-    files_before = files_after = records = folded = 0
-    for st in stats:
-        files_before += st.files_before
-        files_after += st.files_after
-        records += st.entries_after + st.skipped
-        folded += st.loose_folded
-        if st.loose_folded:
-            print(
-                f"  {st.workload:<16s} {verb} {st.loose_folded} loose "
-                f"record(s) -> shard ({st.entries_after} entries)"
-            )
-        if st.skipped:
-            print(
-                f"  {st.workload:<16s} left {st.skipped} unparseable "
-                f"file(s) in place"
-            )
-        if st.skipped_locked:
-            print(
-                f"  {st.workload:<16s} skipped (another compactor holds "
-                f"its lock)"
-            )
-    if not folded:
-        print(f"nothing to compact under {cache_dir} (tag {SCHEMA_TAG})")
-    ratio = files_before / files_after if files_after else 1.0
-    print(
-        f"[compact: files {files_before} -> {files_after} ({ratio:.1f}x), "
-        f"{records} records{', dry run' if args.dry_run else ''}]"
-    )
-    return 0
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -266,15 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         "--dry-run", action="store_true", help="report without deleting"
     )
     p_prune.set_defaults(func=_cmd_prune)
-
-    p_compact = sub.add_parser(
-        "compact", help="fold loose result records into per-workload shards"
-    )
-    p_compact.add_argument("--cache-dir", help="cache directory (or REPRO_CACHE_DIR)")
-    p_compact.add_argument(
-        "--dry-run", action="store_true", help="report without rewriting"
-    )
-    p_compact.set_defaults(func=_cmd_compact)
 
     p_worker = sub.add_parser(
         "worker", help="steal and execute broker jobs from <cache-dir>/queue/"

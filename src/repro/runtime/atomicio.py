@@ -1,11 +1,10 @@
 """The one blessed atomic-write idiom for every durable-state file.
 
-Four subsystems persist crash-safe state — the result cache, the broker
-queue, shard compaction, and the workload trace store — and before this
-module each carried its own copy of the same temp-file + ``os.replace``
-block. Four copies meant four places for the idiom to rot independently
-(one had fsync, three did not; one cleaned up with ``unlink`` on a
-different exception class...). The idiom now lives here, once:
+Several subsystems persist crash-safe state — the result cache, the
+broker queue, the workload trace store, sweep manifests, the analytic
+store — and before this module each carried its own copy of the same
+temp-file + ``os.replace`` block, free to rot independently. The idiom
+now lives here, once:
 
 * the temp file is created **in the destination directory** (``mkstemp``
   with ``dir=``), so the final ``os.replace`` is same-filesystem and
@@ -14,14 +13,15 @@ different exception class...). The idiom now lives here, once:
 * the destination's parent directories are created on demand;
 * on *any* failure — including ``KeyboardInterrupt`` and the SIGKILL-style
   fault points the crash tests inject — the temp file is unlinked, so an
-  interrupted writer leaves at most an ignorable ``*.tmp`` behind;
-* ``fsync=True`` additionally flushes file contents to stable storage
-  before the rename, for writers (shard compaction) that delete their
-  source data afterwards.
+  interrupted writer leaves at most an ignorable ``*.tmp`` behind.
 
-``reprolint`` rule ``RPL002`` enforces that cache/queue/shard/trace-store
-code performs durable writes only through these helpers, so a fifth copy
-— or a raw ``open(path, "w")`` that can tear — cannot creep back in.
+The guarantee is atomicity against a killed process, not durability
+against a power cut: there is no ``fsync``, so an OS crash can still lose
+the latest writes (a lost result record is a cache miss that re-simulates).
+
+``reprolint`` rule ``RPL002`` enforces that cache/queue/trace-store code
+performs durable writes only through these helpers, so another copy — or
+a raw ``open(path, "w")`` that can tear — cannot creep back in.
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ from typing import IO, Any, Iterator
 
 
 @contextmanager
-def atomic_writer(
-    path: Path,
-    mode: str = "w",
-    fsync: bool = False,
-) -> Iterator[IO[Any]]:
+def atomic_writer(path: Path, mode: str = "w") -> Iterator[IO[Any]]:
     """Yield a handle whose contents atomically replace ``path`` on exit.
 
     ``mode`` is ``"w"`` (text) or ``"wb"`` (binary). Propagates ``OSError``
@@ -51,16 +47,13 @@ def atomic_writer(
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def atomic_write_json(path: Path, record: dict, fsync: bool = False) -> None:
+def atomic_write_json(path: Path, record: dict) -> None:
     """Atomically write one compact JSON record to ``path``."""
-    with atomic_writer(path, fsync=fsync) as fh:
+    with atomic_writer(path) as fh:
         json.dump(record, fh, separators=(",", ":"))

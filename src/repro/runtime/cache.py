@@ -3,14 +3,13 @@
 Layout (all JSON)::
 
     <cache_dir>/
-      <SCHEMA_TAG>/                 # e.g. "engine-v1" — bumped on any change
+      <SCHEMA_TAG>/                 # e.g. "engine-v2" — bumped on any change
         <workload>/                 #     to engine semantics or counters
-          s<scale>__<hash16>.json   # loose record: scale token + digest prefix
-          shard.jsonl               # compacted records (repro.runtime.shards)
+          s<scale>__<hash16>.json   # one record: scale token + digest prefix
 
-Writes always produce loose one-record files; ``python -m repro.runtime
-compact`` folds them into the per-workload shard, and reads resolve
-transparently from either layout (loose first — it is newer).
+One file per record is the only layout: :meth:`ResultCache.put` writes it
+and :meth:`ResultCache.get` reads it. Any other file under a tag directory
+(a temp file, clutter) is never read as a record.
 
 Each record stores the *full* config digest, so a (vanishingly unlikely)
 filename-prefix collision is detected and treated as a miss rather than
@@ -45,7 +44,7 @@ from ..core.results import SimulationResult
 from .atomicio import atomic_write_json
 
 #: Bump on cache *record format* changes; semantic changes are fingerprinted.
-_SCHEMA_MAJOR = "engine-v1"
+_SCHEMA_MAJOR = "engine-v2"
 
 #: Subpackages that cannot change simulation results (consumers of them).
 #: ``analytic`` estimates results but never produces exact ones; its
@@ -78,45 +77,17 @@ _NAME_DIGEST_CHARS = 16
 
 
 class ResultCache:
-    """Directory-backed store of :class:`SimulationResult` records.
-
-    Reads are transparent across both on-disk layouts: the loose
-    one-file-per-record form that :meth:`put` writes, and the per-workload
-    shard files that ``python -m repro.runtime compact``
-    (:mod:`repro.runtime.shards`) folds them into. Loose records win on a
-    key present in both (they are newer), though both copies are
-    content-addressed and therefore identical in practice.
-    """
+    """Directory-backed store of :class:`SimulationResult` records."""
 
     def __init__(self, cache_dir: str | os.PathLike):
         self.root = Path(cache_dir) / SCHEMA_TAG
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Per-workload shard index, keyed by the shard file's (mtime_ns,
-        #: size) signature so a concurrent compaction is picked up.
-        self._shard_index: dict[str, tuple[tuple[int, int], dict]] = {}
 
     def _path(self, workload: str, scale_tok: str, digest: str) -> Path:
         name = f"s{scale_tok}__{digest[:_NAME_DIGEST_CHARS]}.json"
         return self.root / workload / name
-
-    def _shard_lookup(self, workload: str, scale_tok: str, digest: str) -> dict | None:
-        """The shard record for this key, if the workload has a shard."""
-        from .shards import read_shard, shard_path
-
-        path = shard_path(self.root / workload)
-        try:
-            st = path.stat()
-        except OSError:
-            self._shard_index.pop(workload, None)
-            return None
-        signature = (st.st_mtime_ns, st.st_size)
-        cached = self._shard_index.get(workload)
-        if cached is None or cached[0] != signature:
-            cached = (signature, read_shard(path))
-            self._shard_index[workload] = cached
-        return cached[1].get((scale_tok, digest))
 
     def get(
         self, workload: str, scale_tok: str, digest: str
@@ -126,16 +97,12 @@ class ResultCache:
         try:
             record = json.loads(path.read_text())
         except (OSError, ValueError):
-            record = self._shard_lookup(workload, scale_tok, digest)
-        if not isinstance(record, dict):
-            # Valid JSON that is not an object (e.g. a bare list) is just
-            # as corrupt as unparseable bytes: a miss, never an error.
             record = None
-        if record is None:
-            self.misses += 1
-            return None
+        # Valid JSON that is not an object (e.g. a bare list) is just as
+        # corrupt as unparseable bytes: a miss, never an error.
         if (
-            record.get("schema") != SCHEMA_TAG
+            not isinstance(record, dict)
+            or record.get("schema") != SCHEMA_TAG
             or record.get("config_digest") != digest
             or record.get("workload") != workload
             or record.get("scale") != scale_tok
@@ -186,117 +153,79 @@ class ResultCache:
 #: at something else entirely) can never touch foreign data.
 _TAG_DIR_RE = re.compile(r"^engine-v\d+-[0-9a-f]{12}$")
 
-#: Shape of a loose record filename (what :meth:`ResultCache.put` writes);
-#: used by ``scan_cache`` to spot shard entries shadowed by a loose copy.
-_LOOSE_NAME_RE = re.compile(
-    rf"^s(?P<scale>.+)__(?P<digest>[0-9a-f]{{{_NAME_DIGEST_CHARS}}})\.json$"
-)
-
 
 @dataclass(frozen=True)
 class CacheTagInfo:
     """Aggregate of one schema-tag directory inside a cache dir."""
 
     tag: str
-    #: Unique readable records: loose files plus unshadowed shard entries.
-    #: A key overwritten after compaction briefly exists in both layouts
-    #: (the loose copy wins on read), and is counted once — so the count
-    #: is invariant across ``compact``, whatever the layout.
+    #: Record files (``*.json``) under this tag.
     records: int
+    #: Bytes of every regular file under this tag — what ``prune`` frees.
     size_bytes: int
     #: True when the tag matches the running code's :data:`SCHEMA_TAG`.
     current: bool
-    #: Breakdown by on-disk layout (shadowed shard entries not included).
-    loose_records: int = 0
-    shard_records: int = 0
-    #: Per-workload shard files under this tag.
-    shard_files: int = 0
 
 
-def scan_cache(cache_dir: str | os.PathLike) -> list[CacheTagInfo]:
-    """Per-schema-tag record counts and sizes under ``cache_dir``.
+def scan_tag_dirs(
+    cache_dir: str | os.PathLike, tag_re: re.Pattern[str], current_tag: str
+) -> list[CacheTagInfo]:
+    """Record counts and sizes of every ``tag_re`` directory under ``cache_dir``.
 
-    Only directories whose name matches the schema-tag shape are
-    considered; anything else living next to the cache is ignored. Tags
-    sort current-first then by name, so a stale-tag listing reads off
-    the top of the output. A missing directory is an empty cache.
+    Only directories whose name matches the tag shape are considered;
+    anything else living next to the cache is ignored. Tags sort
+    current-first then by name, so a stale-tag listing reads off the top
+    of the output. A missing directory is an empty cache. ``size_bytes``
+    counts every regular file, records or not, so a tag holding only
+    leftovers still shows the space ``prune`` reclaims.
     """
-    from .shards import SHARD_NAME, read_shard
-
     root = Path(cache_dir)
     infos: list[CacheTagInfo] = []
     if not root.is_dir():
         return infos
     for tag_dir in sorted(
-        p for p in root.iterdir() if p.is_dir() and _TAG_DIR_RE.match(p.name)
+        p for p in root.iterdir() if p.is_dir() and tag_re.match(p.name)
     ):
-        loose = 0
-        shard_files = 0
-        shard_records = 0
+        records = 0
         size = 0
-        # Loose keys per workload dir, so shard entries a newer loose
-        # record shadows (same scale + digest prefix) are not re-counted.
-        loose_keys: dict[Path, set[tuple[str, str]]] = {}
-        shards: list[Path] = []
         for path in tag_dir.rglob("*"):
             if not path.is_file():
                 continue
-            if path.name == SHARD_NAME:
-                shards.append(path)
-            elif path.suffix == ".json":
-                loose += 1
-                match = _LOOSE_NAME_RE.match(path.name)
-                if match:
-                    loose_keys.setdefault(path.parent, set()).add(
-                        (match.group("scale"), match.group("digest"))
-                    )
-            else:
-                continue  # temp files and foreign clutter are not records
+            if path.suffix == ".json":
+                records += 1
             try:
                 size += path.stat().st_size
             except OSError:
                 pass
-        for path in shards:
-            shard_files += 1
-            shadow = loose_keys.get(path.parent, set())
-            shard_records += sum(
-                1
-                for scale, digest in read_shard(path)
-                if (scale, digest[:_NAME_DIGEST_CHARS]) not in shadow
-            )
         infos.append(
             CacheTagInfo(
                 tag=tag_dir.name,
-                records=loose + shard_records,
+                records=records,
                 size_bytes=size,
-                current=tag_dir.name == SCHEMA_TAG,
-                loose_records=loose,
-                shard_records=shard_records,
-                shard_files=shard_files,
+                current=tag_dir.name == current_tag,
             )
         )
     infos.sort(key=lambda i: (not i.current, i.tag))
     return infos
 
 
-def prune_cache(
+def prune_tag_dirs(
     cache_dir: str | os.PathLike,
-    schema_tag: str | None = None,
-    dry_run: bool = False,
+    infos: list[CacheTagInfo],
+    schema_tag: str | None,
+    dry_run: bool,
 ) -> list[CacheTagInfo]:
-    """Delete stale schema-tag directories; returns what was (or would be) removed.
+    """Delete the scanned tags ``prune`` selects; returns what was removed.
 
-    Without ``schema_tag`` every tag except the running code's current
-    :data:`SCHEMA_TAG` is removed — the normal "collect garbage after a
-    few engine changes" call. With ``schema_tag`` only that tag is removed
-    (including the current one, for a forced cold run). ``dry_run`` only
+    Without ``schema_tag`` every non-current tag is selected; with it,
+    exactly that tag (the current one included). ``dry_run`` only
     reports. A tag whose directory survives the deletion attempt (e.g. a
     read-only mount) is *not* reported as removed, so callers never claim
     to have reclaimed space they did not.
     """
     root = Path(cache_dir)
     removed: list[CacheTagInfo] = []
-    for info in scan_cache(root):
+    for info in infos:
         if schema_tag is None:
             if info.current:
                 continue
@@ -310,3 +239,23 @@ def prune_cache(
         if not tag_dir.exists():
             removed.append(info)
     return removed
+
+
+def scan_cache(cache_dir: str | os.PathLike) -> list[CacheTagInfo]:
+    """Per-schema-tag record counts and sizes (see :func:`scan_tag_dirs`)."""
+    return scan_tag_dirs(cache_dir, _TAG_DIR_RE, SCHEMA_TAG)
+
+
+def prune_cache(
+    cache_dir: str | os.PathLike,
+    schema_tag: str | None = None,
+    dry_run: bool = False,
+) -> list[CacheTagInfo]:
+    """Delete stale schema-tag directories; returns what was (or would be) removed.
+
+    Without ``schema_tag`` every tag except the running code's current
+    :data:`SCHEMA_TAG` is removed — the normal "collect garbage after a
+    few engine changes" call. With ``schema_tag`` only that tag is removed
+    (including the current one, for a forced cold run).
+    """
+    return prune_tag_dirs(cache_dir, scan_cache(cache_dir), schema_tag, dry_run)

@@ -1,23 +1,23 @@
 """Deterministic crash injection for the fault-tolerance test harness.
 
-The broker and the shard compactor survive workers being SIGKILLed at
+The broker and the warehouse survive processes being SIGKILLed at
 arbitrary moments — but "arbitrary" is untestable. This module gives the
 test harness (``tests/faultinject.py``) *named* crash points: set
 
-    REPRO_FAULTPOINTS="worker-claimed:1,shard-entry:10"
+    REPRO_FAULTPOINTS="worker-claimed:1,warehouse-refresh:10"
 
 in a subprocess's environment and the Nth time that process passes the
 named point it SIGKILLs itself — no cleanup handlers, no ``atexit``, no
 flushing, exactly the state a power cut or an OOM kill leaves behind.
+A bare ``point`` means ``point:1``. A name outside :data:`FAULT_POINTS`
+or a count that is not a positive integer raises :class:`ConfigError`
+naming the spec, so a typo cannot silently disable a crash test.
 
 Production runs never set the variable, so the cost of a fault point is
-one environment lookup. Points currently wired in:
+one environment lookup. The points wired in:
 
 ``worker-claimed``
     ``run_worker`` just claimed a job (the lease is held, nothing ran).
-``shard-entry``
-    the shard rewriter has written N entries to its temp file (the
-    rename has not happened; the live shard must stay untouched).
 ``warehouse-refresh``
     the warehouse consolidator is about to apply its Nth change inside
     the refresh transaction (nothing may be durable until COMMIT; the
@@ -31,6 +31,10 @@ import os
 import signal
 
 from ..envopts import read_env
+from ..errors import ConfigError
+
+#: Every point a ``maybe_fault`` call site passes.
+FAULT_POINTS = ("worker-claimed", "warehouse-refresh")
 
 #: Per-process pass counts for each named point.
 _hits: dict[str, int] = {}
@@ -42,8 +46,20 @@ def _parse(spec: str) -> dict[str, int]:
         part = part.strip()
         if not part:
             continue
-        name, _, count = part.partition(":")
-        targets[name] = int(count) if count.isdigit() else 1
+        name, sep, count = part.partition(":")
+        if name not in FAULT_POINTS:
+            raise ConfigError(
+                f"REPRO_FAULTPOINTS={spec!r}: unknown fault point {name!r}; "
+                f"known points: {', '.join(FAULT_POINTS)}"
+            )
+        if not sep:
+            count = "1"
+        if not count.isdecimal() or int(count) < 1:
+            raise ConfigError(
+                f"REPRO_FAULTPOINTS={spec!r}: count {count!r} for {name!r} "
+                f"is not a positive integer"
+            )
+        targets[name] = int(count)
     return targets
 
 

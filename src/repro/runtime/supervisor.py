@@ -79,8 +79,9 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (sweeps import runtime)
 SUPERVISOR_SCHEMA = "supervisor-v1"
 
 #: ``status --json`` snapshot format version (v2: the sweep section's
-#: ``cost_rank_corr`` / ``cost_rank_cells``).
-STATUS_SCHEMA = "status-v2"
+#: ``cost_rank_corr`` / ``cost_rank_cells``; v3: the ``cache`` object
+#: holds only ``tag``/``records``/``size_bytes``/``stale_records``).
+STATUS_SCHEMA = "status-v3"
 
 #: Fewest completed cells over which the cost model's rank correlation
 #: is reported; below this it is ``None``.
@@ -809,18 +810,12 @@ def _cache_stats(cache_dir: str | os.PathLike[str]) -> dict[str, Any]:
         "tag": SCHEMA_TAG,
         "records": 0,
         "size_bytes": 0,
-        "loose_records": 0,
-        "shard_records": 0,
-        "shard_files": 0,
         "stale_records": 0,
     }
     for info in scan_cache(cache_dir):
         if info.current:
             current["records"] = info.records
             current["size_bytes"] = info.size_bytes
-            current["loose_records"] = info.loose_records
-            current["shard_records"] = info.shard_records
-            current["shard_files"] = info.shard_files
         else:
             current["stale_records"] += info.records
     return current
@@ -942,15 +937,9 @@ def render_status(status: dict[str, Any]) -> str:
             f"{claim['attempts'] + 1}  lease age {age_txt}"
         )
     cache = status["cache"]
-    layout = ""
-    if cache["shard_files"]:
-        layout = (
-            f" ({cache['loose_records']} loose + {cache['shard_records']} in "
-            f"{cache['shard_files']} shard(s))"
-        )
     lines.append(
         f"cache       {cache['records']} records, "
-        f"{_fmt_bytes(cache['size_bytes'])}{layout}"
+        f"{_fmt_bytes(cache['size_bytes'])}"
         + (
             f", {cache['stale_records']} stale"
             if cache["stale_records"]

@@ -9,7 +9,7 @@ Usage::
     python -m repro.warehouse trajectory
     python -m repro.warehouse gate --baseline FILE [--tolerance T] [--update]
 
-``refresh`` consolidates every readable result record (loose, sharded,
+``refresh`` consolidates every readable result record (exact and
 analytic) plus the ``BENCH_*.json`` payloads into ``warehouse.sqlite``
 beside the schema-tag directories — idempotent, crash-safe, with a full
 per-refresh revision history (see ``repro.warehouse.core``). The query

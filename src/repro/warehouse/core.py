@@ -1,7 +1,7 @@
 """The SQLite result warehouse: consolidation, change history, provenance.
 
-The stores the runtime writes — loose result records, compacted shards
-(``engine-v*`` tags) and analytic estimates (``analytic-v*`` tags) — are
+The stores the runtime writes — exact result records (``engine-v*``
+tags) and analytic estimates (``analytic-v*`` tags) — are
 optimized for *producing* results. Answering questions across them
 (contour tables, sensitivity matrices, longitudinal benchmark
 trajectories) meant ad-hoc JSONL spelunking. The warehouse is the
@@ -10,10 +10,9 @@ mode) living beside the tag directories::
 
     <cache-dir>/warehouse.sqlite
 
-``python -m repro.warehouse refresh`` scans every tag directory (loose
-records *and* shard entries, loose winning on a duplicate key — the
-same resolution :class:`~repro.runtime.cache.ResultCache` applies) plus
-the ``BENCH_*.json`` benchmark payloads, and **consolidates
+``python -m repro.warehouse refresh`` scans every tag directory's
+one-file records (the files :class:`~repro.runtime.cache.ResultCache`
+reads) plus the ``BENCH_*.json`` benchmark payloads, and **consolidates
 incrementally**: rows are keyed by ``(workload, scale token, config
 digest, schema tag, fidelity tier)`` and each refresh classifies every
 key as
@@ -183,7 +182,7 @@ def connect(cache_dir: str | os.PathLike[str]) -> sqlite3.Connection:
 
 
 # ---------------------------------------------------------------------------
-# Source scanning (loose records, shards, analytic estimates, bench payloads)
+# Source scanning (result records, analytic estimates, bench payloads)
 # ---------------------------------------------------------------------------
 
 
@@ -237,26 +236,10 @@ def _record_cell(record: object, tag: str, fidelity: str) -> SourceCell | None:
 
 
 def _scan_tag_dir(tag_dir: Path, fidelity: str) -> dict[CellKey, SourceCell]:
-    """Every readable record under one schema-tag directory.
-
-    Shard entries are read first and loose files second, so a key present
-    in both layouts resolves loose-wins — the exact resolution
-    :class:`~repro.runtime.cache.ResultCache` applies on reads, which is
-    what makes the consolidated warehouse bit-identical whether the cache
-    is flat, sharded, or mixed.
-    """
-    from ..runtime.shards import SHARD_NAME, read_shard
-
+    """Every readable ``*.json`` record under one schema-tag directory."""
     tag = tag_dir.name
     cells: dict[CellKey, SourceCell] = {}
     for workload_dir in sorted(p for p in tag_dir.iterdir() if p.is_dir()):
-        if fidelity == "exact":
-            shard = workload_dir / SHARD_NAME
-            if shard.is_file():
-                for record in read_shard(shard).values():
-                    cell = _record_cell(record, tag, fidelity)
-                    if cell is not None:
-                        cells[cell.key] = cell
         for path in sorted(workload_dir.glob("*.json")):
             try:
                 record = json.loads(path.read_text())
@@ -271,9 +254,8 @@ def _scan_tag_dir(tag_dir: Path, fidelity: str) -> dict[CellKey, SourceCell]:
 def scan_sources(cache_dir: str | os.PathLike[str]) -> dict[CellKey, SourceCell]:
     """Every readable result record in a cache directory, both tiers.
 
-    Engine tags (``engine-v*``) contribute exact cells from loose records
-    and shard entries; analytic tags (``analytic-v*``) contribute
-    estimated cells (loose-only by construction). Unreadable or
+    Engine tags (``engine-v*``) contribute exact cells; analytic tags
+    (``analytic-v*``) contribute estimated cells. Unreadable or
     wrongly-shaped records are skipped, never raised — the warehouse
     consolidates what is readable, exactly like the caches themselves.
     """

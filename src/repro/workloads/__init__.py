@@ -48,7 +48,6 @@ from .trace import (
     REC_TAKEN,
     Trace,
     TraceBuilder,
-    TraceRecordView,
     TraceSummary,
     generate_trace,
     summarize,
@@ -94,7 +93,6 @@ __all__ = [
     "TRACE_SCHEMA_TAG",
     "Trace",
     "TraceBuilder",
-    "TraceRecordView",
     "TraceStore",
     "TraceStoreTagInfo",
     "TraceSummary",

@@ -11,13 +11,10 @@ trace is a few flat megabytes of C integers rather than hundreds of
 megabytes of boxed tuples, the columns pickle/serialize as raw bytes (the
 :mod:`~repro.workloads.tracestore` disk format is exactly
 ``array.tobytes`` per column), and forked pool workers share them
-copy-on-write. Consumers have two views:
-
-* ``trace.columns[REC_KIND]`` etc. — the raw columns, used by the engine's
-  hot per-prediction loop (indexed reads, no per-record allocation);
-* ``trace.records`` — a zero-copy :class:`TraceRecordView` that behaves
-  like the old ``list[tuple]`` (indexing and slicing materialize tuples on
-  demand; iteration is a C-level ``zip`` over the columns).
+copy-on-write. The engine's hot per-prediction loop reads
+``trace.columns[REC_KIND]`` etc. directly (indexed reads, no per-record
+allocation); iterating a :class:`Trace` yields one record tuple at a time
+through a C-level ``zip`` over the columns.
 
 Generation is **streaming**: the walker emits records through a
 :class:`TraceBuilder`, a bounded-memory emitter that buffers a small chunk
@@ -79,44 +76,6 @@ def _empty_columns() -> tuple[array, ...]:
     return tuple(array(typecode) for _, typecode in COLUMN_SPECS)
 
 
-class TraceRecordView:
-    """Zero-copy, ``list[tuple]``-compatible view over the trace columns.
-
-    Indexing materializes one tuple; slicing materializes a list of tuples
-    (only for the requested range); iteration is a C-level ``zip`` over the
-    columns. Equality compares the underlying columns without building any
-    tuples at all.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns: tuple[array, ...]):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index: int | slice) -> tuple | list[tuple]:
-        if isinstance(index, slice):
-            return list(zip(*(col[index] for col in self._columns)))
-        return tuple(col[index] for col in self._columns)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return zip(*self._columns)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TraceRecordView):
-            return self._columns == other._columns
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self) and all(
-                tuple(got) == tuple(want) for got, want in zip(self, other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"TraceRecordView({len(self)} records)"
-
-
 @dataclass
 class Trace:
     """A dynamic basic-block trace over a static CFG (columnar storage)."""
@@ -125,7 +84,6 @@ class Trace:
     columns: tuple[array, ...]
     seed: int
     n_instrs: int = 0
-    records: TraceRecordView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(COLUMN_SPECS):
@@ -137,13 +95,12 @@ class Trace:
             raise WorkloadError("trace columns have unequal lengths")
         if not self.n_instrs:
             self.n_instrs = sum(self.columns[REC_NINSTR])
-        self.records = TraceRecordView(self.columns)
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self.records)
+        return zip(*self.columns)
 
     def column(self, index: int) -> array:
         """One raw column by its ``REC_*`` index."""

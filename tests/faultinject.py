@@ -1,16 +1,16 @@
 """Fault-injection harness: real subprocesses, killed at precise moments.
 
-The broker's and the shard compactor's crash-safety claims are about
-processes dying with *no* chance to clean up — ``finally`` blocks,
-``atexit`` handlers and buffered writes all skipped. Asserting that from
-inside one pytest process is impossible, so this harness spawns the real
-entry points (``python -m repro.runtime worker`` / ``compact``) as
-subprocesses and kills them two ways:
+The broker's and the warehouse's crash-safety claims are about processes
+dying with *no* chance to clean up — ``finally`` blocks, ``atexit``
+handlers and buffered writes all skipped. Asserting that from inside one
+pytest process is impossible, so this harness spawns the real entry
+points (``python -m repro.runtime worker`` / ``python -m repro.warehouse
+refresh``) as subprocesses and kills them two ways:
 
 * **deterministically**, via the ``REPRO_FAULTPOINTS`` environment
   variable (:mod:`repro.runtime.faultpoints`): the subprocess SIGKILLs
   *itself* the Nth time it passes a named point — e.g. the instant after
-  claiming a job, or seven entries into a shard rewrite;
+  claiming a job, or seven changes into a warehouse refresh;
 * **externally**, with ``os.kill(pid, SIGKILL)`` once a polled queue
   condition shows the victim mid-flight.
 
@@ -71,27 +71,6 @@ def spawn_worker(
     return subprocess.Popen(
         cmd,
         env=_subprocess_env(faultpoints, **extra),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-
-
-def spawn_compact(
-    cache_dir: os.PathLike, faultpoints: str | None = None
-) -> subprocess.Popen:
-    """Start a real ``python -m repro.runtime compact`` subprocess."""
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.runtime",
-        "compact",
-        "--cache-dir",
-        str(cache_dir),
-    ]
-    return subprocess.Popen(
-        cmd,
-        env=_subprocess_env(faultpoints),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.mechanisms import make_config
-from repro.runtime import SCHEMA_TAG, ExperimentRuntime, prune_cache, scan_cache
+from repro.core.results import SimulationResult
+from repro.runtime import (
+    SCHEMA_TAG,
+    ExperimentRuntime,
+    ResultCache,
+    prune_cache,
+    scan_cache,
+)
 from repro.runtime.__main__ import main
 
 WL = "streaming"
 SCALE = 0.05
 
-#: A plausible stale tag: same major, different source fingerprint.
+#: A plausible stale tag: an older major and source fingerprint.
 STALE_TAG = "engine-v1-000000000000"
 
 
@@ -71,6 +80,68 @@ class TestScanAndPrune:
         removed = prune_cache(tmp_path, schema_tag=SCHEMA_TAG)
         assert [i.tag for i in removed] == [SCHEMA_TAG]
         assert (tmp_path / STALE_TAG).exists()
+
+
+def _legacy_shard(wl_dir, records):
+    """What an older, compacting cache left in a workload directory."""
+    shard = wl_dir / "shard.jsonl"
+    shard.write_text("".join(json.dumps(r) + "\n" for r in records))
+    (wl_dir / ".compact.lock").touch()
+    return shard
+
+
+class TestLegacyShardLeftovers:
+    """A ``shard.jsonl`` and its lock file are not records: never read,
+    never consolidated, but their bytes are listed and ``prune`` frees them."""
+
+    def test_shard_in_current_tag_is_inert_and_reclaimable(self, tmp_path):
+        from repro.warehouse import connect, read_status, refresh_warehouse
+
+        cache = ResultCache(tmp_path)
+        loose = "a" * 64
+        cache.put("wl", "0.25", loose, SimulationResult("wl", "none", {"cycles": 1.0}))
+        wl_dir = tmp_path / SCHEMA_TAG / "wl"
+        shard_only = "b" * 64
+        record = {
+            "schema": SCHEMA_TAG,
+            "workload": "wl",
+            "scale": "0.25",
+            "config_digest": shard_only,
+            "mechanism": "none",
+            "raw": {"cycles": 2.0},
+        }
+        shard = _legacy_shard(wl_dir, [record])
+
+        assert ResultCache(tmp_path).get("wl", "0.25", shard_only) is None
+        assert ResultCache(tmp_path).get("wl", "0.25", loose) is not None
+
+        (info,) = scan_cache(tmp_path)
+        assert info.current and info.records == 1
+        loose_bytes = sum(p.stat().st_size for p in wl_dir.glob("*.json"))
+        assert info.size_bytes == loose_bytes + shard.stat().st_size
+
+        assert refresh_warehouse(tmp_path).inserted == 1
+        conn = connect(tmp_path)
+        try:
+            assert read_status(conn).active_cells == 1
+        finally:
+            conn.close()
+
+        (removed,) = prune_cache(tmp_path, schema_tag=SCHEMA_TAG)
+        assert removed.tag == SCHEMA_TAG
+        assert not (tmp_path / SCHEMA_TAG).exists()
+
+    def test_stale_compacted_tag_lists_its_bytes(self, tmp_path, capsys):
+        wl_dir = tmp_path / STALE_TAG / WL
+        wl_dir.mkdir(parents=True)
+        shard = _legacy_shard(wl_dir, [{"schema": STALE_TAG, "raw": {}}] * 10)
+        (info,) = scan_cache(tmp_path)
+        assert (info.tag, info.records) == (STALE_TAG, 0)
+        assert info.size_bytes == shard.stat().st_size > 0
+        assert main(["prune", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"removed {STALE_TAG}: 0 records, {info.size_bytes} B" in out
+        assert not (tmp_path / STALE_TAG).exists()
 
 
 class TestCli:

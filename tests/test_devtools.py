@@ -124,20 +124,20 @@ class TestRPL002:
         package = make_tree(
             tmp_path,
             {
-                "runtime/shards.py": """
+                "workloads/tracestore.py": """
                 import os
-                from .atomicio import atomic_writer
+                from ..runtime.atomicio import atomic_writer
 
-                def read_shard(path):
-                    with path.open("r") as fh:
+                def read_blob(path):
+                    with path.open("rb") as fh:
                         return fh.read()
 
                 def lock(path):
                     return os.open(path, os.O_CREAT | os.O_RDWR)
 
-                def write_shard(path, records):
-                    with atomic_writer(path, fsync=True) as fh:
-                        fh.write(records)
+                def write_blob(path, blob):
+                    with atomic_writer(path, "wb") as fh:
+                        fh.write(blob)
                 """,
             },
         )
@@ -233,7 +233,6 @@ import re
 _SCHEMA_MAJOR = "engine-v1"
 _NAME_DIGEST_CHARS = 16
 _TAG_DIR_RE = re.compile(r"engine-v\\d+")
-_LOOSE_NAME_RE = re.compile(r".*")
 
 def _path(root, digest):
     return root / digest[:_NAME_DIGEST_CHARS]

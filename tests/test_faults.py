@@ -1,20 +1,19 @@
-"""Fault-injection suite: SIGKILLed workers and compactors lose nothing.
+"""Fault-injection suite: SIGKILLed workers and warehouse refreshes lose nothing.
 
-Every test here kills a *real* subprocess — a broker worker or a shard
-compactor — either deterministically (``REPRO_FAULTPOINTS``) or with an
-external SIGKILL, then asserts the system's crash contracts:
+Every test here kills a *real* subprocess — a broker worker or a
+warehouse refresh — either deterministically (``REPRO_FAULTPOINTS``) or
+with an external SIGKILL, then asserts the system's crash contracts:
 
 * a killed worker's job is recovered and executed **exactly once**, and
   the recovered result is bit-identical to an undisturbed run;
-* a killed compactor never corrupts a shard: the cache reads the same
-  records before, during and after the crash, and a later compaction
-  finishes the fold;
-* torn shard data (truncated lines) never surfaces as a result.
+* a killed refresh leaves the previous warehouse snapshot readable and
+  contributes nothing, and the next refresh converges.
+
+A malformed ``REPRO_FAULTPOINTS`` spec is rejected, never half-applied.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -24,10 +23,11 @@ import pytest
 import faultinject
 from repro.core.mechanisms import make_config
 from repro.core.results import SimulationResult
-from repro.runtime import SimJob, compact_cache, execute_job, run_worker, scan_cache
+from repro.errors import ConfigError
+from repro.runtime import SimJob, execute_job, run_worker
 from repro.runtime.broker import BrokerQueue
 from repro.runtime.cache import ResultCache
-from repro.runtime.shards import read_shard, shard_path
+from repro.runtime.faultpoints import FAULT_POINTS, _parse, maybe_fault
 from repro.workloads.workload import reset_trace_store
 
 WL = "streaming"
@@ -226,7 +226,7 @@ class TestDrainWaitsOutPeerLeases:
 
 
 # ---------------------------------------------------------------------------
-# Compactor crashes mid-shard-write
+# Cache records shared by the warehouse-refresh crash tests
 # ---------------------------------------------------------------------------
 
 
@@ -250,63 +250,6 @@ def _assert_all_readable(cache_dir, count: int, workload: str = "wl"):
         result = fresh.get(workload, "0.25", _digest(i))
         assert result is not None, f"record {i} lost"
         assert result.raw == {"cycles": float(i + 1)}
-
-
-class TestCompactionKilledMidWrite:
-    def test_kill_before_first_shard_exists_loses_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        _populate(cache, 0, 40)
-        before = scan_cache(tmp_path)[0]
-        proc = faultinject.spawn_compact(tmp_path, faultpoints="shard-entry:7")
-        assert faultinject.wait_exit(proc) == KILLED
-        mid = scan_cache(tmp_path)[0]
-        # The torn temp file is invisible: same records, same layout.
-        assert (mid.records, mid.loose_records, mid.shard_records) == (
-            before.records,
-            40,
-            0,
-        )
-        _assert_all_readable(tmp_path, 40)
-        compact_cache(tmp_path)
-        after = scan_cache(tmp_path)[0]
-        assert (after.records, after.loose_records, after.shard_records) == (40, 0, 40)
-        _assert_all_readable(tmp_path, 40)
-
-    def test_kill_mid_rewrite_never_corrupts_existing_shard(self, tmp_path):
-        """With a live shard already on disk, a crashed rewrite must leave
-        the *old* shard fully intact — the replace never happened."""
-        cache = ResultCache(tmp_path)
-        _populate(cache, 0, 30)
-        compact_cache(tmp_path)
-        _populate(cache, 30, 10)  # new loose records since the last fold
-        proc = faultinject.spawn_compact(tmp_path, faultpoints="shard-entry:15")
-        assert faultinject.wait_exit(proc) == KILLED
-        mid = scan_cache(tmp_path)[0]
-        assert (mid.records, mid.loose_records, mid.shard_records) == (40, 10, 30)
-        _assert_all_readable(tmp_path, 40)
-        spath = shard_path(tmp_path / mid.tag / "wl")
-        assert len(read_shard(spath)) == 30  # old shard untouched
-        compact_cache(tmp_path)
-        _assert_all_readable(tmp_path, 40)
-        assert len(read_shard(spath)) == 40
-
-    def test_torn_shard_line_never_surfaces_and_is_dropped(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        _populate(cache, 0, 5)
-        compact_cache(tmp_path)
-        tag = scan_cache(tmp_path)[0].tag
-        spath = shard_path(tmp_path / tag / "wl")
-        with spath.open("a") as fh:
-            fh.write('{"schema": "engine-v1-000000000000", "config_d')  # torn
-        assert scan_cache(tmp_path)[0].records == 5  # torn line not a record
-        _assert_all_readable(tmp_path, 5)
-        _populate(cache, 5, 1)
-        compact_cache(tmp_path)  # rewrite drops the torn tail for good
-        lines = spath.read_text().splitlines()
-        assert len(lines) == 6
-        for line in lines:
-            json.loads(line)  # every surviving line is complete
-        _assert_all_readable(tmp_path, 6)
 
 
 class TestWarehouseRefreshKilledMidConsolidation:
@@ -391,3 +334,48 @@ class TestWarehouseRefreshKilledMidConsolidation:
         )
         # Every record is still readable through the cache as well.
         _assert_all_readable(tmp_path, 40)
+
+
+# ---------------------------------------------------------------------------
+# REPRO_FAULTPOINTS spec validation
+# ---------------------------------------------------------------------------
+
+
+class TestFaultpointSpec:
+    def test_valid_spec_parses(self):
+        assert _parse("worker-claimed:3, warehouse-refresh") == {
+            "worker-claimed": 3,
+            "warehouse-refresh": 1,
+        }
+
+    def test_every_wired_point_is_accepted(self):
+        for point in FAULT_POINTS:
+            assert _parse(f"{point}:2") == {point: 2}
+
+    @pytest.mark.parametrize("spec", ["shard-entry:10", "worker-claimd:1"])
+    def test_unknown_point_is_rejected(self, spec):
+        with pytest.raises(ConfigError, match="unknown fault point") as err:
+            _parse(spec)
+        assert repr(spec) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "worker-claimed:x",
+            "worker-claimed:0",
+            "worker-claimed:-2",
+            "worker-claimed:1.5",
+            "worker-claimed:",
+        ],
+    )
+    def test_bad_count_is_rejected(self, spec):
+        with pytest.raises(ConfigError, match="not a positive integer") as err:
+            _parse(spec)
+        assert repr(spec) in str(err.value)
+
+    def test_maybe_fault_rejects_a_bad_spec(self, monkeypatch):
+        # The spec never names the point passed, so a lenient parser
+        # returns instead of killing the test process.
+        monkeypatch.setenv("REPRO_FAULTPOINTS", "shard-entry:1")
+        with pytest.raises(ConfigError, match="REPRO_FAULTPOINTS"):
+            maybe_fault("worker-claimed")

@@ -19,7 +19,7 @@ from repro.experiments.sweeps.manifest import (
     verify_matches_spec,
     write_manifest,
 )
-from repro.runtime import compact_cache, configure_runtime
+from repro.runtime import configure_runtime
 from repro.runtime import runner as runner_mod
 from repro.runtime.cache import SCHEMA_TAG, ResultCache
 from repro.workloads.workload import reset_trace_store
@@ -147,12 +147,6 @@ class TestMissingCells:
             (c.workload, c.scale_tok, c.digest) for c in manifest.cells[1::2]
         ]
 
-    def test_sharded_results_count_as_present(self, tmp_path):
-        manifest = write_manifest(tmp_path, RSPEC, "mtiny", None)
-        _fabricate(ResultCache(tmp_path), manifest.cells)
-        compact_cache(tmp_path)
-        assert missing_cells(manifest, ResultCache(tmp_path)) == []
-
     def test_dense_latency_btb_diff_is_exact(self, tmp_path):
         """The ROADMAP's dense grid, interrupted at ~50%: the resume diff
         must name exactly the uncached half of the 720 cells."""
@@ -202,17 +196,6 @@ class TestResumeEndToEnd:
         out = capsys.readouterr().out
         assert "12/12 cells already cached, submitting 0 missing" in out
         assert "resumed 0 of 12 unique jobs, 0 simulated" in out
-
-    def test_resume_works_from_compacted_shards(self, tmp_path):
-        runtime = configure_runtime(cache_dir=tmp_path)
-        manifest = write_manifest(tmp_path, RSPEC, "mtiny", None)
-        full_table = RSPEC.run("mtiny").to_table()
-        compact_cache(tmp_path)
-        runner_mod._RUNTIME = None
-        runtime = configure_runtime(cache_dir=tmp_path)
-        assert missing_cells(load_manifest(manifest.path), runtime.disk) == []
-        assert RSPEC.run("mtiny").to_table() == full_table
-        assert runtime.executed == 0
 
 
 class TestCli:

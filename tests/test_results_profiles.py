@@ -144,4 +144,4 @@ class TestWorkloadFacade:
         clear_workload_cache()
         b = load_workload("nutch", scale=0.05)
         assert a is not b
-        assert a.trace.records == b.trace.records  # still deterministic
+        assert a.trace.columns == b.trace.columns  # still deterministic

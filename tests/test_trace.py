@@ -21,7 +21,6 @@ from repro.workloads.trace import (
     REC_START,
     REC_TAKEN,
     TraceBuilder,
-    TraceRecordView,
     generate_trace,
     summarize,
     taken_conditional_distances,
@@ -39,66 +38,71 @@ def trace(cfg):
     return generate_trace(cfg, 40_000, seed=7)
 
 
+@pytest.fixture(scope="module")
+def records(trace):
+    return list(trace)
+
+
 class TestWalkerBasics:
     def test_length_reached(self, trace):
         assert trace.n_instrs >= 40_000
 
     def test_deterministic(self, cfg, trace):
         again = generate_trace(cfg, 40_000, seed=7)
-        assert again.records == trace.records
+        assert again.columns == trace.columns
 
     def test_seed_changes_walk(self, cfg, trace):
         other = generate_trace(cfg, 40_000, seed=8)
-        assert other.records != trace.records
+        assert other.columns != trace.columns
 
     def test_rejects_zero_length(self, cfg):
         with pytest.raises(WorkloadError):
             generate_trace(cfg, 0)
 
-    def test_records_reference_real_blocks(self, cfg, trace):
-        for rec in trace.records[:500]:
+    def test_records_reference_real_blocks(self, cfg, records):
+        for rec in records[:500]:
             assert rec[REC_START] in cfg.blocks
 
-    def test_record_sizes_match_static(self, cfg, trace):
-        for rec in trace.records[:500]:
+    def test_record_sizes_match_static(self, cfg, records):
+        for rec in records[:500]:
             assert rec[REC_NINSTR] == cfg.blocks[rec[REC_START]].n_instrs
 
 
 class TestControlFlowConsistency:
-    def test_successors_are_consistent(self, cfg, trace):
+    def test_successors_are_consistent(self, cfg, records):
         """next_pc of each record equals start of the next record."""
-        for cur, nxt in zip(trace.records[:2000], trace.records[1:2001]):
+        for cur, nxt in zip(records[:2000], records[1:2001]):
             assert cur[REC_NEXT] == nxt[REC_START]
 
-    def test_not_taken_goes_to_fallthrough(self, cfg, trace):
-        for rec in trace.records[:2000]:
+    def test_not_taken_goes_to_fallthrough(self, cfg, records):
+        for rec in records[:2000]:
             if not rec[REC_TAKEN]:
                 blk = cfg.blocks[rec[REC_START]]
                 assert rec[REC_NEXT] == blk.fallthrough
 
-    def test_direct_branches_go_to_static_target(self, cfg, trace):
-        for rec in trace.records[:2000]:
+    def test_direct_branches_go_to_static_target(self, cfg, records):
+        for rec in records[:2000]:
             blk = cfg.blocks[rec[REC_START]]
             if rec[REC_TAKEN] and blk.kind in (BranchKind.COND, BranchKind.JUMP,
                                                BranchKind.CALL):
                 assert rec[REC_NEXT] == blk.target
 
-    def test_indirect_targets_come_from_target_set(self, cfg, trace):
-        for rec in trace.records[:5000]:
+    def test_indirect_targets_come_from_target_set(self, cfg, records):
+        for rec in records[:5000]:
             blk = cfg.blocks[rec[REC_START]]
             if blk.kind in (BranchKind.IND_CALL, BranchKind.IND_JUMP):
                 allowed = {t for t, _ in blk.indirect_targets}
                 assert rec[REC_NEXT] in allowed
 
-    def test_unconditional_always_taken(self, trace):
-        for rec in trace.records[:2000]:
+    def test_unconditional_always_taken(self, records):
+        for rec in records[:2000]:
             if rec[REC_KIND] != BranchKind.COND:
                 assert rec[REC_TAKEN] == 1
 
-    def test_calls_and_returns_balance(self, cfg, trace):
+    def test_calls_and_returns_balance(self, cfg, records):
         """Returns always resume at the fall-through of a prior call."""
         stack = []
-        for rec in trace.records:
+        for rec in records:
             blk = cfg.blocks[rec[REC_START]]
             if blk.kind in (BranchKind.CALL, BranchKind.IND_CALL):
                 stack.append(blk.fallthrough)
@@ -107,11 +111,11 @@ class TestControlFlowConsistency:
 
 
 class TestEntryKinds:
-    def test_first_record_sequential(self, trace):
-        assert trace.records[0][REC_ENTRY] == EntryKind.SEQUENTIAL
+    def test_first_record_sequential(self, records):
+        assert records[0][REC_ENTRY] == EntryKind.SEQUENTIAL
 
-    def test_entry_kind_matches_previous_branch(self, trace):
-        for cur, nxt in zip(trace.records[:2000], trace.records[1:2001]):
+    def test_entry_kind_matches_previous_branch(self, records):
+        for cur, nxt in zip(records[:2000], records[1:2001]):
             if not cur[REC_TAKEN]:
                 expected = EntryKind.SEQUENTIAL
             elif cur[REC_KIND] == BranchKind.COND:
@@ -122,12 +126,12 @@ class TestEntryKinds:
 
 
 class TestLoopsAndCorrelation:
-    def test_loop_branches_repeat_taken(self, cfg, trace):
+    def test_loop_branches_repeat_taken(self, cfg, records):
         """A loop branch's taken-run should approximate its fixed trips."""
         from collections import defaultdict
         runs = defaultdict(list)
         current = defaultdict(int)
-        for rec in trace.records:
+        for rec in records:
             blk = cfg.blocks[rec[REC_START]]
             if not blk.is_loop:
                 continue
@@ -144,10 +148,10 @@ class TestLoopsAndCorrelation:
                 checked += 1
         assert checked > 0
 
-    def test_correlated_branches_follow_source(self, cfg, trace):
+    def test_correlated_branches_follow_source(self, cfg, records):
         last = {}
         checked = 0
-        for rec in trace.records:
+        for rec in records:
             blk = cfg.blocks[rec[REC_START]]
             if blk.kind == BranchKind.COND and blk.corr_src and blk.corr_src in last:
                 expected = last[blk.corr_src] ^ (1 if blk.corr_invert else 0)
@@ -161,7 +165,7 @@ class TestLoopsAndCorrelation:
 class TestSummary:
     def test_counts_add_up(self, trace):
         s = summarize(trace)
-        assert s.n_records == len(trace.records)
+        assert s.n_records == len(trace)
         assert sum(s.kind_counts.values()) == s.n_records
         assert s.cond_frac + s.uncond_frac == pytest.approx(1.0)
 
@@ -172,7 +176,7 @@ class TestSummary:
 
     def test_avg_bb_consistent(self, trace):
         s = summarize(trace)
-        assert s.avg_bb_instrs == pytest.approx(trace.n_instrs / len(trace.records))
+        assert s.avg_bb_instrs == pytest.approx(trace.n_instrs / len(trace))
 
 
 class TestColumnarRepresentation:
@@ -183,35 +187,11 @@ class TestColumnarRepresentation:
             assert column.typecode == typecode
             assert len(column) == len(trace)
 
-    def test_view_indexing_materializes_tuples(self, trace):
-        rec = trace.records[0]
-        assert isinstance(rec, tuple) and len(rec) == len(COLUMN_SPECS)
-        assert rec[REC_START] == trace.columns[REC_START][0]
-        assert trace.records[-1][REC_NEXT] == trace.columns[REC_NEXT][-1]
-
-    def test_view_slicing_returns_tuple_list(self, trace):
-        head = trace.records[:10]
-        assert isinstance(head, list) and len(head) == 10
-        assert head == [trace.records[i] for i in range(10)]
-        assert trace.records[5:8] == head[5:8]
-
-    def test_view_iteration_matches_indexing(self, trace):
-        for i, rec in enumerate(trace.records):
-            assert tuple(rec) == trace.records[i]
-            if i >= 100:
-                break
-
-    def test_view_equality_is_column_equality(self, cfg, trace):
-        again = generate_trace(cfg, 40_000, seed=7)
-        assert again.records == trace.records
-        assert not (again.records != trace.records)
-        assert trace.records == list(trace.records)
-        assert trace.records != list(trace.records)[:-1]
-
     def test_len_and_iter_on_trace(self, trace):
-        assert len(trace) == len(trace.records)
+        assert len(trace) == len(trace.columns[REC_START])
         first = next(iter(trace))
-        assert tuple(first) == trace.records[0]
+        assert first == tuple(col[0] for col in trace.columns)
+        assert sum(1 for _ in trace) == len(trace)
 
     def test_column_accessor(self, trace):
         assert trace.column(REC_KIND) is trace.columns[REC_KIND]
@@ -266,7 +246,7 @@ class TestColumnarTupleEquivalence:
         want, executed = tuple_walk(cfg, profile.default_trace_instrs, seed)
         trace = generate_trace(cfg, profile.default_trace_instrs, seed=seed)
         assert trace.n_instrs == executed
-        assert trace.records == want, f"{name}: columnar walk diverged"
+        assert list(trace) == want, f"{name}: columnar walk diverged"
 
 
 class TestDistanceHistogram:
@@ -278,10 +258,10 @@ class TestDistanceHistogram:
         within4 = sum(v for d, v in hist.items() if d <= 4)
         assert within4 / total > 0.85  # paper: ~92%
 
-    def test_histogram_counts_match_taken_conds(self, cfg, trace):
+    def test_histogram_counts_match_taken_conds(self, cfg, trace, records):
         hist = taken_conditional_distances(trace)
         taken_conds = sum(
-            1 for r in trace.records
+            1 for r in records
             if r[REC_KIND] == BranchKind.COND and r[REC_TAKEN]
         )
         assert sum(hist.values()) == taken_conds

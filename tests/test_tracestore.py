@@ -73,7 +73,7 @@ class TestStoreRoundTrip:
         loaded = store.get(profile, length)
         assert loaded is not None
         cfg2, trace2 = loaded
-        assert trace2.records == trace.records
+        assert trace2.columns == trace.columns
         assert trace2.n_instrs == trace.n_instrs
         assert trace2.seed == trace.seed
         assert cfg2.blocks == cfg.blocks
@@ -121,7 +121,7 @@ class TestLoadWorkloadIntegration:
         clear_workload_cache()  # drop the memo: next load must come off disk
         second = load_workload("streaming", scale=SCALE)
         assert store.hits == 1
-        assert second.trace.records == first.trace.records
+        assert second.trace.columns == first.trace.columns
         assert second.cfg.blocks == first.cfg.blocks
 
     def test_memo_keyed_by_content_not_name(self, store_dir):
@@ -133,7 +133,7 @@ class TestLoadWorkloadIntegration:
         stock_wl = load_workload(stock)
         custom_wl = load_workload(custom)
         assert stock_wl is not custom_wl
-        assert custom_wl.trace.records != stock_wl.trace.records
+        assert custom_wl.trace.columns != stock_wl.trace.columns
         # And the memo returns each its own build, in either order.
         assert load_workload(custom) is custom_wl
         assert load_workload(stock) is stock_wl

@@ -6,13 +6,12 @@ The contracts under test, in order:
   by this code; one written under a different ``WAREHOUSE_SCHEMA`` is
   refused, never misread.
 * **Consolidation state machine** — a seeded property test interleaves
-  cache puts/overwrites with ``compact`` / ``prune`` / stale-tag decay
-  and asserts, after every cycle, that the incrementally-refreshed
-  warehouse is *exactly* what a from-scratch rebuild of the same stores
-  produces (the ``test_shards.py`` idiom, lifted to the SQL layer).
-* **Layout independence** — the acceptance criterion: ``contour
-  dense-latency-btb`` renders bit-identically whether the cache is flat
-  loose records, compacted shards, or a mixed layout.
+  cache puts/overwrites with ``prune`` / stale-tag decay and asserts,
+  after every cycle, that the incrementally-refreshed warehouse is
+  *exactly* what a from-scratch rebuild of the same stores produces.
+* **Layout independence** — ``contour dense-latency-btb`` renders the
+  full grid, bit-identically whether or not the cache also holds files
+  that are not records (a legacy ``shard.jsonl``, its lock file).
 * **Tier interplay** — analytic cells surface their
   ``analytic_rel_err_bound`` and can never shadow an exact row (the PR 8
   isolation invariant, enforced by the lookup SQL).
@@ -40,7 +39,7 @@ from repro.core.results import SimulationResult
 from repro.errors import ConfigError
 from repro.experiments.common import get_scale
 from repro.experiments.sweeps import get_sweep
-from repro.runtime import SimJob, compact_cache
+from repro.runtime import SimJob
 from repro.runtime.cache import SCHEMA_TAG, ResultCache, prune_cache
 from repro.warehouse import (
     QUERY_NAMES,
@@ -154,8 +153,8 @@ class TestSchema:
 class TestConsolidationStateMachine:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interleaved_lifecycle_always_equals_rebuild(self, tmp_path, seed):
-        """Puts, overwrites, compaction, stale decay, pruning and repeated
-        refreshes, in random interleavings: after every cycle the
+        """Puts, overwrites, stale decay, pruning and repeated refreshes,
+        in random interleavings: after every cycle the
         incrementally-consolidated warehouse must equal both the test's
         own model of the stores and a from-scratch rebuild."""
         rng = random.Random(seed)
@@ -179,12 +178,8 @@ class TestConsolidationStateMachine:
                 cycles = float(rng.randrange(5000, 9000))
                 cache.put(key[0], key[1], key[2], _result(key[0], cycles))
                 expected[key] = cycles
-            action = rng.choice(
-                ("compact", "stale-put", "prune-stale", "reactivate", "noop")
-            )
-            if action == "compact":
-                compact_cache(cache_dir)
-            elif action == "stale-put":
+            action = rng.choice(("stale-put", "prune-stale", "reactivate", "noop"))
+            if action == "stale-put":
                 digest = _digest(rng)
                 cycles = float(rng.randrange(100, 400))
                 _put_stale(cache_dir, "wlA", digest, cycles)
@@ -299,13 +294,28 @@ def _seed_layout(
     cache = ResultCache(cache_dir)
     for wl, scale_tok, digest, mech, raw in records:
         cache.put(wl, scale_tok, digest, SimulationResult(wl, mech, dict(raw)))
-    if layout in ("shard", "mixed"):
-        compact_cache(cache_dir)
-    if layout == "mixed":
-        # Every third record also gets a fresh loose copy beside the shard
-        # (the state right after new results land on a compacted cache).
-        for wl, scale_tok, digest, mech, raw in records[::3]:
-            cache.put(wl, scale_tok, digest, SimulationResult(wl, mech, dict(raw)))
+    if layout == "leftovers":
+        # What a cache compacted by older code leaves behind: a shard of
+        # well-formed records (here with doubled cycles, so reading them
+        # would change the contour) and its lock file. Neither is a record.
+        for wl in {r[0] for r in records}:
+            wl_dir = cache_dir / SCHEMA_TAG / wl
+            lines = [
+                json.dumps(
+                    {
+                        "schema": SCHEMA_TAG,
+                        "workload": wl,
+                        "scale": scale_tok,
+                        "config_digest": digest,
+                        "mechanism": mech,
+                        "raw": {**raw, "cycles": 2 * float(raw["cycles"])},
+                    }
+                )
+                for w, scale_tok, digest, mech, raw in records
+                if w == wl
+            ]
+            (wl_dir / "shard.jsonl").write_text("\n".join(lines) + "\n")
+            (wl_dir / ".compact.lock").touch()
 
 
 class TestLayoutIndependence:
@@ -313,7 +323,7 @@ class TestLayoutIndependence:
         records = _synthetic_records("dense-latency-btb")
         assert len(records) == 720  # the full ROADMAP grid, baselines included
         outputs = {}
-        for layout in ("flat", "shard", "mixed"):
+        for layout in ("flat", "leftovers"):
             cache_dir = tmp_path / layout
             cache_dir.mkdir()
             _seed_layout(cache_dir, records, layout)
@@ -326,7 +336,7 @@ class TestLayoutIndependence:
                 )
             finally:
                 conn.close()
-        assert outputs["flat"] == outputs["shard"] == outputs["mixed"]
+        assert outputs["flat"] == outputs["leftovers"]
         assert "#### fdip" in outputs["flat"] and "#### boomerang" in outputs["flat"]
         assert "no consolidated result yet" not in outputs["flat"]  # grid complete
 
