@@ -678,7 +678,6 @@ def rule_registry_consistency(ctx: LintContext) -> list[Finding]:
     check_choices("REPRO_BACKEND", "runtime/executors.py", "BACKEND_NAMES")
     check_choices("REPRO_SCALE", "experiments/common.py", "SCALES")
     check_choices("REPRO_WORKLOAD_SET", "workloads/profiles.py", "PROFILE_SETS")
-    check_choices("REPRO_BROKER_SCHEDULER", "runtime/broker.py", "SCHEDULERS")
     check_choices("REPRO_FIDELITY", "analytic/__init__.py", "FIDELITY_NAMES")
 
     wh_init = ctx.get("warehouse/__init__.py")

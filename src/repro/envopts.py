@@ -135,40 +135,9 @@ REPRO_ENV_OPTIONS: dict[str, EnvOption] = {
             owner="repro.runtime.broker",
         ),
         EnvOption(
-            "REPRO_BROKER_SCHEDULER",
-            "broker claim order: longest | fifo",
-            kind="choice",
-            choices=("longest", "fifo"),
-            owner="repro.runtime.broker",
-        ),
-        EnvOption(
-            "REPRO_SUPERVISOR_MIN",
-            "supervisor fleet floor: persistent workers kept alive (>= 0)",
-            kind="int",
-            owner="repro.runtime.supervisor",
-        ),
-        EnvOption(
             "REPRO_SUPERVISOR_MAX",
             "supervisor fleet ceiling, whatever the backlog demands (>= 1)",
             kind="int",
-            owner="repro.runtime.supervisor",
-        ),
-        EnvOption(
-            "REPRO_SUPERVISOR_COOLDOWN",
-            "minimum seconds between supervisor scale-up rounds",
-            kind="float",
-            owner="repro.runtime.supervisor",
-        ),
-        EnvOption(
-            "REPRO_SUPERVISOR_BACKOFF",
-            "base crash-restart delay in seconds (doubles per crash, capped)",
-            kind="float",
-            owner="repro.runtime.supervisor",
-        ),
-        EnvOption(
-            "REPRO_SUPERVISOR_IDLE",
-            "surge-worker --max-idle handed out by the supervisor (seconds)",
-            kind="float",
             owner="repro.runtime.supervisor",
         ),
         EnvOption(

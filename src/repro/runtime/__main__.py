@@ -10,9 +10,7 @@ Usage::
     python -m repro.runtime status  [--cache-dir DIR] [--manifest FILE]
                                     [--json] [--watch] [--interval SEC]
     python -m repro.runtime serve   SWEEP [--cache-dir DIR] [--scale S]
-                                    [--workload-set W] [--min-workers N]
-                                    [--max-workers N] [--cooldown SEC]
-                                    [--backoff SEC] [--worker-idle SEC]
+                                    [--workload-set W] [--max-workers N]
 
 ``list`` shows every schema-tag directory in the on-disk result cache with
 its record count and size, marking the tag the running code would read
@@ -41,9 +39,10 @@ the newest manifest under ``<cache-dir>/manifests/``.
 
 ``serve`` runs a named sweep end to end under supervision: the sweep
 coordinator runs as a subprocess (stealing disabled) while the
-supervisor autoscales ``worker`` subprocesses against the backlog —
-crash restarts with bounded backoff included — and winds the fleet down
-to zero afterwards. Results are bit-identical to hand-started workers.
+supervisor autoscales ``worker`` subprocesses against the backlog, up to
+``--max-workers`` — crash restarts with bounded backoff included — and
+stops the fleet when the coordinator exits. Results are bit-identical
+to hand-started workers.
 
 The cache directory comes from ``--cache-dir`` or the ``REPRO_CACHE_DIR``
 environment variable — the same resolution the experiment runner uses.
@@ -174,13 +173,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     cache_dir = _resolve_cache_dir(args.cache_dir)
     try:
-        options = supervisor_options(
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            cooldown_seconds=args.cooldown,
-            backoff_seconds=args.backoff,
-            worker_idle_seconds=args.worker_idle,
-        )
+        options = supervisor_options(max_workers=args.max_workers)
         return serve_sweep(
             args.sweep,
             cache_dir,
@@ -278,29 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         "--workload-set", help="paper|extended|all (or REPRO_WORKLOAD_SET)"
     )
     p_serve.add_argument(
-        "--min-workers",
-        type=int,
-        help="persistent fleet floor (or REPRO_SUPERVISOR_MIN; default 0)",
-    )
-    p_serve.add_argument(
         "--max-workers",
         type=int,
         help="fleet ceiling (or REPRO_SUPERVISOR_MAX; default 4)",
-    )
-    p_serve.add_argument(
-        "--cooldown",
-        type=float,
-        help="seconds between scale-up rounds (or REPRO_SUPERVISOR_COOLDOWN)",
-    )
-    p_serve.add_argument(
-        "--backoff",
-        type=float,
-        help="base crash-restart delay (or REPRO_SUPERVISOR_BACKOFF)",
-    )
-    p_serve.add_argument(
-        "--worker-idle",
-        type=float,
-        help="surge-worker --max-idle seconds (or REPRO_SUPERVISOR_IDLE)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

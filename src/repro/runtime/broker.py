@@ -22,10 +22,8 @@ trace length × LLC round trip), recorded both in the payload and in the
 filename — as a weight token ``__w``, whose letter can never occur inside
 the job id's hex digest — so the **longest-first scheduler** can order
 claims from one ``listdir``: stragglers start first and tail latency
-drops. Jobs without an estimate (and pre-scheduler queue files, which
-have no ``__w`` token) fall back to FIFO order after every costed job;
-``scheduler="fifo"`` (``REPRO_BROKER_SCHEDULER=fifo``) disables the
-ordering entirely for A/B timing.
+drops. Jobs without an estimate (no ``__w`` token: an unknown
+workload) fall back to name order after every costed job.
 
 Job lifecycle:
 
@@ -70,7 +68,7 @@ from typing import TYPE_CHECKING
 from .. import config as config_module
 from ..config import SimConfig
 from ..core.results import SimulationResult
-from ..envopts import env_flag, env_str, read_env
+from ..envopts import env_flag, read_env
 from ..errors import BrokerError
 from .atomicio import atomic_write_json
 from .cache import SCHEMA_TAG, ResultCache
@@ -98,9 +96,7 @@ DEFAULT_LEASE_SECONDS = 300.0
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_POLL_SECONDS = 0.2
 
-#: Claim-ordering policies (``REPRO_BROKER_SCHEDULER``): ``longest`` starts
-#: the most expensive pending job first, ``fifo`` preserves name order.
-SCHEDULERS: tuple[str, ...] = ("longest", "fifo")
+#: The claim order: the most expensive pending job first.
 DEFAULT_SCHEDULER = "longest"
 
 
@@ -248,10 +244,10 @@ def _parse_job_name(filename: str) -> tuple[str, int | None, int] | None:
     """``<job-id>[__w<COST>]__a<N>.json`` → (job id, cost, N).
 
     ``None`` for temp files and foreign clutter. The cost (weight) token
-    is optional so pre-scheduler queue files (and jobs without an
-    estimate) still parse — they read as cost ``None``, the FIFO-fallback
-    bucket. ``w`` is not a hex digit, so the token can never be confused
-    with the tail of the job id's config-digest segment.
+    is optional so jobs without an estimate still parse — they read as
+    cost ``None``, the name-order fallback bucket. ``w`` is not a hex
+    digit, so the token can never be confused with the tail of the job
+    id's config-digest segment.
     """
     stem = filename[: -len(".json")]
     job_id, sep, attempts = stem.rpartition("__a")
@@ -271,17 +267,9 @@ class BrokerQueue:
         cache_dir: str | os.PathLike,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        scheduler: str = DEFAULT_SCHEDULER,
     ):
         _check_lease(lease_seconds)
         _check_max_attempts(max_attempts)
-        if scheduler not in SCHEDULERS:
-            valid = ", ".join(SCHEDULERS)
-            raise BrokerError(
-                f"unknown broker scheduler {scheduler!r}; valid schedulers: "
-                f"{valid} (set REPRO_BROKER_SCHEDULER)"
-            )
-        self.scheduler = scheduler
         self.root = Path(cache_dir) / "queue"
         self.pending = self.root / "pending"
         self.claimed = self.root / "claimed"
@@ -366,13 +354,12 @@ class BrokerQueue:
     # --------------------------------------------------------------- claim
 
     def _claim_order(self, names: list[str]) -> list[tuple[str, str, int | None, int]]:
-        """Parsed pending candidates in the scheduler's claim order.
+        """Parsed pending candidates in longest-first claim order.
 
-        ``longest`` sorts by estimated cost, descending, so the slowest
-        jobs — the ones that would otherwise anchor the batch's tail —
-        start first. Jobs without a cost estimate (and pre-scheduler
-        files) come after every costed job, in name order: the FIFO
-        fallback. ``fifo`` is name order outright, for A/B timing.
+        Sorted by estimated cost, descending, so the slowest jobs — the
+        ones that would otherwise anchor the batch's tail — start first.
+        Jobs without a cost estimate come after every costed job, in
+        name order.
         """
         candidates = []
         for name in names:
@@ -382,20 +369,16 @@ class BrokerQueue:
             if parsed is None:
                 continue  # temp file or foreign clutter, not a job
             candidates.append((name, *parsed))
-        if self.scheduler == "longest":
-            candidates.sort(key=lambda c: (c[2] is None, -(c[2] or 0), c[0]))
-        else:
-            candidates.sort(key=lambda c: c[0])
+        candidates.sort(key=lambda c: (c[2] is None, -(c[2] or 0), c[0]))
         return candidates
 
     def claim(self, worker_id: str | None = None) -> ClaimedJob | None:
         """Steal one pending job, or ``None`` when the queue is empty.
 
-        Candidates are tried in the scheduler's order (longest-first by
-        default — see :meth:`_claim_order`). The ``os.rename(pending/X,
-        claimed/X)`` either succeeds — this process now exclusively owns
-        the job — or raises because another stealer won the race, in
-        which case the next candidate is tried.
+        Candidates are tried longest-first (see :meth:`_claim_order`).
+        The ``os.rename(pending/X, claimed/X)`` either succeeds — this
+        process now exclusively owns the job — or raises because another
+        stealer won the race, in which case the next candidate is tried.
         """
         self._ensure_dirs()
         try:
@@ -763,7 +746,6 @@ def broker_env_options() -> dict:
         "max_attempts": _check_max_attempts(max_attempts),
         "timeout": _check_timeout(_env_float("REPRO_BROKER_TIMEOUT", None)),
         "steal": env_flag("REPRO_BROKER_STEAL"),
-        "scheduler": env_str("REPRO_BROKER_SCHEDULER", DEFAULT_SCHEDULER),
     }
 
 
@@ -788,9 +770,8 @@ class BrokerBackend:
         timeout: float | None = None,
         poll_seconds: float = DEFAULT_POLL_SECONDS,
         worker_id: str | None = None,
-        scheduler: str = DEFAULT_SCHEDULER,
     ):
-        self.queue = BrokerQueue(cache_dir, lease_seconds, max_attempts, scheduler)
+        self.queue = BrokerQueue(cache_dir, lease_seconds, max_attempts)
         self.cache = ResultCache(cache_dir)
         self.steal = steal
         self.timeout = _check_timeout(timeout)
@@ -930,7 +911,6 @@ def run_worker(
         cache_dir,
         lease_seconds if lease_seconds is not None else env["lease_seconds"],
         max_attempts if max_attempts is not None else env["max_attempts"],
-        env["scheduler"],
     )
     cache = ResultCache(cache_dir)
     # Share workload builds with everyone else using this cache dir

@@ -108,7 +108,7 @@ def estimate_job_cost(job: SimJob) -> int | None:
     Consumers use its ordering (longest-first claims), its ratios
     (supervisor sizing) and, calibrated by measured ``run_s``, its units
     (the ``status`` ETA's host seconds per instruction). ``None`` — the
-    scheduler's FIFO fallback — is returned for a workload the profile
+    claim order's name-order fallback — is returned for a workload the profile
     table does not know, rather than guessing a rank for a job that will
     fail anyway.
     """

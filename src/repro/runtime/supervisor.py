@@ -11,11 +11,10 @@ fleet itself:
   many workers can actually shorten the makespan: with longest-first
   claiming the critical path is the single longest pending job, so
   workers beyond ``ceil(total_cost / longest_cost)`` cannot help.
-  :func:`desired_workers` clamps that ideal to configured min/max
-  bounds; spawns respect a cooldown so a transient spike does not fork
-  a thundering herd. Surge workers are started with ``--drain``, so
-  scale-*down* is self-service: an idle worker retires on its own and
-  the supervisor just reaps it.
+  :func:`desired_workers` caps that ideal at ``max_workers``, the one
+  fleet knob. Every worker is started with ``--drain``, so scale-*down*
+  is self-service: an idle worker retires on its own and the supervisor
+  just reaps it.
 * **Crash restarts with bounded backoff** — a worker that exits
   non-zero is counted, and the next spawn round is pushed out by an
   exponentially growing delay (capped at :data:`BACKOFF_CAP_SECONDS`),
@@ -43,8 +42,8 @@ cached by an earlier run steps straight from ``unsubmitted`` to ``done``.
 :func:`serve_sweep` ties it together: one call (or ``python -m
 repro.runtime serve <sweep>``) starts the sweep coordinator as a
 subprocess (with coordinator stealing disabled, so the fleet does the
-work), autoscales workers while it runs, and winds the fleet down to
-zero afterwards. The results are bit-identical to hand-started workers
+work), autoscales workers while it runs, and stops the fleet when the
+coordinator exits. The results are bit-identical to hand-started workers
 — the supervisor only decides *how many* workers run, never *what* they
 compute.
 
@@ -64,7 +63,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import TYPE_CHECKING, Any
 
 from ..envopts import exported, read_env
 from ..errors import ConfigError
@@ -75,8 +74,9 @@ from .cache import SCHEMA_TAG, ResultCache, scan_cache
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (sweeps import runtime)
     from ..experiments.sweeps.manifest import ManifestCell, SweepManifest
 
-#: Durable supervisor-state record version (``queue/supervisor.json``).
-SUPERVISOR_SCHEMA = "supervisor-v1"
+#: Durable supervisor-state record version (``queue/supervisor.json``;
+#: v2: no ``min_workers``, no per-worker ``persistent`` flag).
+SUPERVISOR_SCHEMA = "supervisor-v2"
 
 #: ``status --json`` snapshot format version (v2: the sweep section's
 #: ``cost_rank_corr`` / ``cost_rank_cells``; v3: the ``cache`` object
@@ -98,14 +98,16 @@ CELL_STATES: tuple[str, ...] = (
     "failed",
 )
 
-#: Defaults, overridable via REPRO_SUPERVISOR_* (see :func:`supervisor_options`).
-DEFAULT_MIN_WORKERS = 0
+#: Fleet ceiling default, overridable via REPRO_SUPERVISOR_MAX.
 DEFAULT_MAX_WORKERS = 4
-DEFAULT_COOLDOWN_SECONDS = 2.0
-DEFAULT_BACKOFF_SECONDS = 1.0
-DEFAULT_WORKER_IDLE_SECONDS = 10.0
 
-#: Upper bound on the crash-restart backoff, however long the streak.
+#: ``--max-idle`` handed to every spawned worker: how long an idle
+#: worker waits before retiring.
+WORKER_IDLE_SECONDS = 10.0
+
+#: Base crash-restart delay; doubles per consecutive crash, capped at
+#: :data:`BACKOFF_CAP_SECONDS` however long the streak.
+BACKOFF_SECONDS = 1.0
 BACKOFF_CAP_SECONDS = 30.0
 
 #: Timeline events kept in the durable state (oldest dropped first).
@@ -113,119 +115,36 @@ TIMELINE_CAP = 200
 
 
 # ---------------------------------------------------------------------------
-# Option resolution (explicit args beat REPRO_SUPERVISOR_* beat defaults)
+# Option resolution (explicit arg beats REPRO_SUPERVISOR_MAX beats default)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SupervisorOptions:
-    """Resolved autoscaling tunables (build via :func:`supervisor_options`)."""
+    """Resolved fleet options (build via :func:`supervisor_options`)."""
 
-    #: Fleet floor: workers kept running even with an empty queue. Floor
-    #: workers are persistent (no ``--drain``); surge workers above the
-    #: floor retire themselves when idle.
-    min_workers: int = DEFAULT_MIN_WORKERS
     #: Fleet ceiling, whatever the backlog demands.
     max_workers: int = DEFAULT_MAX_WORKERS
-    #: Minimum delay between scale-up rounds.
-    cooldown_seconds: float = DEFAULT_COOLDOWN_SECONDS
-    #: Base crash-restart delay; doubles per consecutive crash, capped
-    #: at :data:`BACKOFF_CAP_SECONDS`.
-    backoff_seconds: float = DEFAULT_BACKOFF_SECONDS
-    #: ``--max-idle`` handed to surge workers: how long an idle worker
-    #: waits before retiring (also bounds the serve wind-down tail).
-    worker_idle_seconds: float = DEFAULT_WORKER_IDLE_SECONDS
 
 
-def _env_int(name: str) -> int | None:
-    raw = read_env(name)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+def supervisor_options(max_workers: int | None = None) -> SupervisorOptions:
+    """Resolve and validate the fleet ceiling.
 
-
-def _env_float(name: str) -> float | None:
-    raw = read_env(name)
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
-
-
-def supervisor_options(
-    min_workers: int | None = None,
-    max_workers: int | None = None,
-    cooldown_seconds: float | None = None,
-    backoff_seconds: float | None = None,
-    worker_idle_seconds: float | None = None,
-) -> SupervisorOptions:
-    """Resolve and validate the supervisor tunables.
-
-    Standard precedence (the documented resolution point for the
-    ``REPRO_SUPERVISOR_*`` options): an explicit argument beats the
+    Standard precedence (the documented resolution point for
+    ``REPRO_SUPERVISOR_MAX``): an explicit argument beats the
     environment variable beats the default.
     """
-    resolved = SupervisorOptions(
-        min_workers=(
-            min_workers
-            if min_workers is not None
-            else _pick(_env_int("REPRO_SUPERVISOR_MIN"), DEFAULT_MIN_WORKERS)
-        ),
-        max_workers=(
-            max_workers
-            if max_workers is not None
-            else _pick(_env_int("REPRO_SUPERVISOR_MAX"), DEFAULT_MAX_WORKERS)
-        ),
-        cooldown_seconds=(
-            cooldown_seconds
-            if cooldown_seconds is not None
-            else _pick(_env_float("REPRO_SUPERVISOR_COOLDOWN"), DEFAULT_COOLDOWN_SECONDS)
-        ),
-        backoff_seconds=(
-            backoff_seconds
-            if backoff_seconds is not None
-            else _pick(_env_float("REPRO_SUPERVISOR_BACKOFF"), DEFAULT_BACKOFF_SECONDS)
-        ),
-        worker_idle_seconds=(
-            worker_idle_seconds
-            if worker_idle_seconds is not None
-            else _pick(_env_float("REPRO_SUPERVISOR_IDLE"), DEFAULT_WORKER_IDLE_SECONDS)
-        ),
-    )
-    if resolved.min_workers < 0:
-        raise ConfigError(
-            f"supervisor min_workers must be >= 0, got {resolved.min_workers}"
-        )
-    if resolved.max_workers < 1:
-        raise ConfigError(
-            f"supervisor max_workers must be >= 1, got {resolved.max_workers}"
-        )
-    if resolved.max_workers < resolved.min_workers:
-        raise ConfigError(
-            f"supervisor max_workers ({resolved.max_workers}) must be >= "
-            f"min_workers ({resolved.min_workers})"
-        )
-    if resolved.cooldown_seconds < 0 or resolved.backoff_seconds < 0:
-        raise ConfigError("supervisor cooldown/backoff must be >= 0 seconds")
-    if resolved.worker_idle_seconds <= 0:
-        raise ConfigError(
-            f"supervisor worker_idle_seconds must be positive, got "
-            f"{resolved.worker_idle_seconds}"
-        )
-    return resolved
-
-
-_N = TypeVar("_N", int, float)
-
-
-def _pick(env_value: _N | None, default: _N) -> _N:
-    """Unlike ``or``, preserves an explicit ``0`` from the environment."""
-    return env_value if env_value is not None else default
+    if max_workers is None:
+        raw = read_env("REPRO_SUPERVISOR_MAX")
+        try:
+            max_workers = int(raw) if raw else DEFAULT_MAX_WORKERS
+        except ValueError:
+            raise ConfigError(
+                f"REPRO_SUPERVISOR_MAX must be an integer, got {raw!r}"
+            ) from None
+    if max_workers < 1:
+        raise ConfigError(f"supervisor max_workers must be >= 1, got {max_workers}")
+    return SupervisorOptions(max_workers=max_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +182,7 @@ def desired_workers(
     Under longest-first scheduling the batch cannot finish faster than
     its single longest job, so workers beyond ``ceil(total / longest)``
     only idle: the ideal fleet is ``min(backlog, ceil(total/longest))``,
-    clamped to the configured bounds. Jobs without a cost estimate are
+    capped at ``max_workers``. Jobs without a cost estimate are
     assumed longest-sized (the conservative direction — more workers),
     and an all-unknown backlog falls back to one worker per job.
     """
@@ -278,7 +197,7 @@ def desired_workers(
             ideal = min(backlog, math.ceil(total / longest))
         else:
             ideal = backlog
-    return max(options.min_workers, min(options.max_workers, ideal))
+    return min(options.max_workers, ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +212,6 @@ class WorkerProcess:
     worker_id: str
     proc: subprocess.Popen[bytes]
     started_at: float
-    #: Floor workers run without ``--drain`` and never retire themselves.
-    persistent: bool
 
 
 class Supervisor:
@@ -320,10 +237,7 @@ class Supervisor:
         self.options = options or supervisor_options()
         broker_env = broker_env_options()
         self.queue = BrokerQueue(
-            cache_dir,
-            broker_env["lease_seconds"],
-            broker_env["max_attempts"],
-            broker_env["scheduler"],
+            cache_dir, broker_env["lease_seconds"], broker_env["max_attempts"]
         )
         self.worker_command = (
             list(worker_command) if worker_command is not None else None
@@ -366,7 +280,6 @@ class Supervisor:
     def _spawn_one(self, pending: int) -> WorkerProcess:
         self._next_worker += 1
         worker_id = f"sv{os.getpid()}-{self._next_worker}"
-        persistent = len(self.workers) < self.options.min_workers
         if self.worker_command is not None:
             cmd = list(self.worker_command)
         else:
@@ -379,33 +292,29 @@ class Supervisor:
                 str(self.cache_dir),
                 "--worker-id",
                 worker_id,
+                "--drain",
+                "--max-idle",
+                str(WORKER_IDLE_SECONDS),
             ]
-            if not persistent:
-                cmd += [
-                    "--drain",
-                    "--max-idle",
-                    str(self.options.worker_idle_seconds),
-                ]
         proc: subprocess.Popen[bytes] = subprocess.Popen(cmd, env=self.env)
-        worker = WorkerProcess(worker_id, proc, time.time(), persistent)
+        worker = WorkerProcess(worker_id, proc, time.time())
         self.workers.append(worker)
         self.spawned += 1
         self.peak_live = max(self.peak_live, len(self.workers))
-        self._event(
-            "spawn",
-            worker_id,
-            pid=proc.pid,
-            persistent=persistent,
-            pending=pending,
-        )
+        self._event("spawn", worker_id, pid=proc.pid, pending=pending)
         return worker
 
     def reap(self) -> None:
-        """Collect exited workers; a non-zero exit arms the backoff gate."""
-        exited = [w for w in self.workers if w.proc.poll() is not None]
-        if not exited:
-            return
-        self.workers = [w for w in self.workers if w.proc.poll() is None]
+        """Collect exited workers; a non-zero exit arms the backoff gate.
+
+        Each worker is polled exactly once, so one that exits mid-reap
+        is either still live or accounted for — never dropped uncounted.
+        """
+        live: list[WorkerProcess] = []
+        exited: list[WorkerProcess] = []
+        for worker in self.workers:
+            (live if worker.proc.poll() is None else exited).append(worker)
+        self.workers = live
         for worker in exited:
             returncode = worker.proc.returncode
             if returncode == 0:
@@ -417,8 +326,7 @@ class Supervisor:
             self._consecutive_crashes += 1
             backoff = min(
                 BACKOFF_CAP_SECONDS,
-                self.options.backoff_seconds
-                * 2 ** (self._consecutive_crashes - 1),
+                BACKOFF_SECONDS * 2 ** (self._consecutive_crashes - 1),
             )
             self._next_spawn_at = max(
                 self._next_spawn_at, time.time() + backoff
@@ -430,7 +338,7 @@ class Supervisor:
                 backoff_s=round(backoff, 3),
             )
 
-    def tick(self, scale_up: bool = True) -> dict[str, Any]:
+    def tick(self) -> dict[str, Any]:
         """One supervision round; returns the persisted state record.
 
         Lease recovery runs first, so a crashed worker's claim is back
@@ -443,25 +351,26 @@ class Supervisor:
         self.reap()
         costs = pending_costs(self.queue)
         desired = desired_workers(costs, self.options)
-        now = time.time()
-        if (
-            scale_up
-            and desired > len(self.workers)
-            and now >= self._next_spawn_at
-        ):
+        if time.time() >= self._next_spawn_at:
             while len(self.workers) < desired:
                 self._spawn_one(pending=len(costs))
-            self._next_spawn_at = time.time() + self.options.cooldown_seconds
         return self.write_state()
 
-    def _stop_workers(self, workers: list[WorkerProcess]) -> None:
-        for worker in workers:
+    def stop(self) -> None:
+        """Terminate every live worker and persist the final state.
+
+        Idle workers retire themselves; this winds down whatever is
+        still running (serve calls it when the coordinator exits).
+        Stopped workers are not counted as crashes.
+        """
+        stopping, self.workers = self.workers, []
+        for worker in stopping:
             if worker.proc.poll() is None:
                 try:
                     worker.proc.terminate()
                 except OSError:
                     pass
-        for worker in workers:
+        for worker in stopping:
             try:
                 worker.proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
@@ -470,20 +379,6 @@ class Supervisor:
             self._event(
                 "stop", worker.worker_id, returncode=worker.proc.returncode
             )
-
-    def stop(self, persistent_only: bool = False) -> None:
-        """Terminate workers (all, or just the non-draining floor).
-
-        Surge workers normally retire themselves; this is for wind-down
-        of floor workers (which never exit on their own) and for
-        abandoning the fleet after a failed coordinator. Stopped workers
-        are not counted as crashes.
-        """
-        stopping = [
-            w for w in self.workers if w.persistent or not persistent_only
-        ]
-        self.workers = [w for w in self.workers if w not in stopping]
-        self._stop_workers(stopping)
         self.write_state()
 
     # -------------------------------------------------------------- state
@@ -496,7 +391,6 @@ class Supervisor:
             "pid": os.getpid(),
             "started_at": self.started_at,
             "updated_at": now,
-            "min_workers": self.options.min_workers,
             "max_workers": self.options.max_workers,
             "live": len(self.workers),
             "peak_live": self.peak_live,
@@ -508,7 +402,6 @@ class Supervisor:
                     "id": w.worker_id,
                     "pid": w.proc.pid,
                     "age_s": round(now - w.started_at, 3),
-                    "persistent": w.persistent,
                 }
                 for w in self.workers
             ],
@@ -1029,10 +922,11 @@ def serve_sweep(
     The coordinator (``python -m repro.experiments.sweeps run <sweep>
     --backend broker``) runs as a subprocess with stealing disabled
     (unless ``REPRO_BROKER_STEAL`` is set explicitly), so the autoscaled
-    fleet does the actual work. When it exits, scale-up stops, surge
-    workers drain themselves to zero, floor workers are terminated, and
-    the final supervisor state is persisted. Results are bit-identical
-    to hand-started workers: supervision decides fleet size only.
+    fleet does the actual work. When it exits, the fleet is stopped and
+    the final supervisor state persisted: by then the coordinator has
+    written every result to the cache, so no worker holds anything the
+    sweep still needs. Results are bit-identical to hand-started
+    workers: supervision decides fleet size only.
     """
     from ..experiments.sweeps import get_sweep
 
@@ -1062,7 +956,7 @@ def serve_sweep(
         coordinator: subprocess.Popen[bytes] = subprocess.Popen(cmd, env=env)
     print(
         f"[serve {sweep}: coordinator pid {coordinator.pid}, fleet "
-        f"{opts.min_workers}..{opts.max_workers} worker(s)]",
+        f"<= {opts.max_workers} worker(s)]",
         flush=True,
     )
     try:
@@ -1076,18 +970,7 @@ def serve_sweep(
         coordinator.wait(timeout=30)
         raise
     rc = int(coordinator.returncode)
-    if rc != 0:
-        supervisor.stop()
-    else:
-        # Floor workers never drain on their own; surge workers do.
-        supervisor.stop(persistent_only=True)
-        deadline = time.time() + opts.worker_idle_seconds + 30.0
-        while supervisor.live and time.time() < deadline:
-            supervisor.tick(scale_up=False)
-            time.sleep(poll_seconds)
-        if supervisor.live:
-            supervisor.stop()  # stragglers past the wind-down budget
-    supervisor.write_state()
+    supervisor.stop()
     elapsed = time.time() - started
     print(
         f"[serve {sweep}: coordinator rc={rc}, peak {supervisor.peak_live} "

@@ -1,15 +1,19 @@
-"""The generated tables in docs/experiments.md must match the registries.
+"""Documentation tables must match the registries they describe.
 
 Same gate CI runs (`python scripts/generate_docs_tables.py --check`):
 adding an exhibit, sweep, or paper claim without regenerating the docs is
-a test failure, not a silent drift.
+a test failure, not a silent drift. README's environment-variable table is
+hand-written, so it is checked against ``REPRO_ENV_OPTIONS`` directly.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
+
+from repro.envopts import REPRO_ENV_OPTIONS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +43,17 @@ def test_docs_tables_match_registries():
 def test_check_mode_reports_clean():
     generator = _load_generator()
     assert generator.main(["--check"]) == 0
+
+
+#: Registered options README deliberately leaves out of its table.
+UNDOCUMENTED_ENV_OPTIONS = {"REPRO_FAULTPOINTS"}  # test harness only
+
+
+def test_readme_env_table_matches_the_registry():
+    readme = (REPO_ROOT / "README.md").read_text()
+    rows = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", readme, flags=re.MULTILINE))
+    registered = set(REPRO_ENV_OPTIONS)
+    assert rows - registered == set(), "README documents unregistered variables"
+    assert registered - UNDOCUMENTED_ENV_OPTIONS - rows == set(), (
+        "registered variables missing from README's table"
+    )

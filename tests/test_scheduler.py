@@ -1,4 +1,4 @@
-"""Broker scheduler: cost estimates, longest-first claim order, FIFO fallback."""
+"""Broker claim order: cost estimates, longest-first, name-order fallback."""
 
 from __future__ import annotations
 
@@ -8,13 +8,8 @@ import time
 import pytest
 
 from repro.core.mechanisms import make_config
-from repro.errors import BrokerError
 from repro.runtime import SimJob, estimate_job_cost
-from repro.runtime.broker import (
-    BrokerQueue,
-    broker_env_options,
-    job_spec,
-)
+from repro.runtime.broker import BrokerQueue, job_spec
 from repro.runtime import runner as runner_mod
 from repro.workloads import get_profile
 
@@ -113,24 +108,13 @@ class TestLongestFirstClaimOrder:
         assert order[0] == long_id
         assert sorted(order[1:]) == sorted(short_ids)
 
-    def test_fifo_scheduler_ignores_costs(self, tmp_path):
-        queue = BrokerQueue(tmp_path, scheduler="fifo")
-        ids = [queue.enqueue(_job(llc)) for llc in (10, 70, 30, 50)]
-        from repro.runtime.broker import _parse_job_name
-
-        names = sorted(os.listdir(queue.pending))
-        expected = [_parse_job_name(name)[0] for name in names]
-        claimed = _claim_all(queue)
-        assert claimed == expected
-        assert sorted(claimed) == sorted(ids)
-
     def test_fifo_fallback_when_cost_estimates_absent(self, tmp_path, monkeypatch):
-        """Jobs with no estimate (unknown profile, pre-scheduler queue
-        files) must claim in deterministic name order."""
+        """Jobs with no estimate (an unknown profile) must claim in
+        deterministic name order."""
         monkeypatch.setattr(runner_mod, "estimate_job_cost", lambda job: None)
         queue = BrokerQueue(tmp_path)
         ids = [queue.enqueue(_job(llc)) for llc in (40, 20, 60)]
-        # No weight token in any filename: the old naming scheme.
+        # No weight token in any filename: no estimate to order by.
         for name in os.listdir(queue.pending):
             assert "__w" not in name
         assert _claim_all(queue) == sorted(ids)
@@ -148,7 +132,7 @@ class TestLongestFirstClaimOrder:
         costed_ids = [queue.enqueue(_job(30, scale=s)) for s in (0.1, 0.5)]
         order = _claim_all(queue)
         assert order[:2] == [costed_ids[1], costed_ids[0]]  # cost desc
-        assert order[2:] == sorted(costless_ids)  # then FIFO fallback
+        assert order[2:] == sorted(costless_ids)  # then name order
 
     def test_lease_recovery_preserves_the_cost_token(self, tmp_path):
         queue = BrokerQueue(tmp_path, lease_seconds=30)
@@ -173,26 +157,3 @@ class TestLongestFirstClaimOrder:
         assert "__w" in name and name.endswith("__a1.json")
         reclaimed = queue.claim()
         assert reclaimed is not None and reclaimed.attempts == 1
-
-
-# ---------------------------------------------------------------------------
-# Scheduler selection and validation
-# ---------------------------------------------------------------------------
-
-
-class TestSchedulerSelection:
-    def test_default_is_longest_first(self, tmp_path):
-        assert BrokerQueue(tmp_path).scheduler == "longest"
-
-    def test_invalid_scheduler_rejected_with_valid_names(self, tmp_path):
-        with pytest.raises(BrokerError) as err:
-            BrokerQueue(tmp_path, scheduler="shortest")
-        message = str(err.value)
-        assert "longest" in message and "fifo" in message
-        assert "REPRO_BROKER_SCHEDULER" in message
-
-    def test_env_selects_the_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BROKER_SCHEDULER", "fifo")
-        assert broker_env_options()["scheduler"] == "fifo"
-        monkeypatch.delenv("REPRO_BROKER_SCHEDULER")
-        assert broker_env_options()["scheduler"] == "longest"

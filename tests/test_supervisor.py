@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from typing import Any
 
 import pytest
 
@@ -20,6 +21,7 @@ import faultinject
 from repro.core.mechanisms import make_config
 from repro.errors import ConfigError
 from repro.runtime import SimJob, estimate_job_cost
+from repro.runtime import supervisor as supervisor_mod
 from repro.runtime.broker import BROKER_SCHEMA, BrokerQueue, run_worker
 from repro.runtime.cache import SCHEMA_TAG
 from repro.runtime.supervisor import (
@@ -28,6 +30,7 @@ from repro.runtime.supervisor import (
     STATUS_SCHEMA,
     SUPERVISOR_SCHEMA,
     Supervisor,
+    WorkerProcess,
     _spearman,
     build_status,
     cell_job_id,
@@ -83,63 +86,40 @@ def _supervisor(tmp_path, command, **opts) -> Supervisor:
 
 class TestSupervisorOptions:
     def test_defaults(self):
-        opts = supervisor_options()
-        assert opts.min_workers == 0
-        assert opts.max_workers == 4
-        assert opts.cooldown_seconds == 2.0
-        assert opts.backoff_seconds == 1.0
-        assert opts.worker_idle_seconds == 10.0
+        assert supervisor_options().max_workers == 4
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERVISOR_MIN", "1")
         monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "8")
-        monkeypatch.setenv("REPRO_SUPERVISOR_COOLDOWN", "0.5")
-        monkeypatch.setenv("REPRO_SUPERVISOR_BACKOFF", "2.5")
-        monkeypatch.setenv("REPRO_SUPERVISOR_IDLE", "3.5")
-        opts = supervisor_options()
-        assert opts.min_workers == 1
-        assert opts.max_workers == 8
-        assert opts.cooldown_seconds == 0.5
-        assert opts.backoff_seconds == 2.5
-        assert opts.worker_idle_seconds == 3.5
+        assert supervisor_options().max_workers == 8
 
     def test_explicit_args_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "8")
-        monkeypatch.setenv("REPRO_SUPERVISOR_COOLDOWN", "9")
-        opts = supervisor_options(max_workers=2, cooldown_seconds=0.0)
-        assert opts.max_workers == 2
-        assert opts.cooldown_seconds == 0.0
-
-    def test_explicit_zero_cooldown_from_env_survives(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERVISOR_COOLDOWN", "0")
-        assert supervisor_options().cooldown_seconds == 0.0
+        assert supervisor_options(max_workers=2).max_workers == 2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"min_workers": -1},
             {"max_workers": 0},
-            {"min_workers": 5, "max_workers": 2},
-            {"worker_idle_seconds": 0.0},
-            {"cooldown_seconds": -1.0},
-            {"backoff_seconds": -0.1},
+            {"max_workers": -1},
+            {"env": "0"},
+            {"env": "-2"},
+            {"env": "2.5"},
+            {"env": "four"},
         ],
     )
-    def test_invalid_values_rejected(self, kwargs):
+    def test_invalid_values_rejected(self, kwargs, monkeypatch):
+        """A ceiling below one or not an integer fails, by arg or by env."""
+        kwargs = dict(kwargs)
+        if "env" in kwargs:
+            monkeypatch.setenv("REPRO_SUPERVISOR_MAX", kwargs.pop("env"))
         with pytest.raises(ConfigError):
             supervisor_options(**kwargs)
 
     def test_env_zero_max_workers_reaches_validation(self, monkeypatch):
-        # ``_env_int(...) or DEFAULT`` used to turn 0 into the default 4.
+        # An explicit 0 must reach validation, not fall back to the default.
         monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "0")
         with pytest.raises(ConfigError, match="max_workers must be >= 1"):
             supervisor_options()
-
-    def test_env_zero_min_workers_is_kept(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERVISOR_MIN", "0")
-        monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "1")
-        opts = supervisor_options()
-        assert (opts.min_workers, opts.max_workers) == (0, 1)
 
     def test_malformed_env_value_is_a_config_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "lots")
@@ -156,7 +136,6 @@ class TestSupervisorOptions:
 class TestScalingPolicy:
     def test_empty_backlog_sits_at_the_floor(self):
         assert desired_workers([], supervisor_options()) == 0
-        assert desired_workers([], supervisor_options(min_workers=2)) == 2
 
     def test_one_giant_job_caps_useful_parallelism(self):
         # Longest-first: the giant IS the critical path; the three tiny
@@ -182,21 +161,37 @@ class TestScalingPolicy:
         opts = supervisor_options(max_workers=8)
         assert desired_workers([100, None], opts) == 2
 
-    def test_floor_beats_backlog(self):
-        opts = supervisor_options(min_workers=3, max_workers=8)
-        assert desired_workers([10], opts) == 3
-
 
 # ---------------------------------------------------------------------------
 # Fleet lifecycle (real subprocesses, stub commands)
 # ---------------------------------------------------------------------------
 
 
+def _all_accounted_for(sup: Supervisor) -> bool:
+    """Every spawned worker is live, retired, crashed or stopped."""
+    stops = sum(1 for e in sup.timeline if e["event"] == "stop")
+    return sup.spawned == sup.live + sup.retired + sup.crashes + stops
+
+
+class _StubProc:
+    """A ``Popen`` stand-in that exits (rc 1) at its ``exit_at``-th poll."""
+
+    def __init__(self, pid: int, exit_at: int):
+        self.pid = pid
+        self.returncode: int | None = None
+        self._polls = 0
+        self._exit_at = exit_at
+
+    def poll(self) -> int | None:
+        self._polls += 1
+        if self.returncode is None and self._polls >= self._exit_at:
+            self.returncode = 1
+        return self.returncode
+
+
 class TestFleetLifecycle:
     def test_scales_up_to_the_backlog_and_stops_clean(self, tmp_path):
-        sup = _supervisor(
-            tmp_path, SLEEPER, max_workers=3, cooldown_seconds=0.0
-        )
+        sup = _supervisor(tmp_path, SLEEPER, max_workers=3)
         _plant_pending(sup.queue, 3)
         sup.tick()
         try:
@@ -212,29 +207,16 @@ class TestFleetLifecycle:
             sup.stop()
         assert sup.live == 0
         assert sup.crashes == 0  # terminated workers are not crashes
+        assert _all_accounted_for(sup)
         state = json.loads(sup.state_path.read_text())
         assert state["live"] == 0
 
-    def test_cooldown_gates_successive_spawn_rounds(self, tmp_path):
-        sup = _supervisor(
-            tmp_path, SLEEPER, max_workers=4, cooldown_seconds=60.0
-        )
-        _plant_pending(sup.queue, 1)
-        sup.tick()
-        try:
-            assert sup.live == 1
-            _plant_pending(sup.queue, 4)
-            sup.tick()  # desired is now 4+, but the cooldown gate holds
-            assert sup.live == 1
-        finally:
-            sup.stop()
-
     def test_clean_exit_is_a_retirement_not_a_crash(self, tmp_path):
-        sup = _supervisor(
-            tmp_path, QUITTER, max_workers=1, cooldown_seconds=60.0
-        )
+        sup = _supervisor(tmp_path, QUITTER, max_workers=1)
         _plant_pending(sup.queue, 1)
         sup.tick()
+        for path in sup.queue.pending.iterdir():
+            path.unlink()  # the backlog is gone: nothing to replace it for
         faultinject.wait_for(
             lambda: sup.workers[0].proc.poll() is not None,
             message="stub worker exit",
@@ -243,15 +225,13 @@ class TestFleetLifecycle:
         assert sup.live == 0
         assert sup.retired == 1
         assert sup.crashes == 0
+        assert _all_accounted_for(sup)
 
-    def test_crash_restart_waits_out_a_doubling_backoff(self, tmp_path):
-        sup = _supervisor(
-            tmp_path,
-            CRASHER,
-            max_workers=1,
-            cooldown_seconds=0.0,
-            backoff_seconds=60.0,
-        )
+    def test_crash_restart_waits_out_a_doubling_backoff(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_SECONDS", 60.0)
+        sup = _supervisor(tmp_path, CRASHER, max_workers=1)
         _plant_pending(sup.queue, 1)
         sup.tick()
         assert sup.spawned == 1
@@ -276,6 +256,7 @@ class TestFleetLifecycle:
         )
         sup.tick()
         assert sup.crashes == 2
+        assert _all_accounted_for(sup)
         backoffs = [
             e["backoff_s"]
             for e in sup.timeline
@@ -286,27 +267,20 @@ class TestFleetLifecycle:
             min(BACKOFF_CAP_SECONDS, 120.0),
         ]
 
-    def test_floor_workers_are_persistent(self, tmp_path):
-        sup = _supervisor(
-            tmp_path,
-            SLEEPER,
-            min_workers=1,
-            max_workers=2,
-            cooldown_seconds=0.0,
-        )
-        sup.tick()  # empty queue: the floor alone brings up one worker
-        try:
-            assert sup.live == 1
-            assert sup.workers[0].persistent
-            _plant_pending(sup.queue, 2)
-            sup.tick()
-            assert sup.live == 2
-            assert not sup.workers[1].persistent
-            sup.stop(persistent_only=True)
-            assert sup.live == 1
-            assert not sup.workers[0].persistent
-        finally:
-            sup.stop()
+    def test_worker_exiting_mid_reap_is_still_counted(self, tmp_path):
+        """One poll per worker per reap: a worker that exits between two
+        polls must not drop out of the fleet uncounted."""
+        sup = _supervisor(tmp_path, SLEEPER, max_workers=2)
+        for i, exit_at in enumerate((1, 2)):
+            proc: Any = _StubProc(pid=-(i + 1), exit_at=exit_at)
+            sup.workers.append(WorkerProcess(f"stub{i}", proc, time.time()))
+            sup.spawned += 1
+        sup.reap()  # stub0 is already dead; stub1 dies at its next poll
+        sup.reap()
+        assert sup.live == 0
+        assert sup.crashes == 2
+        assert [e["event"] for e in sup.timeline] == ["crash", "crash"]
+        assert _all_accounted_for(sup)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +532,9 @@ def _result_payloads(queue: BrokerQueue) -> dict[str, str]:
 
 
 class TestBitIdentity:
-    def test_supervised_fleet_matches_hand_run_worker(self, tmp_path):
+    def test_supervised_fleet_matches_hand_run_worker(
+        self, tmp_path, monkeypatch
+    ):
         jobs = [_job(llc) for llc in (20, 40, 60, 80)]
 
         # Hand-run: one worker drained in-process, the PR-4 way.
@@ -571,9 +547,10 @@ class TestBitIdentity:
 
         # Supervised: a real autoscaled subprocess fleet.
         serve_dir = tmp_path / "served"
-        options = supervisor_options(
-            max_workers=2, cooldown_seconds=0.0, worker_idle_seconds=0.5
-        )
+        # Short idle timeout so the workers' own --drain --max-idle
+        # retirement is what winds the fleet down, not stop().
+        monkeypatch.setattr(supervisor_mod, "WORKER_IDLE_SECONDS", 0.5)
+        options = supervisor_options(max_workers=2)
         sup = Supervisor(
             serve_dir, options, env=faultinject._subprocess_env()
         )
@@ -588,16 +565,18 @@ class TestBitIdentity:
                 message="supervised fleet to drain the queue",
             )
             assert sup.peak_live >= 2  # uniform backlog autoscaled up
-            # Surge workers retire themselves: scale-down to zero.
+            # Idle workers retire themselves: scale-down to zero.
             faultinject.wait_for(
-                lambda: (sup.tick(scale_up=False) or True) and sup.live == 0,
+                lambda: (sup.tick() or True) and sup.live == 0,
                 timeout=60.0,
                 interval=0.2,
                 message="fleet wind-down",
             )
         finally:
             sup.stop()
+        assert sup.retired == sup.spawned  # every worker retired itself
         assert sup.crashes == 0
+        assert _all_accounted_for(sup)
 
         hand = _result_payloads(hand_queue)
         served = _result_payloads(sup.queue)
@@ -614,9 +593,7 @@ class TestServeEndToEnd:
         from repro.experiments.sweeps import get_sweep
         from repro.runtime.supervisor import serve_sweep
 
-        options = supervisor_options(
-            max_workers=4, cooldown_seconds=0.0, worker_idle_seconds=1.0
-        )
+        options = supervisor_options(max_workers=4)
         rc = serve_sweep(
             "smoke",
             tmp_path,
@@ -642,6 +619,8 @@ class TestServeEndToEnd:
         assert state["peak_live"] >= 2  # the backlog autoscaled the fleet up
         assert state["live"] == 0  # ...and serve wound it back down
         assert state["crashes"] == 0
+        stops = sum(1 for e in state["timeline"] if e["event"] == "stop")
+        assert state["spawned"] == state["retired"] + stops
 
         # Every cell the manifest names reads as done in the final status.
         get_sweep("smoke")  # sanity: the sweep exists under this name
