@@ -136,7 +136,6 @@ _DURABLE_MODULES = (
     "experiments/sweeps/manifest.py",
     "analytic/store.py",
     "warehouse/core.py",
-    "warehouse/gate.py",
 )
 
 _WRITE_MODES = re.compile(r"[wax+]")

@@ -25,7 +25,9 @@ Semantics helpers:
 * :func:`env_str` — collapse unset *and* empty to a default (the common
   "empty means default" convention of the other options);
 * :func:`env_flag` — boolean convention shared by ``REPRO_BROKER_STEAL``
-  (``0`` / ``false`` / ``no`` disable, anything else enables);
+  and ``REPRO_WAREHOUSE_AUTOREFRESH`` (``1`` / ``true`` / ``yes`` enable,
+  ``0`` / ``false`` / ``no`` disable, unset or empty → default, anything
+  else is a :class:`~repro.errors.ConfigError`);
 * :func:`exported` — temporarily export a value for child processes
   (spawn-started pool workers) and restore the previous state after.
 """
@@ -155,7 +157,8 @@ REPRO_ENV_OPTIONS: dict[str, EnvOption] = {
     )
 }
 
-#: Values :func:`env_flag` treats as false (shared broker convention).
+#: Values :func:`env_flag` accepts, case-insensitively.
+_TRUTHY = ("1", "true", "yes")
 _FALSY = ("0", "false", "no")
 
 
@@ -194,11 +197,19 @@ def env_str(name: str, default: str | None = None) -> str | None:
 
 
 def env_flag(name: str, default: bool = True) -> bool:
-    """Boolean option: ``0`` / ``false`` / ``no`` disable; unset → default."""
+    """Boolean option: unset or empty → ``default``; a bad value raises."""
     raw = read_env(name)
-    if raw is None:
+    if not raw:
         return default
-    return raw not in _FALSY
+    value = raw.lower()
+    if value in _TRUTHY:
+        return True
+    if value in _FALSY:
+        return False
+    raise ConfigError(
+        f"{name} must be one of {', '.join(_TRUTHY + _FALSY)} "
+        f"(case-insensitive), got {raw!r}"
+    )
 
 
 @contextmanager

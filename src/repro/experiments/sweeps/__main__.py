@@ -160,9 +160,7 @@ def _maybe_refresh_warehouse(args: argparse.Namespace) -> None:
     """``--refresh-warehouse`` / ``REPRO_WAREHOUSE_AUTOREFRESH``: fold the
     run's results into the SQLite warehouse while they are fresh.
 
-    Needs a disk cache (there is nothing to consolidate otherwise); the
-    bench payloads are left alone — a sweep run changes cells, not
-    benchmark history.
+    Needs a disk cache (there is nothing to consolidate otherwise).
     """
     wanted = (
         args.refresh_warehouse

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import socket
 import threading
@@ -692,21 +693,26 @@ def _env_float(name: str, default: float | None) -> float | None:
 
 
 def _check_timeout(timeout: float | None) -> float | None:
-    """``None`` (wait forever) or a positive deadline in seconds."""
-    if timeout is not None and timeout <= 0:
+    """``None`` (wait forever) or a positive, finite deadline in seconds."""
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
         raise BrokerError(
-            f"broker timeout (REPRO_BROKER_TIMEOUT) must be a positive number "
-            f"of seconds, got {timeout:g}; unset it to wait without a deadline"
+            f"broker timeout (REPRO_BROKER_TIMEOUT) must be a positive, finite "
+            f"number of seconds, got {timeout:g}; unset it to wait without a "
+            f"deadline"
         )
     return timeout
 
 
 def _check_lease(lease_seconds: float) -> float:
-    """A positive lease duration in seconds."""
-    if lease_seconds <= 0:
+    """A positive, finite lease duration in seconds.
+
+    A NaN lease would never expire (``now - mtime > nan`` is always
+    false), so a dead worker's claim would be held forever.
+    """
+    if not (math.isfinite(lease_seconds) and lease_seconds > 0):
         raise BrokerError(
-            f"broker lease (REPRO_BROKER_LEASE) must be a positive number of "
-            f"seconds, got {lease_seconds:g}; unset it for the default "
+            f"broker lease (REPRO_BROKER_LEASE) must be a positive, finite "
+            f"number of seconds, got {lease_seconds:g}; unset it for the default "
             f"{DEFAULT_LEASE_SECONDS:g}"
         )
     return lease_seconds

@@ -5,7 +5,6 @@ See :mod:`repro.warehouse.core` for the consolidation model and
 
     python -m repro.warehouse refresh --cache-dir ~/.repro-cache
     python -m repro.warehouse contour dense-latency-btb --cache-dir ...
-    python -m repro.warehouse gate --baseline benchmarks/results/warehouse_baseline.json
 """
 
 from __future__ import annotations
@@ -20,26 +19,22 @@ from .core import (
     read_status,
     refresh_warehouse,
 )
-from .gate import TRACKED_KEYS, collect_metrics, run_gate
 from .queries import QUERIES, lookup_cell
 
 #: The canned query names the CLI exposes. RPL006 pins this literal
 #: against the ``QUERIES`` registry keys in :mod:`repro.warehouse.queries`.
-QUERY_NAMES = ("contour", "sensitivity", "trajectory")
+QUERY_NAMES = ("contour", "sensitivity")
 
 __all__ = [
     "DB_NAME",
     "QUERIES",
     "QUERY_NAMES",
-    "TRACKED_KEYS",
     "WAREHOUSE_SCHEMA",
     "RefreshStats",
     "WarehouseStatus",
-    "collect_metrics",
     "connect",
     "db_path",
     "lookup_cell",
     "read_status",
     "refresh_warehouse",
-    "run_gate",
 ]

@@ -1,21 +1,17 @@
-"""Warehouse CLI: refresh, inspect, query, and gate the result warehouse.
+"""Warehouse CLI: refresh, inspect and query the result warehouse.
 
 Usage::
 
-    python -m repro.warehouse refresh [--cache-dir DIR] [--results-dir DIR]
+    python -m repro.warehouse refresh [--cache-dir DIR]
     python -m repro.warehouse status  [--cache-dir DIR]
     python -m repro.warehouse contour SWEEP [--scale NAME] [--workload-set NAME]
     python -m repro.warehouse sensitivity [SWEEP] [--scale NAME] [...]
-    python -m repro.warehouse trajectory
-    python -m repro.warehouse gate --baseline FILE [--tolerance T] [--update]
 
 ``refresh`` consolidates every readable result record (exact and
-analytic) plus the ``BENCH_*.json`` payloads into ``warehouse.sqlite``
-beside the schema-tag directories — idempotent, crash-safe, with a full
-per-refresh revision history (see ``repro.warehouse.core``). The query
-subcommands print Markdown tables straight from that snapshot; ``gate``
-compares the tracked benchmark metrics against a committed baseline and
-exits nonzero on drift.
+analytic) into ``warehouse.sqlite`` beside the schema-tag directories —
+idempotent, crash-safe, with a full per-refresh revision history (see
+``repro.warehouse.core``). The query subcommands print Markdown tables
+straight from that snapshot.
 
 The cache directory comes from ``--cache-dir`` or ``REPRO_CACHE_DIR`` —
 the same resolution every other CLI in this repo uses.
@@ -28,14 +24,7 @@ import sys
 
 from ..envopts import env_str
 from ..errors import ConfigError
-from .core import (
-    DEFAULT_RESULTS_DIR,
-    connect,
-    db_path,
-    read_status,
-    refresh_warehouse,
-)
-from .gate import run_gate
+from .core import connect, db_path, read_status, refresh_warehouse
 from .queries import QUERIES
 
 
@@ -50,8 +39,7 @@ def _resolve_cache_dir(arg: str | None) -> str:
 
 def _cmd_refresh(args: argparse.Namespace) -> int:
     cache_dir = _resolve_cache_dir(args.cache_dir)
-    results_dir = None if args.no_bench else (args.results_dir or DEFAULT_RESULTS_DIR)
-    stats = refresh_warehouse(cache_dir, results_dir=results_dir)
+    stats = refresh_warehouse(cache_dir)
     print(f"[warehouse: {stats.summary()}]")
     return 0
 
@@ -72,8 +60,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         print(f"  {tag:<48s} {fidelity:<9s} {count:6d} active cell(s)")
     print(
         f"  {status.active_cells} active / {status.inactive_cells} inactive "
-        f"cell(s), {status.benches} bench payload(s), "
-        f"{status.refreshes} refresh(es), {status.revisions} revision(s)"
+        f"cell(s), {status.refreshes} refresh(es), {status.revisions} revision(s)"
     )
     return 0
 
@@ -102,40 +89,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gate(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    if not db_path(cache_dir).is_file():
-        print(
-            f"no warehouse under {cache_dir} "
-            f"(run `python -m repro.warehouse refresh`)",
-            file=sys.stderr,
-        )
-        return 1
-    conn = connect(cache_dir)
-    try:
-        code, lines = run_gate(
-            conn, args.baseline, tolerance=args.tolerance, update=args.update
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        conn.close()
-    for line in lines:
-        print(line)
-    return code
-
-
 def _add_query_parser(
     sub: "argparse._SubParsersAction[argparse.ArgumentParser]",
     name: str,
     help_text: str,
     sweep_default: str | None,
-    sweep_required: bool,
 ) -> None:
+    """One query subcommand; ``sweep_default=None`` makes the sweep required."""
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--cache-dir", help="cache directory (or REPRO_CACHE_DIR)")
-    if sweep_required:
+    if sweep_default is None:
         p.add_argument("sweep", help="sweep name (see `sweeps list`)")
     else:
         p.add_argument("sweep", nargs="?", default=sweep_default)
@@ -149,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.warehouse",
         description=(
             "consolidate simulation results into a queryable SQLite "
-            "warehouse; run canned queries and the CI regression gate"
+            "warehouse and run canned queries over it"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,15 +121,6 @@ def main(argv: list[str] | None = None) -> int:
         "refresh", help="scan the stores and consolidate the warehouse"
     )
     p_refresh.add_argument("--cache-dir", help="cache directory (or REPRO_CACHE_DIR)")
-    p_refresh.add_argument(
-        "--results-dir",
-        help=f"BENCH_*.json payload directory (default: {DEFAULT_RESULTS_DIR})",
-    )
-    p_refresh.add_argument(
-        "--no-bench",
-        action="store_true",
-        help="skip benchmark payload ingestion",
-    )
     p_refresh.set_defaults(func=_cmd_refresh)
 
     p_status = sub.add_parser("status", help="show warehouse snapshot counts")
@@ -178,42 +132,13 @@ def main(argv: list[str] | None = None) -> int:
         "contour",
         "per-mechanism speedup table over a sweep's knob grid",
         sweep_default=None,
-        sweep_required=True,
     )
     _add_query_parser(
         sub,
         "sensitivity",
         "per-workload × per-mechanism matrix for an axis-free sweep",
         sweep_default="ablation-matrix",
-        sweep_required=False,
     )
-    _add_query_parser(
-        sub,
-        "trajectory",
-        "benchmark payload history across refreshes",
-        sweep_default=None,
-        sweep_required=False,
-    )
-
-    p_gate = sub.add_parser(
-        "gate", help="compare tracked benchmark metrics against a baseline"
-    )
-    p_gate.add_argument("--cache-dir", help="cache directory (or REPRO_CACHE_DIR)")
-    p_gate.add_argument(
-        "--baseline", required=True, help="baseline JSON file (committed in the repo)"
-    )
-    p_gate.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="relative drift tolerance for numeric metrics (default 0.05)",
-    )
-    p_gate.add_argument(
-        "--update",
-        action="store_true",
-        help="rewrite the baseline from the current snapshot instead of comparing",
-    )
-    p_gate.set_defaults(func=_cmd_gate)
 
     args = parser.parse_args(argv)
     result: int = args.func(args)

@@ -3,19 +3,17 @@
 The stores the runtime writes — exact result records (``engine-v*``
 tags) and analytic estimates (``analytic-v*`` tags) — are
 optimized for *producing* results. Answering questions across them
-(contour tables, sensitivity matrices, longitudinal benchmark
-trajectories) meant ad-hoc JSONL spelunking. The warehouse is the
-queryable snapshot: one SQLite database (stdlib :mod:`sqlite3`, WAL
-mode) living beside the tag directories::
+(contour tables, sensitivity matrices) meant ad-hoc JSONL spelunking.
+The warehouse is the queryable snapshot: one SQLite database (stdlib
+:mod:`sqlite3`, WAL mode) living beside the tag directories::
 
     <cache-dir>/warehouse.sqlite
 
 ``python -m repro.warehouse refresh`` scans every tag directory's
 one-file records (the files :class:`~repro.runtime.cache.ResultCache`
-reads) plus the ``BENCH_*.json`` benchmark payloads, and **consolidates
-incrementally**: rows are keyed by ``(workload, scale token, config
-digest, schema tag, fidelity tier)`` and each refresh classifies every
-key as
+reads) and **consolidates incrementally**: rows are keyed by
+``(workload, scale token, config digest, schema tag, fidelity tier)``
+and each refresh classifies every key as
 
 * **insert** — never seen before,
 * **update** — content changed under an existing key,
@@ -27,7 +25,7 @@ or *unchanged* (touched not at all — the refresh is idempotent, and a
 re-run against unchanged stores writes zero revision rows). Every
 applied change appends to the ``revisions`` table, and every refresh
 records its provenance in ``refreshes``: worker id, the engine and
-analytic schema tags in force, and the bench commit. The whole
+analytic schema tags in force, and the source commit. The whole
 consolidation runs in **one transaction**, so a refresh SIGKILLed at
 any instant leaves the previous snapshot fully readable and contributes
 *zero* revision rows — the next refresh converges to exactly the same
@@ -60,13 +58,10 @@ from ..runtime.cache import SCHEMA_TAG as ENGINE_SCHEMA_TAG
 from ..runtime.faultpoints import maybe_fault
 
 #: Bump on warehouse *database* format changes (tables, key shape).
-WAREHOUSE_SCHEMA = "warehouse-v1"
+WAREHOUSE_SCHEMA = "warehouse-v2"
 
 #: The database filename, beside the schema-tag directories.
 DB_NAME = "warehouse.sqlite"
-
-#: Benchmark payloads ingested for the ``trajectory`` query and the gate.
-DEFAULT_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: The warehouse's on-disk table shapes. Any edit here is an on-disk
 #: format change: bump :data:`WAREHOUSE_SCHEMA` and refresh the
@@ -100,7 +95,7 @@ _DDL: tuple[str, ...] = (
     "  worker TEXT NOT NULL,\n"
     "  engine_tag TEXT NOT NULL,\n"
     "  analytic_tag TEXT NOT NULL,\n"
-    "  bench_commit TEXT NOT NULL,\n"
+    "  source_commit TEXT NOT NULL,\n"
     "  inserted INTEGER NOT NULL DEFAULT 0,\n"
     "  updated INTEGER NOT NULL DEFAULT 0,\n"
     "  reactivated INTEGER NOT NULL DEFAULT 0,\n"
@@ -110,30 +105,13 @@ _DDL: tuple[str, ...] = (
     "CREATE TABLE IF NOT EXISTS revisions (\n"
     "  revision_id INTEGER PRIMARY KEY AUTOINCREMENT,\n"
     "  refresh_id INTEGER NOT NULL,\n"
-    "  kind TEXT NOT NULL,\n"
     "  action TEXT NOT NULL,\n"
     "  workload TEXT NOT NULL,\n"
-    "  scale TEXT NOT NULL DEFAULT '',\n"
-    "  config_digest TEXT NOT NULL DEFAULT '',\n"
-    "  schema_tag TEXT NOT NULL DEFAULT '',\n"
-    "  fidelity TEXT NOT NULL DEFAULT '',\n"
-    "  content_digest TEXT NOT NULL DEFAULT ''\n"
-    ")",
-    "CREATE TABLE IF NOT EXISTS benches (\n"
-    "  bench TEXT PRIMARY KEY,\n"
-    "  content_digest TEXT NOT NULL,\n"
-    "  payload TEXT NOT NULL,\n"
-    "  active INTEGER NOT NULL DEFAULT 1,\n"
-    "  first_seen INTEGER NOT NULL,\n"
-    "  last_seen INTEGER NOT NULL\n"
-    ")",
-    "CREATE TABLE IF NOT EXISTS bench_history (\n"
-    "  bench TEXT NOT NULL,\n"
-    "  refresh_id INTEGER NOT NULL,\n"
-    "  content_digest TEXT NOT NULL,\n"
-    "  speedup REAL,\n"
-    "  payload TEXT NOT NULL,\n"
-    "  PRIMARY KEY (bench, refresh_id)\n"
+    "  scale TEXT NOT NULL,\n"
+    "  config_digest TEXT NOT NULL,\n"
+    "  schema_tag TEXT NOT NULL,\n"
+    "  fidelity TEXT NOT NULL,\n"
+    "  content_digest TEXT NOT NULL\n"
     ")",
 )
 
@@ -182,7 +160,7 @@ def connect(cache_dir: str | os.PathLike[str]) -> sqlite3.Connection:
 
 
 # ---------------------------------------------------------------------------
-# Source scanning (result records, analytic estimates, bench payloads)
+# Source scanning (result records, analytic estimates)
 # ---------------------------------------------------------------------------
 
 
@@ -274,48 +252,31 @@ def scan_sources(cache_dir: str | os.PathLike[str]) -> dict[CellKey, SourceCell]
     return cells
 
 
-def scan_benches(
-    results_dir: str | os.PathLike[str] | None,
-) -> dict[str, dict[str, object]]:
-    """Benchmark payloads (``BENCH_*.json``) to ingest, by bench name."""
-    if results_dir is None:
-        return {}
-    root = Path(results_dir)
-    benches: dict[str, dict[str, object]] = {}
-    if not root.is_dir():
-        return benches
-    for path in sorted(root.glob("BENCH_*.json")):
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if isinstance(payload, dict):
-            benches[path.stem.removeprefix("BENCH_")] = payload
-    return benches
+def _cell_metrics(
+    raw: dict[str, object],
+) -> tuple[float | None, float | None, float | None, float]:
+    """(ipc, cycles, retired, analytic error bound) from a record's raw counters."""
 
+    def number(key: str) -> float | None:
+        value = raw.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return None
+        return float(value)
 
-def _as_float(value: object) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return float(value)
-
-
-def _cell_metrics(raw: dict[str, object]) -> tuple[float | None, float | None, float | None]:
-    """(ipc, cycles, retired) extracted from a record's raw counters."""
-    cycles = _as_float(raw.get("cycles"))
-    retired = _as_float(raw.get("retired_instrs"))
+    cycles = number("cycles")
+    retired = number("retired_instrs")
     ipc = None
     if cycles is not None and retired is not None and cycles > 0:
         ipc = retired / cycles
-    return ipc, cycles, retired
+    return ipc, cycles, retired, number("analytic_rel_err_bound") or 0.0
 
 
-def _bench_commit() -> str:
+def _source_commit() -> str:
     """The current source commit, for refresh provenance (best effort)."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parents[3],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,
@@ -340,8 +301,6 @@ class RefreshStats:
     reactivated: int = 0
     deactivated: int = 0
     unchanged: int = 0
-    benches_changed: int = 0
-    benches_total: int = 0
 
     @property
     def changes(self) -> int:
@@ -351,8 +310,7 @@ class RefreshStats:
         return (
             f"refresh #{self.refresh_id}: +{self.inserted} inserted, "
             f"~{self.updated} updated, ^{self.reactivated} reactivated, "
-            f"-{self.deactivated} deactivated, {self.unchanged} unchanged, "
-            f"{self.benches_changed}/{self.benches_total} bench payload(s) changed"
+            f"-{self.deactivated} deactivated, {self.unchanged} unchanged"
         )
 
 
@@ -368,8 +326,7 @@ def _apply_cell_change(
     workload, scale, digest, tag, fidelity = key
     content = cell.content_digest if cell is not None else ""
     if action == "insert" and cell is not None:
-        ipc, cycles, retired = _cell_metrics(cell.raw)
-        bound = _as_float(cell.raw.get("analytic_rel_err_bound")) or 0.0
+        ipc, cycles, retired, bound = _cell_metrics(cell.raw)
         conn.execute(
             "INSERT INTO cells (workload, scale, config_digest, schema_tag,"
             " fidelity, mechanism, ipc, cycles, retired_instrs,"
@@ -394,8 +351,7 @@ def _apply_cell_change(
             ),
         )
     elif action in ("update", "reactivate") and cell is not None:
-        ipc, cycles, retired = _cell_metrics(cell.raw)
-        bound = _as_float(cell.raw.get("analytic_rel_err_bound")) or 0.0
+        ipc, cycles, retired, bound = _cell_metrics(cell.raw)
         conn.execute(
             "UPDATE cells SET mechanism = ?, ipc = ?, cycles = ?,"
             " retired_instrs = ?, analytic_rel_err_bound = ?, raw = ?,"
@@ -426,77 +382,15 @@ def _apply_cell_change(
             (refresh_id, workload, scale, digest, tag, fidelity),
         )
     conn.execute(
-        "INSERT INTO revisions (refresh_id, kind, action, workload, scale,"
+        "INSERT INTO revisions (refresh_id, action, workload, scale,"
         " config_digest, schema_tag, fidelity, content_digest)"
-        " VALUES (?, 'cell', ?, ?, ?, ?, ?, ?, ?)",
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
         (refresh_id, action, workload, scale, digest, tag, fidelity, content),
     )
 
 
-def _consolidate_benches(
-    conn: sqlite3.Connection,
-    refresh_id: int,
-    benches: dict[str, dict[str, object]],
-) -> int:
-    """Insert/update/reactivate/deactivate bench payload rows; count changes."""
-    existing: dict[str, tuple[str, int]] = {
-        str(row[0]): (str(row[1]), int(row[2]))
-        for row in conn.execute("SELECT bench, content_digest, active FROM benches")
-    }
-    changed = 0
-    for name in sorted(benches):
-        payload = benches[name]
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        content = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-        current = existing.get(name)
-        if current is None:
-            action = "insert"
-        elif current[0] != content:
-            action = "update"
-        elif current[1] == 0:
-            action = "reactivate"
-        else:
-            continue
-        maybe_fault("warehouse-refresh")
-        changed += 1
-        conn.execute(
-            "INSERT INTO benches (bench, content_digest, payload, active,"
-            " first_seen, last_seen) VALUES (?, ?, ?, 1, ?, ?)"
-            " ON CONFLICT(bench) DO UPDATE SET content_digest = ?,"
-            " payload = ?, active = 1, last_seen = ?",
-            (name, content, text, refresh_id, refresh_id, content, text, refresh_id),
-        )
-        conn.execute(
-            "INSERT INTO revisions (refresh_id, kind, action, workload,"
-            " content_digest) VALUES (?, 'bench', ?, ?, ?)",
-            (refresh_id, action, name, content),
-        )
-        if action in ("insert", "update"):
-            conn.execute(
-                "INSERT OR REPLACE INTO bench_history (bench, refresh_id,"
-                " content_digest, speedup, payload) VALUES (?, ?, ?, ?, ?)",
-                (name, refresh_id, content, _as_float(payload.get("speedup")), text),
-            )
-    for name in sorted(existing):
-        if name in benches or existing[name][1] == 0:
-            continue
-        maybe_fault("warehouse-refresh")
-        changed += 1
-        conn.execute(
-            "UPDATE benches SET active = 0, last_seen = ? WHERE bench = ?",
-            (refresh_id, name),
-        )
-        conn.execute(
-            "INSERT INTO revisions (refresh_id, kind, action, workload,"
-            " content_digest) VALUES (?, 'bench', 'deactivate', ?, '')",
-            (refresh_id, name),
-        )
-    return changed
-
-
 def refresh_warehouse(
     cache_dir: str | os.PathLike[str],
-    results_dir: str | os.PathLike[str] | None = None,
     worker: str | None = None,
 ) -> RefreshStats:
     """Scan the stores and consolidate the warehouse; returns what changed.
@@ -506,22 +400,20 @@ def refresh_warehouse(
     every mutation — including the ``refreshes`` provenance row — commits
     atomically at the end, so a SIGKILL mid-consolidation leaves the
     previous snapshot intact and no partial revision history).
-    ``results_dir=None`` skips bench-payload ingestion.
     """
     source = scan_sources(cache_dir)
-    benches = scan_benches(results_dir)
     conn = connect(cache_dir)
     try:
         conn.execute("BEGIN IMMEDIATE")
         cursor = conn.execute(
             "INSERT INTO refreshes (started_at, worker, engine_tag,"
-            " analytic_tag, bench_commit) VALUES (?, ?, ?, ?, ?)",
+            " analytic_tag, source_commit) VALUES (?, ?, ?, ?, ?)",
             (
                 time.time(),
                 worker or f"{socket.gethostname()}-{os.getpid()}",
                 ENGINE_SCHEMA_TAG,
                 ANALYTIC_SCHEMA_TAG,
-                _bench_commit(),
+                _source_commit(),
             ),
         )
         refresh_id = int(cursor.lastrowid or 0)
@@ -556,7 +448,6 @@ def refresh_warehouse(
                 continue
             counts["deactivate"] += 1
             _apply_cell_change(conn, refresh_id, "deactivate", key, None)
-        benches_changed = _consolidate_benches(conn, refresh_id, benches)
         conn.execute(
             "UPDATE refreshes SET inserted = ?, updated = ?, reactivated = ?,"
             " deactivated = ?, unchanged = ? WHERE refresh_id = ?",
@@ -579,8 +470,6 @@ def refresh_warehouse(
         reactivated=counts["reactivate"],
         deactivated=counts["deactivate"],
         unchanged=unchanged,
-        benches_changed=benches_changed,
-        benches_total=len(benches),
     )
 
 
@@ -598,7 +487,6 @@ class WarehouseStatus:
     inactive_cells: int
     refreshes: int
     revisions: int
-    benches: int
     #: (schema_tag, fidelity) -> active row count, sorted by tag.
     by_tag: tuple[tuple[str, str, int], ...]
 
@@ -622,6 +510,5 @@ def read_status(conn: sqlite3.Connection) -> WarehouseStatus:
         inactive_cells=one("SELECT COUNT(*) FROM cells WHERE active = 0"),
         refreshes=one("SELECT COUNT(*) FROM refreshes"),
         revisions=one("SELECT COUNT(*) FROM revisions"),
-        benches=one("SELECT COUNT(*) FROM benches WHERE active = 1"),
         by_tag=by_tag,
     )

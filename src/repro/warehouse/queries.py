@@ -1,4 +1,4 @@
-"""Canned warehouse queries: contour, sensitivity, trajectory.
+"""Canned warehouse queries: contour and sensitivity.
 
 Each query renders a Markdown table (pipe syntax — pasted verbatim into
 CI step summaries) straight from the consolidated SQLite snapshot. No
@@ -309,47 +309,9 @@ def render_sensitivity(
     return "\n".join(lines).rstrip() + "\n"
 
 
-def render_trajectory(
-    conn: sqlite3.Connection,
-    sweep: str | None = None,
-    scale: str | None = None,
-    workload_set: str | None = None,
-) -> str:
-    """Longitudinal benchmark trajectory: bench payloads across refreshes.
-
-    Joins ``bench_history`` (one row per payload *change*) with the
-    ``refreshes`` provenance, so the table reads as "at commit X under
-    engine tag Y, benchmark Z reported speedup S" — the cross-refresh
-    view the ROADMAP's longitudinal tracking asks for. The ``sweep`` /
-    ``scale`` arguments are accepted for CLI uniformity and ignored.
-    """
-    del sweep, scale, workload_set
-    rows = conn.execute(
-        "SELECT h.bench, h.refresh_id, r.bench_commit, r.engine_tag,"
-        " h.speedup, h.content_digest"
-        " FROM bench_history AS h JOIN refreshes AS r"
-        " ON h.refresh_id = r.refresh_id"
-        " ORDER BY h.bench, h.refresh_id"
-    ).fetchall()
-    lines = ["### trajectory — benchmark payloads across refreshes", ""]
-    if not rows:
-        lines.append("_no benchmark payloads ingested yet_")
-        return "\n".join(lines).rstrip() + "\n"
-    headers = ["bench", "refresh", "commit", "engine tag", "speedup", "payload digest"]
-    table = []
-    for row in rows:
-        speedup = f"{float(row[4]):.4f}" if row[4] is not None else MISSING
-        table.append(
-            [str(row[0]), str(int(row[1])), str(row[2]), str(row[3]), speedup, str(row[5])]
-        )
-    lines.extend(_markdown_table(headers, table))
-    return "\n".join(lines).rstrip() + "\n"
-
-
 #: Query name -> renderer; RPL006 pins this against ``QUERY_NAMES`` in
 #: the package ``__init__`` so the CLI, docs, and registry cannot drift.
 QUERIES = {
     "contour": render_contour,
     "sensitivity": render_sensitivity,
-    "trajectory": render_trajectory,
 }

@@ -80,14 +80,8 @@ def spawn_worker(
 def spawn_warehouse_refresh(
     cache_dir: os.PathLike,
     faultpoints: str | None = None,
-    results_dir: os.PathLike | None = None,
 ) -> subprocess.Popen:
-    """Start a real ``python -m repro.warehouse refresh`` subprocess.
-
-    ``results_dir=None`` passes ``--no-bench`` so the refresh under test
-    touches only the caches the test populated, never the repo's
-    committed benchmark payloads.
-    """
+    """Start a real ``python -m repro.warehouse refresh`` subprocess."""
     cmd = [
         sys.executable,
         "-m",
@@ -96,10 +90,6 @@ def spawn_warehouse_refresh(
         "--cache-dir",
         str(cache_dir),
     ]
-    if results_dir is None:
-        cmd.append("--no-bench")
-    else:
-        cmd += ["--results-dir", str(results_dir)]
     return subprocess.Popen(
         cmd,
         env=_subprocess_env(faultpoints),

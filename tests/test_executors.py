@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -9,6 +10,7 @@ import time
 import pytest
 
 from repro.core.mechanisms import MECHANISMS, make_config
+from repro.envopts import env_flag
 from repro.errors import BrokerError, ConfigError
 from repro.runtime import (
     BACKEND_NAMES,
@@ -368,7 +370,7 @@ class TestRetryCapSurfacesCleanly:
 
 
 class TestCoordinatorTimeout:
-    @pytest.mark.parametrize("raw", ["0", "-1", "-0.5"])
+    @pytest.mark.parametrize("raw", ["0", "-1", "-0.5", "nan", "inf"])
     def test_non_positive_env_timeout_rejected(self, monkeypatch, raw):
         # 0 used to mean "no deadline" and -1 "time out at once".
         monkeypatch.setenv("REPRO_BROKER_TIMEOUT", raw)
@@ -376,7 +378,7 @@ class TestCoordinatorTimeout:
             broker_env_options()
         assert "REPRO_BROKER_TIMEOUT" in str(err.value)
 
-    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0])
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, math.nan, math.inf])
     def test_non_positive_explicit_timeout_rejected(self, tmp_path, timeout):
         with pytest.raises(BrokerError) as err:
             BrokerBackend(tmp_path, timeout=timeout)
@@ -570,7 +572,7 @@ class TestStaleClaimedSpecs:
 
 
 class TestBrokerEnvValidation:
-    @pytest.mark.parametrize("raw", ["0", "-5", "-0.5"])
+    @pytest.mark.parametrize("raw", ["0", "-5", "-0.5", "nan", "inf"])
     def test_non_positive_env_lease_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_BROKER_LEASE", raw)
         with pytest.raises(BrokerError) as err:
@@ -578,7 +580,7 @@ class TestBrokerEnvValidation:
         assert "REPRO_BROKER_LEASE" in str(err.value)
         assert f"got {float(raw):g}" in str(err.value)
 
-    @pytest.mark.parametrize("lease", [0, 0.0, -5.0])
+    @pytest.mark.parametrize("lease", [0, 0.0, -5.0, math.nan, math.inf])
     def test_non_positive_explicit_lease_rejected(self, tmp_path, lease):
         with pytest.raises(BrokerError, match="REPRO_BROKER_LEASE"):
             BrokerQueue(tmp_path, lease_seconds=lease)
@@ -609,6 +611,47 @@ class TestBrokerEnvValidation:
         options = broker_env_options()
         assert options["lease_seconds"] == 0.5
         assert options["max_attempts"] == 1
+
+
+#: The boolean env options and the default each call site resolves them
+#: with (the broker's steal flag, the sweeps CLI's autorefresh).
+_FLAG_DEFAULTS = {"REPRO_BROKER_STEAL": True, "REPRO_WAREHOUSE_AUTOREFRESH": False}
+
+
+class TestEnvFlag:
+    @pytest.mark.parametrize("name", sorted(_FLAG_DEFAULTS))
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (None, "default"),
+            ("", "default"),
+            ("1", True),
+            ("true", True),
+            ("YES", True),
+            ("0", False),
+            ("False", False),
+            ("no", False),
+            ("off", ConfigError),
+            ("2", ConfigError),
+            (" 1", ConfigError),
+        ],
+    )
+    def test_flag_values(self, monkeypatch, name, raw, expected):
+        if raw is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, raw)
+        default = _FLAG_DEFAULTS[name]
+        if name == "REPRO_BROKER_STEAL":
+            resolve = lambda: broker_env_options()["steal"]
+        else:
+            resolve = lambda: env_flag(name, default)
+        if expected is ConfigError:
+            with pytest.raises(ConfigError) as err:
+                resolve()
+            assert name in str(err.value) and repr(raw) in str(err.value)
+        else:
+            assert resolve() is (default if expected == "default" else expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Warehouse suite: consolidation state machine, queries, tiers, gate.
+"""Warehouse suite: consolidation state machine, queries, tiers, CLI.
 
 The contracts under test, in order:
 
@@ -17,8 +17,8 @@ The contracts under test, in order:
   isolation invariant, enforced by the lookup SQL).
 * **Revision history** — every applied change writes exactly one
   revision; converged refreshes write none.
-* **Gate** — tracked benchmark metrics drift → exit 1; within tolerance
-  → exit 0; ``--update`` round-trips.
+* **CLI** — ``refresh``/``status`` round-trip; the query subcommands need
+  an existing warehouse.
 
 Golden fixtures live under ``tests/golden/`` and are compared
 bit-for-bit; regenerate them only for a deliberate format change.
@@ -50,8 +50,7 @@ from repro.warehouse import (
     read_status,
     refresh_warehouse,
 )
-from repro.warehouse.gate import collect_metrics, run_gate, write_baseline
-from repro.warehouse.queries import QUERIES, render_contour, render_trajectory
+from repro.warehouse.queries import QUERIES, render_contour
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -135,10 +134,10 @@ class TestSchema:
     def test_foreign_schema_is_refused(self, tmp_path):
         connect(tmp_path).close()
         raw = sqlite3.connect(db_path(tmp_path))
-        raw.execute("UPDATE meta SET value = 'warehouse-v0' WHERE key = 'schema'")
+        raw.execute("UPDATE meta SET value = 'warehouse-v1' WHERE key = 'schema'")
         raw.commit()
         raw.close()
-        with pytest.raises(ConfigError, match="warehouse-v0"):
+        with pytest.raises(ConfigError, match="warehouse-v1"):
             connect(tmp_path)
 
     def test_query_registry_matches_names(self):
@@ -442,99 +441,6 @@ class TestTierInterplay:
 
 
 # ---------------------------------------------------------------------------
-# Bench ingestion, trajectory, and the regression gate
-# ---------------------------------------------------------------------------
-
-
-def _write_bench(results_dir: Path, name: str, payload: dict) -> None:
-    results_dir.mkdir(parents=True, exist_ok=True)
-    (results_dir / f"BENCH_{name}.json").write_text(json.dumps(payload))
-
-
-class TestBenchAndGate:
-    def test_trajectory_tracks_payload_changes(self, tmp_path):
-        results = tmp_path / "results"
-        _write_bench(results, "demo", {"cells": 10, "speedup": 2.0})
-        refresh_warehouse(tmp_path, results_dir=results)
-        refresh_warehouse(tmp_path, results_dir=results)  # unchanged: no row
-        _write_bench(results, "demo", {"cells": 10, "speedup": 2.5})
-        refresh_warehouse(tmp_path, results_dir=results)
-        conn = connect(tmp_path)
-        try:
-            history = conn.execute(
-                "SELECT refresh_id, speedup FROM bench_history ORDER BY refresh_id"
-            ).fetchall()
-            assert [(int(r[0]), float(r[1])) for r in history] == [(1, 2.0), (3, 2.5)]
-            output = render_trajectory(conn)
-        finally:
-            conn.close()
-        assert "| demo | 1 |" in output and "| demo | 3 |" in output
-        assert "2.5000" in output
-
-    def test_gate_passes_within_tolerance_and_fails_on_drift(self, tmp_path):
-        results = tmp_path / "results"
-        baseline = tmp_path / "baseline.json"
-        _write_bench(
-            results,
-            "demo",
-            {"cells": 100, "max_rel_err": 0.010, "bounds_ok": True, "speedup": 3.0},
-        )
-        refresh_warehouse(tmp_path, results_dir=results)
-        conn = connect(tmp_path)
-        try:
-            metrics = collect_metrics(conn)
-            # Wall-clock speedup is untracked by design; the rest are.
-            assert set(metrics) == {
-                "demo.cells",
-                "demo.max_rel_err",
-                "demo.bounds_ok",
-            }
-            code, _ = run_gate(conn, baseline, update=True)
-            assert code == 0
-            code, lines = run_gate(conn, baseline, tolerance=0.05)
-            assert code == 0 and lines[-1].startswith("gate passed")
-        finally:
-            conn.close()
-        # Drift one tracked metric past tolerance, flip the invariant bool.
-        _write_bench(
-            results,
-            "demo",
-            {"cells": 100, "max_rel_err": 0.020, "bounds_ok": False, "speedup": 3.0},
-        )
-        refresh_warehouse(tmp_path, results_dir=results)
-        conn = connect(tmp_path)
-        try:
-            code, lines = run_gate(conn, baseline, tolerance=0.05)
-        finally:
-            conn.close()
-        assert code == 1
-        report = "\n".join(lines)
-        assert "FAIL demo.max_rel_err" in report
-        assert "FAIL demo.bounds_ok" in report
-        assert "ok   demo.cells" in report
-
-    def test_gate_fails_when_tracked_bench_vanishes(self, tmp_path):
-        results = tmp_path / "results"
-        baseline = tmp_path / "baseline.json"
-        _write_bench(results, "gone", {"cells": 5})
-        refresh_warehouse(tmp_path, results_dir=results)
-        conn = connect(tmp_path)
-        try:
-            write_baseline(baseline, collect_metrics(conn))
-        finally:
-            conn.close()
-        (results / "BENCH_gone.json").unlink()
-        refresh_warehouse(tmp_path, results_dir=results)
-        conn = connect(tmp_path)
-        try:
-            code, lines = run_gate(conn, baseline)
-        finally:
-            conn.close()
-        assert code == 1
-        assert any("missing from warehouse" in line for line in lines)
-
-
-# ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
 
@@ -548,7 +454,7 @@ class TestCli:
     def test_refresh_status_roundtrip(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
         cache.put("wl", SCALE_TOK, "e" * 64, _result("wl", 1000.0))
-        assert self._main("refresh", "--cache-dir", str(tmp_path), "--no-bench") == 0
+        assert self._main("refresh", "--cache-dir", str(tmp_path)) == 0
         out = capsys.readouterr().out
         assert "+1 inserted" in out
         assert self._main("status", "--cache-dir", str(tmp_path)) == 0
@@ -557,16 +463,14 @@ class TestCli:
 
     def test_queries_and_gate_require_a_warehouse(self, tmp_path, capsys):
         assert self._main("status", "--cache-dir", str(tmp_path)) == 1
-        assert (
-            self._main("trajectory", "--cache-dir", str(tmp_path)) == 1
-        )
-        baseline = tmp_path / "baseline.json"
-        assert (
-            self._main(
-                "gate", "--cache-dir", str(tmp_path), "--baseline", str(baseline)
-            )
-            == 1
-        )
+        for query in QUERY_NAMES:
+            argv = [query, "smoke"] if query == "contour" else [query]
+            assert self._main(*argv, "--cache-dir", str(tmp_path)) == 1
+        assert "no warehouse under" in capsys.readouterr().err
+        for removed in ("gate", "trajectory"):
+            with pytest.raises(SystemExit) as exc:
+                self._main(removed, "--cache-dir", str(tmp_path))
+            assert exc.value.code == 2
 
     def test_sensitivity_rejects_axis_sweeps(self, tmp_path, capsys):
         refresh_warehouse(tmp_path)
