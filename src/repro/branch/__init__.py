@@ -1,6 +1,6 @@
 """Branch-prediction substrate: BTBs, return address stack, predictors."""
 
-from .btb import BasicBlockBTB, BTBEntry, BTBPrefetchBuffer, ConventionalBTB
+from .btb import BasicBlockBTB, BTBEntry, BTBPrefetchBuffer
 from .predictors import (
     AlwaysTakenPredictor,
     BimodalPredictor,
@@ -19,7 +19,6 @@ __all__ = [
     "BTBEntry",
     "BTBPrefetchBuffer",
     "BimodalPredictor",
-    "ConventionalBTB",
     "DirectionPredictor",
     "GsharePredictor",
     "NeverTakenPredictor",

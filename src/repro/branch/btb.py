@@ -9,8 +9,7 @@ instruction-granularity BTB cannot distinguish "miss" from "not a branch";
 see paper Section IV-B).
 
 Also provided: the small FIFO **BTB prefetch buffer** Boomerang uses to
-stage predecoded entries without polluting the BTB, and a conventional
-branch-PC-keyed BTB for comparison experiments.
+stage predecoded entries without polluting the BTB.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..config import BTBParams
-from ..workloads.isa import BranchKind
 
 
 class BTBEntry(NamedTuple):
@@ -142,42 +140,3 @@ class BTBPrefetchBuffer:
         self.inserts = 0
         self.evictions = 0
 
-
-class ConventionalBTB:
-    """Branch-PC-keyed BTB (taken branches only) for comparison studies.
-
-    A miss here is ambiguous — it may mean "not a branch" — which is exactly
-    why Boomerang needs the basic-block organization. Provided so examples
-    and tests can demonstrate that limitation.
-    """
-
-    def __init__(self, params: BTBParams):
-        self.params = params
-        self._set_mask = params.n_sets - 1
-        self._assoc = params.assoc
-        self._sets: list[dict[int, tuple[int, int]]] = [
-            dict() for _ in range(params.n_sets)
-        ]
-        self.lookups = 0
-        self.hits = 0
-
-    def lookup(self, branch_pc: int) -> tuple[int, int] | None:
-        """Returns (kind, target) for a branch at ``branch_pc``, if known."""
-        self.lookups += 1
-        way = self._sets[(branch_pc >> 2) & self._set_mask]
-        entry = way.get(branch_pc)
-        if entry is not None:
-            del way[branch_pc]
-            way[branch_pc] = entry
-            self.hits += 1
-        return entry
-
-    def insert(self, branch_pc: int, kind: int, target: int) -> None:
-        if kind == BranchKind.COND and target == 0:
-            raise ValueError("conditional BTB entries need a real target")
-        way = self._sets[(branch_pc >> 2) & self._set_mask]
-        if branch_pc in way:
-            del way[branch_pc]
-        elif len(way) >= self._assoc:
-            del way[next(iter(way))]
-        way[branch_pc] = (kind, target)

@@ -43,28 +43,6 @@ from .stages import (
     StreamPrefetchIssue,
 )
 
-#: Paper order for the main comparison figures (7, 8, 9).
-MECHANISMS: tuple[str, ...] = (
-    "none",
-    "next_line",
-    "dip",
-    "fdip",
-    "pif",
-    "shift",
-    "confluence",
-    "boomerang",
-)
-
-#: The subset plotted in Figures 7-9 (plus the no-prefetch baseline).
-FIGURE_MECHANISMS: tuple[str, ...] = (
-    "next_line",
-    "dip",
-    "fdip",
-    "shift",
-    "confluence",
-    "boomerang",
-)
-
 #: FTQ depth modelling a conventional (coupled) fetch buffer.
 SHALLOW_FTQ_DEPTH = 4
 
@@ -83,6 +61,8 @@ class MechanismTraits:
     btb_prefill: str | None
 
 
+#: Mechanism name -> traits, in paper order for the main comparison
+#: figures (7, 8, 9); :data:`MECHANISMS` is its key tuple.
 _TRAITS: dict[str, MechanismTraits] = {
     "none": MechanismTraits("none", False, None, None),
     "next_line": MechanismTraits("next_line", False, "next_line", None),
@@ -93,6 +73,18 @@ _TRAITS: dict[str, MechanismTraits] = {
     "confluence": MechanismTraits("confluence", False, "shift", "confluence"),
     "boomerang": MechanismTraits("boomerang", True, None, "boomerang"),
 }
+
+MECHANISMS: tuple[str, ...] = tuple(_TRAITS)
+
+#: The subset plotted in Figures 7-9 (plus the no-prefetch baseline).
+FIGURE_MECHANISMS: tuple[str, ...] = (
+    "next_line",
+    "dip",
+    "fdip",
+    "shift",
+    "confluence",
+    "boomerang",
+)
 
 
 def traits_for(mechanism: str) -> MechanismTraits:

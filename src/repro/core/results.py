@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 from ..workloads.isa import EntryKind
 
 if TYPE_CHECKING:
-    from ..branch.btb import BasicBlockBTB, BTBPrefetchBuffer, ConventionalBTB
+    from ..branch.btb import BasicBlockBTB, BTBPrefetchBuffer
     from ..frontend.ftq import FetchTargetQueue
     from ..memory.hierarchy import InstructionMemory
 
@@ -18,7 +18,7 @@ def aggregate_stage_counters(
     cycle: int,
     retired: int,
     stages: Iterable,
-    btb: BasicBlockBTB | ConventionalBTB,
+    btb: BasicBlockBTB,
     btb_buf: BTBPrefetchBuffer,
     ftq: FetchTargetQueue,
     mem: InstructionMemory,

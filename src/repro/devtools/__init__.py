@@ -1,11 +1,11 @@
 """reprolint — AST-driven invariant checking for the repro runtime.
 
-``python -m repro.devtools lint`` runs every registered rule (RPL001-
-RPL007, see :mod:`repro.devtools.rules`) over ``src/repro`` and prints
-findings as ``path:line: RPLxxx message``, exiting nonzero when any
-survive suppression. ``docs/devtools.md`` documents each rule's
-invariant, the historical bug behind it, the suppression syntax, and the
-recipe for adding a rule.
+``python -m repro.devtools lint`` runs every registered rule (RPL001,
+RPL002 and RPL004, see :mod:`repro.devtools.rules`) over ``src/repro``
+and prints findings as ``path:line: RPLxxx message``, exiting nonzero
+when any survive suppression. ``docs/devtools.md`` documents each rule's
+invariant, the historical bug behind it, the suppression syntax, and
+where the checks that need no source text live instead.
 
 The public entry point for tests is :func:`run_lint`, which accepts an
 arbitrary package root so rule fixtures can lint tiny synthetic trees.
@@ -23,30 +23,14 @@ __all__ = [
     "LintContext",
     "RULES",
     "Rule",
-    "lint_findings",
     "load_context",
     "run_lint",
 ]
 
 
-def lint_findings(ctx: LintContext, codes: tuple[str, ...] | None = None) -> list[Finding]:
-    """Run the selected rules (default: all) over a loaded context."""
-    selected = codes if codes is not None else tuple(sorted(RULES))
-    findings: list[Finding] = []
-    for code in selected:
-        findings.extend(RULES[code].check(ctx))
+def run_lint(package_root: Path, schema_baseline: Path | None = None) -> list[Finding]:
+    """Lint the package rooted at ``package_root`` and return the findings."""
+    ctx = load_context(package_root, schema_baseline=schema_baseline)
+    findings = [finding for rule in RULES.values() for finding in rule.check(ctx)]
     findings.sort(key=lambda f: (f.rel, f.line, f.code, f.message))
     return findings
-
-
-def run_lint(
-    package_root: Path,
-    repo_root: Path | None = None,
-    schema_baseline: Path | None = None,
-    codes: tuple[str, ...] | None = None,
-) -> list[Finding]:
-    """Lint the package rooted at ``package_root`` and return the findings."""
-    ctx = load_context(
-        package_root, repo_root=repo_root, schema_baseline=schema_baseline
-    )
-    return lint_findings(ctx, codes=codes)

@@ -3,7 +3,6 @@
 Subcommands::
 
     python -m repro.devtools lint        # run every rule; exit 1 on findings
-    python -m repro.devtools lint --codes RPL001,RPL004
     python -m repro.devtools baseline    # refresh schema_baseline.json (RPL004)
     python -m repro.devtools rules       # list registered rules
 
@@ -11,7 +10,9 @@ Subcommands::
 per-rule count summary (the CI job forwards that summary to the GitHub
 step summary). ``baseline`` recomputes the on-disk format fingerprints
 and rewrites the committed baseline file — the second half of every
-legitimate schema change (bump the tag, then run this).
+legitimate schema change (bump the tag, then run this). A file that does
+not parse stops ``lint`` and ``baseline`` with ``path:line: syntax
+error: ...`` and exit status 2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import RULES, lint_findings
+from . import RULES, run_lint
 from .formats import format_facts, write_baseline
 from .sources import load_context
 
@@ -29,27 +30,13 @@ from .sources import load_context
 _PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _parse_codes(raw: str | None) -> tuple[str, ...] | None:
-    if raw is None:
-        return None
-    codes = tuple(code.strip() for code in raw.split(",") if code.strip())
-    unknown = [code for code in codes if code not in RULES]
-    if unknown:
-        valid = ", ".join(sorted(RULES))
-        raise SystemExit(
-            f"unknown rule code(s): {', '.join(unknown)} (valid: {valid})"
-        )
-    return codes
-
-
-def _baseline_path(args: argparse.Namespace) -> Path | None:
-    return Path(args.baseline) if args.baseline else None
+def _roots(args: argparse.Namespace) -> tuple[Path, Path | None]:
+    package_root = Path(args.package_root) if args.package_root else _PACKAGE_ROOT
+    return package_root, Path(args.baseline) if args.baseline else None
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    package_root = Path(args.package_root) if args.package_root else _PACKAGE_ROOT
-    ctx = load_context(package_root, schema_baseline=_baseline_path(args))
-    findings = lint_findings(ctx, codes=_parse_codes(args.codes))
+    findings = run_lint(*_roots(args))
     for finding in findings:
         print(finding.format())
     counts = Counter(finding.code for finding in findings)
@@ -64,8 +51,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    package_root = Path(args.package_root) if args.package_root else _PACKAGE_ROOT
-    ctx = load_context(package_root, schema_baseline=_baseline_path(args))
+    ctx = load_context(*_roots(args))
     facts = format_facts(ctx)
     if not facts:
         print("reprolint: no format groups found; baseline unchanged")
@@ -93,10 +79,6 @@ def main(argv: list[str] | None = None) -> int:
 
     lint = sub.add_parser("lint", help="run the invariant checks")
     lint.add_argument(
-        "--codes",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    lint.add_argument(
         "--package-root",
         help="package directory to lint (default: the installed repro package)",
     )
@@ -123,7 +105,11 @@ def main(argv: list[str] | None = None) -> int:
     rules.set_defaults(func=_cmd_rules)
 
     args = parser.parse_args(argv)
-    result: int = args.func(args)
+    try:
+        result: int = args.func(args)
+    except SyntaxError as exc:
+        print(f"{exc.filename}:{exc.lineno}: syntax error: {exc.msg}")
+        return 2
     return result
 
 

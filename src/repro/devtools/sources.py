@@ -10,12 +10,8 @@ tiny synthetic trees instead of the live repository.
 Suppression syntax (documented in ``docs/devtools.md``)::
 
     value = os.environ.get(name)  # reprolint: disable=RPL001
-    # reprolint: disable-file=RPL002,RPL004
 
-``disable=`` silences the named codes on its own line; ``disable-file=``
-(anywhere in the file, conventionally at the top) silences them for the
-whole file. ``disable=all`` exists for generated code but should never
-appear in hand-written sources.
+``disable=`` silences the named codes on its own line, and nowhere else.
 """
 
 from __future__ import annotations
@@ -27,25 +23,19 @@ from pathlib import Path
 
 #: One suppression comment: ``# reprolint: disable=RPL001[,RPL002]``.
 _SUPPRESS_RE = re.compile(
-    r"#\s*reprolint:\s*(?P<scope>disable|disable-file)\s*=\s*"
-    r"(?P<codes>(?:all|RPL\d{3})(?:\s*,\s*(?:all|RPL\d{3}))*)"
+    r"#\s*reprolint:\s*disable\s*=\s*(?P<codes>RPL\d{3}(?:\s*,\s*RPL\d{3})*)"
 )
 
 
-def parse_suppressions(text: str) -> tuple[dict[int, set[str]], set[str]]:
-    """``(line -> codes, file-wide codes)`` from a module's source text."""
+def parse_suppressions(text: str) -> dict[int, set[str]]:
+    """``line -> suppressed codes`` from a module's source text."""
     per_line: dict[int, set[str]] = {}
-    per_file: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         match = _SUPPRESS_RE.search(line)
-        if match is None:
-            continue
-        codes = {code.strip() for code in match.group("codes").split(",")}
-        if match.group("scope") == "disable-file":
-            per_file |= codes
-        else:
+        if match is not None:
+            codes = {code.strip() for code in match.group("codes").split(",")}
             per_line.setdefault(lineno, set()).update(codes)
-    return per_line, per_file
+    return per_line
 
 
 @dataclass(frozen=True)
@@ -65,33 +55,22 @@ class Finding:
 class SourceFile:
     """One parsed module of the tree under lint."""
 
-    path: Path
     #: Path relative to the *package* root, posix-style — the stable name
     #: rules key on (e.g. ``runtime/cache.py``).
     modrel: str
     #: Path to display in findings (repo-relative when known).
     rel: str
-    text: str
     tree: ast.Module
     line_suppressions: dict[int, set[str]] = field(default_factory=dict)
-    file_suppressions: set[str] = field(default_factory=set)
 
     def suppressed(self, code: str, line: int) -> bool:
-        if code in self.file_suppressions or "all" in self.file_suppressions:
-            return True
-        codes = self.line_suppressions.get(line, ())
-        return code in codes or "all" in codes
+        return code in self.line_suppressions.get(line, ())
 
 
 @dataclass
 class LintContext:
     """Everything a rule may look at."""
 
-    #: The ``repro`` package directory being linted.
-    package_root: Path
-    #: The repository root (docs live here); equals ``package_root`` in
-    #: synthetic test trees without one.
-    repo_root: Path
     sources: list[SourceFile]
     #: The committed RPL004 fingerprint baseline (JSON file).
     schema_baseline: Path
@@ -114,48 +93,31 @@ class LintContext:
 
 
 def load_context(
-    package_root: Path,
-    repo_root: Path | None = None,
-    schema_baseline: Path | None = None,
+    package_root: Path, schema_baseline: Path | None = None
 ) -> LintContext:
     """Parse every module under ``package_root`` into a lint context.
 
-    A file that does not parse is reported by the lint driver as a hard
-    error before any rule runs, so rules may assume every tree is valid.
+    A file that does not parse raises :class:`SyntaxError` with its
+    display path as ``filename``; the CLI reports it as a hard error
+    before any rule runs, so rules may assume every tree is valid.
     """
     package_root = package_root.resolve()
-    if repo_root is None:
-        # src/repro -> the directory containing src/ is the repo root.
-        repo_root = (
-            package_root.parents[1]
-            if package_root.parent.name == "src"
-            else package_root
-        )
+    # src/repro -> findings name paths from the directory containing src/.
+    display_root = (
+        package_root.parents[1] if package_root.parent.name == "src" else package_root
+    )
     sources: list[SourceFile] = []
     for path in sorted(package_root.rglob("*.py")):
         text = path.read_text()
-        tree = ast.parse(text, filename=str(path))
-        per_line, per_file = parse_suppressions(text)
-        try:
-            rel = str(path.relative_to(repo_root))
-        except ValueError:
-            rel = str(path)
+        rel = str(path.relative_to(display_root))
         sources.append(
             SourceFile(
-                path=path,
                 modrel=path.relative_to(package_root).as_posix(),
                 rel=rel,
-                text=text,
-                tree=tree,
-                line_suppressions=per_line,
-                file_suppressions=per_file,
+                tree=ast.parse(text, filename=rel),
+                line_suppressions=parse_suppressions(text),
             )
         )
     if schema_baseline is None:
         schema_baseline = Path(__file__).resolve().parent / "schema_baseline.json"
-    return LintContext(
-        package_root=package_root,
-        repo_root=repo_root,
-        sources=sources,
-        schema_baseline=schema_baseline,
-    )
+    return LintContext(sources=sources, schema_baseline=schema_baseline)

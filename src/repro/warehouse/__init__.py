@@ -21,9 +21,8 @@ from .core import (
 )
 from .queries import QUERIES, lookup_cell
 
-#: The canned query names the CLI exposes. RPL006 pins this literal
-#: against the ``QUERIES`` registry keys in :mod:`repro.warehouse.queries`.
-QUERY_NAMES = ("contour", "sensitivity")
+#: The canned query names the CLI exposes.
+QUERY_NAMES = tuple(QUERIES)
 
 __all__ = [
     "DB_NAME",

@@ -309,8 +309,7 @@ def render_sensitivity(
     return "\n".join(lines).rstrip() + "\n"
 
 
-#: Query name -> renderer; RPL006 pins this against ``QUERY_NAMES`` in
-#: the package ``__init__`` so the CLI, docs, and registry cannot drift.
+#: Query name -> renderer; the package's ``QUERY_NAMES`` is its keys.
 QUERIES = {
     "contour": render_contour,
     "sensitivity": render_sensitivity,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import BTBParams, PredictorParams
-from repro.branch.btb import BasicBlockBTB, BTBEntry, BTBPrefetchBuffer, ConventionalBTB
+from repro.branch.btb import BasicBlockBTB, BTBEntry, BTBPrefetchBuffer
 from repro.branch.predictors import (
     AlwaysTakenPredictor,
     BimodalPredictor,
@@ -119,22 +119,6 @@ class TestBTBPrefetchBuffer:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             BTBPrefetchBuffer(0)
-
-
-class TestConventionalBTB:
-    def test_taken_branch_learning(self):
-        btb = ConventionalBTB(BTBParams(entries=64, assoc=4))
-        btb.insert(0x104, int(BranchKind.JUMP), 0x2000)
-        assert btb.lookup(0x104) == (int(BranchKind.JUMP), 0x2000)
-
-    def test_miss_is_ambiguous_none(self):
-        btb = ConventionalBTB(BTBParams(entries=64, assoc=4))
-        assert btb.lookup(0x104) is None
-
-    def test_rejects_cond_without_target(self):
-        btb = ConventionalBTB(BTBParams(entries=64, assoc=4))
-        with pytest.raises(ValueError):
-            btb.insert(0x104, int(BranchKind.COND), 0)
 
 
 class TestRAS:

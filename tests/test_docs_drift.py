@@ -3,7 +3,8 @@
 Same gate CI runs (`python scripts/generate_docs_tables.py --check`):
 adding an exhibit, sweep, or paper claim without regenerating the docs is
 a test failure, not a silent drift. README's environment-variable table is
-hand-written, so it is checked against ``REPRO_ENV_OPTIONS`` directly.
+hand-written, so it is checked against ``REPRO_ENV_OPTIONS`` directly, and
+the lint-rule reference must cover ``repro.devtools.RULES`` and stay linked.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import re
 import sys
 from pathlib import Path
 
+from repro.devtools import RULES
 from repro.envopts import REPRO_ENV_OPTIONS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -57,3 +59,13 @@ def test_readme_env_table_matches_the_registry():
     assert registered - UNDOCUMENTED_ENV_OPTIONS - rows == set(), (
         "registered variables missing from README's table"
     )
+
+
+def test_devtools_doc_names_every_rule():
+    doc = (REPO_ROOT / "docs" / "devtools.md").read_text()
+    assert [code for code in RULES if code not in doc] == []
+
+
+def test_devtools_doc_is_linked():
+    for rel in ("README.md", "docs/architecture.md"):
+        assert "devtools.md" in (REPO_ROOT / rel).read_text(), rel

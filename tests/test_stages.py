@@ -23,6 +23,7 @@ import pytest
 from repro import Simulator, load_workload, make_config
 from repro.branch.ras import ReturnAddressStack
 from repro.core import MECHANISMS
+from repro.core.results import aggregate_stage_counters
 from repro.core.stages import (
     CAUSE_BTB,
     CAUSE_COND,
@@ -205,14 +206,14 @@ class TestPrefetchIssueMux:
 
 
 class TestStageComposition:
-    def _stages(self, mechanism, **overrides):
+    def _engine(self, mechanism, **overrides):
         wl = load_workload("streaming", scale=0.05)
         from repro.core.engine import FrontEndEngine
 
-        return FrontEndEngine(wl, make_config(mechanism, **overrides)).stages
+        return FrontEndEngine(wl, make_config(mechanism, **overrides))
 
     def _names(self, mechanism, **overrides):
-        return [type(s).__name__ for s in self._stages(mechanism, **overrides)]
+        return [type(s).__name__ for s in self._engine(mechanism, **overrides).stages]
 
     def test_shared_spine_everywhere(self):
         for mech in MECHANISMS:
@@ -246,6 +247,18 @@ class TestStageComposition:
     def test_stream_mechanisms_compose_stream_issue(self):
         for mech in ("next_line", "dip", "pif", "shift", "confluence"):
             assert "StreamPrefetchIssue" in self._names(mech), mech
+
+    def test_counter_namespaces_are_disjoint(self):
+        """``aggregate_stage_counters`` merges with ``dict.update``: a key
+        written twice (by two stages, or by a stage and the shared blocks)
+        would silently drop one count from the results."""
+        for mech in MECHANISMS:
+            engine = self._engine(mech)
+            shared = (engine.btb, engine.btb_pf_buffer, engine.ftq, engine.mem)
+            flat = aggregate_stage_counters(0, 0, engine.stages, *shared)
+            own = [len(stage.counters()) for stage in engine.stages]
+            reserved = aggregate_stage_counters(0, 0, (), *shared)
+            assert len(flat) == len(reserved) + sum(own), mech
 
 
 class TestGoldenEquivalence:
