@@ -23,7 +23,7 @@ the usual flag > env > default precedence in
 
 #: The fidelity tiers, in escalating-trust order. The authoritative
 #: registry the ``REPRO_FIDELITY`` envopts choices must mirror
-#: (tests/test_public_api.py checks it).
+#: (``registry_drift`` in tests/invariants.py checks it).
 FIDELITY_NAMES = ("exact", "analytic", "hybrid")
 
 from .model import (  # noqa: E402

@@ -4,21 +4,41 @@ Every rule gets a bad fixture (asserting the exact RPLxxx code fires)
 and a good fixture (asserting it stays quiet), all built as tiny
 synthetic package trees — plus the one test that matters most in CI:
 the live tree lints clean.
+
+The retired rules RPL003, RPL005, RPL006 and RPL007 keep their fixtures
+here, now seeded into the imported objects and run through the checks in
+``tests/invariants.py`` that replaced them.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import textwrap
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import pytest
 
+from invariants import (
+    counter_collisions,
+    devtools_doc_gaps,
+    digest_blind_leaves,
+    load_docs_generator,
+    registry_drift,
+)
+from repro import load_workload
+from repro.core.engine import FrontEndEngine
+from repro.core.mechanisms import _TRAITS, MECHANISMS, STAGE_COMPOSERS, make_config
 from repro.devtools import RULES, run_lint
 from repro.devtools.__main__ import main as devtools_main
 from repro.devtools.formats import format_facts, write_baseline
 from repro.devtools.rules import _DURABLE_MODULES
 from repro.devtools.sources import load_context, parse_suppressions
+from repro.envopts import REPRO_ENV_OPTIONS, EnvOption
+from repro.experiments.sweeps import SWEEPS
+from repro.workloads.profiles import PROFILE_SETS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
@@ -145,6 +165,60 @@ class TestRPL002:
 
 
 # ---------------------------------------------------------------------------
+# RPL003 (retired) — config-digest coverage, now a walk over the config objects
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Nested:
+    xs: tuple[int, ...] = (1, 2)
+    mapping: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _BadConfig:
+    a: int = 1
+    b: _Nested = _Nested()
+    anything: object = 0
+
+
+@dataclass(frozen=True)
+class _Inner:
+    pair: tuple[tuple[str, float], ...] = (("x", 1.0),)
+
+
+@dataclass(frozen=True)
+class _GoodConfig:
+    KNOWN: ClassVar[dict] = {}
+    a: int = 1
+    b: _Inner = _Inner()
+    c: str | None = None
+    d: tuple[int, ...] = (1, 2)
+
+
+class TestRPL003:
+    def test_uncanonicalizable_fields_flagged(self):
+        problems = digest_blind_leaves(_BadConfig())
+        assert len(problems) == 2
+        assert any(p.startswith("_BadConfig.b.mapping:") for p in problems)
+        assert any(p.startswith("_BadConfig.anything:") for p in problems)
+
+    def test_unreachable_dataclass_not_checked(self):
+        # _Nested's dict field is flagged where a walk reaches it, only there.
+        assert len(digest_blind_leaves(_Nested())) == 1
+        assert digest_blind_leaves(_GoodConfig()) == []
+
+    def test_good_annotations_clean(self):
+        assert digest_blind_leaves(_GoodConfig()) == []
+
+    def test_live_config_tree_is_exhaustive(self):
+        # Every config the mechanism registry builds and every registered
+        # profile, not just the defaults test_every_layer_contributes walks.
+        roots = [make_config(m) for m in MECHANISMS] + list(PROFILE_SETS["all"])
+        assert [p for root in roots for p in digest_blind_leaves(root)] == []
+
+
+# ---------------------------------------------------------------------------
 # RPL004 — schema-tag drift
 # ---------------------------------------------------------------------------
 
@@ -234,6 +308,172 @@ class TestRPL004:
             (PACKAGE_ROOT / "devtools" / "schema_baseline.json").read_text()
         )
         assert set(baseline) == set(format_facts(ctx))
+
+
+# ---------------------------------------------------------------------------
+# RPL005 (retired) — counter namespaces, now checked on the composed stages
+# ---------------------------------------------------------------------------
+
+
+class _FetchUnit:
+    def counters(self):
+        return {"stalls": 1}
+
+
+class _BPUStage:
+    def counters(self):
+        return {"stalls": 2}
+
+
+class _SubBPU(_BPUStage):
+    pass
+
+
+class _QuietUnit:
+    def counters(self):
+        return {"quiet_hits": 3}
+
+
+@pytest.fixture(scope="module")
+def boomerang_engine():
+    return FrontEndEngine(
+        load_workload("streaming", scale=0.05), make_config("boomerang")
+    )
+
+
+class TestRPL005:
+    def test_cross_stage_collision_flagged(self, boomerang_engine):
+        [clash] = counter_collisions([_FetchUnit(), _BPUStage()], boomerang_engine)
+        assert clash == "'stalls': _FetchUnit and _BPUStage"
+
+    def test_collision_via_inherited_counters(self, boomerang_engine):
+        # _SubBPU declares no counters() of its own; it inherits
+        # _BPUStage's keys, which still collide with _FetchUnit's.
+        clashes = counter_collisions([_FetchUnit(), _SubBPU()], boomerang_engine)
+        assert clashes == ["'stalls': _FetchUnit and _SubBPU"]
+        # The same on real stages: a subclass of boomerang's BPU stage
+        # composed next to it writes every inherited key twice.
+        [stage] = [s for s in boomerang_engine.stages if type(s).__name__ == "MissProbeBPU"]
+        assert stage.counters()
+        clone = copy.copy(stage)
+        clone.__class__ = type("SubStage", (type(stage),), {"__slots__": ()})
+        assert counter_collisions(
+            [*boomerang_engine.stages, clone], boomerang_engine
+        )
+
+    def test_reserved_aggregate_key_flagged(self, boomerang_engine):
+        class CycleThief:
+            def counters(self):
+                return {"cycles": 9}
+
+        class MissThief:
+            def counters(self):
+                return dict.fromkeys(boomerang_engine.mem.counters(), 0)
+
+        [clash] = counter_collisions([CycleThief()], boomerang_engine)
+        assert clash == "'cycles': aggregate_stage_counters and CycleThief"
+        assert counter_collisions([MissThief()], boomerang_engine)
+
+    def test_composition_through_helpers_resolved(self, boomerang_engine):
+        # The check reads the composed stage tuple, so stages a composer
+        # builds through the shared _spine helper are in it.
+        stages = boomerang_engine.stages
+        names = [type(s).__name__ for s in stages]
+        for helper_built in ("SquashUnit", "RetireUnit", "DecodeDispatch", "FetchUnit"):
+            assert helper_built in names
+        fetch = stages[names.index("FetchUnit")]
+        assert counter_collisions(stages, boomerang_engine) == []
+        assert counter_collisions([*stages, copy.copy(fetch)], boomerang_engine)
+
+    def test_disjoint_namespaces_clean(self, boomerang_engine):
+        assert counter_collisions([_FetchUnit(), _QuietUnit()], boomerang_engine) == []
+
+
+# ---------------------------------------------------------------------------
+# RPL006 (retired) — registry agreement, now set checks on the registries
+# ---------------------------------------------------------------------------
+
+
+class TestRPL006:
+    def test_mechanism_registry_drift_flagged(self):
+        ghost = {**STAGE_COMPOSERS, "ghost": STAGE_COMPOSERS["none"]}
+        missing = {k: v for k, v in STAGE_COMPOSERS.items() if k != "pif"}
+        assert registry_drift(composers=ghost) == [
+            "STAGE_COMPOSERS keys disagree with MECHANISMS on ['ghost']"
+        ]
+        assert registry_drift(composers=missing) == [
+            "STAGE_COMPOSERS keys disagree with MECHANISMS on ['pif']"
+        ]
+        # _TRAITS is the single source: the tuple cannot drift from it.
+        assert MECHANISMS == tuple(_TRAITS)
+
+    def test_env_choices_drift_flagged(self):
+        backend = REPRO_ENV_OPTIONS["REPRO_BACKEND"]
+        options = {
+            **REPRO_ENV_OPTIONS,
+            "REPRO_BACKEND": replace(backend, choices=("auto", "serial")),
+        }
+        assert registry_drift(env_options=options) == [
+            "REPRO_BACKEND choices disagree with its registry"
+        ]
+        extra = EnvOption("REPRO_EXTRA", "unregistered choice", choices=("a",))
+        options = {**REPRO_ENV_OPTIONS, extra.name: extra}
+        assert registry_drift(env_options=options) == [
+            "env options with choices disagree on ['REPRO_EXTRA']"
+        ]
+
+    def test_unknown_sweep_exhibit_flagged(self):
+        bad = replace(SWEEPS["smoke"], name="bad", exhibit="figure_99")
+        assert registry_drift(sweeps={**SWEEPS, "bad": bad}) == [
+            "sweep 'bad' names unknown exhibit 'figure_99'"
+        ]
+
+    def test_live_registries_consistent(self):
+        assert registry_drift() == []
+
+
+# ---------------------------------------------------------------------------
+# RPL007 (retired) — docs drift, now checked on the docs and the generator
+# ---------------------------------------------------------------------------
+
+
+class TestRPL007:
+    def _repo(self, tmp_path, *, rule_doc=True, linked=True):
+        (tmp_path / "docs").mkdir()
+        codes = " ".join(sorted(RULES)) if rule_doc else "RPL001 only"
+        (tmp_path / "docs" / "devtools.md").write_text(f"# reprolint\n{codes}\n")
+        link = "see docs/devtools.md" if linked else "no link here"
+        (tmp_path / "README.md").write_text(link + "\n")
+        (tmp_path / "docs" / "architecture.md").write_text(link + "\n")
+        return tmp_path
+
+    def test_missing_generated_marker_flagged(self):
+        generator = load_docs_generator()
+        committed = generator.DOC_PATH.read_text()
+        for name in generator.BLOCKS:
+            for end in ("begin", "end"):
+                marker = f"<!-- generated:{end} {name} -->\n"
+                assert marker in committed
+                with pytest.raises(SystemExit, match=f"lost its {name!r} markers"):
+                    generator.render(committed.replace(marker, ""))
+
+    def test_undocumented_rule_flagged(self, tmp_path):
+        assert devtools_doc_gaps(self._repo(tmp_path, rule_doc=False)) == [
+            f"{code} is not in docs/devtools.md" for code in RULES if code != "RPL001"
+        ]
+        # A rule registered in the live tree without its doc entry.
+        assert devtools_doc_gaps(REPO_ROOT, {**RULES, "RPL008": None}) == [
+            "RPL008 is not in docs/devtools.md"
+        ]
+
+    def test_unlinked_doc_flagged(self, tmp_path):
+        assert devtools_doc_gaps(self._repo(tmp_path, linked=False)) == [
+            "README.md does not link docs/devtools.md",
+            "docs/architecture.md does not link docs/devtools.md",
+        ]
+
+    def test_complete_docs_clean(self, tmp_path):
+        assert devtools_doc_gaps(self._repo(tmp_path)) == []
 
 
 # ---------------------------------------------------------------------------

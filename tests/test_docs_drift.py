@@ -9,32 +9,17 @@ the lint-rule reference must cover ``repro.devtools.RULES`` and stay linked.
 
 from __future__ import annotations
 
-import importlib.util
 import re
-import sys
 from pathlib import Path
 
-from repro.devtools import RULES
+from invariants import devtools_doc_gaps, load_docs_generator
 from repro.envopts import REPRO_ENV_OPTIONS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_generator():
-    sys.path.insert(0, str(REPO_ROOT / "scripts"))
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "generate_docs_tables", REPO_ROOT / "scripts" / "generate_docs_tables.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-    finally:
-        sys.path.remove(str(REPO_ROOT / "scripts"))
-
-
 def test_docs_tables_match_registries():
-    generator = _load_generator()
+    generator = load_docs_generator()
     committed = generator.DOC_PATH.read_text()
     assert generator.render(committed) == committed, (
         "docs/experiments.md is stale — regenerate with "
@@ -43,7 +28,7 @@ def test_docs_tables_match_registries():
 
 
 def test_check_mode_reports_clean():
-    generator = _load_generator()
+    generator = load_docs_generator()
     assert generator.main(["--check"]) == 0
 
 
@@ -61,11 +46,5 @@ def test_readme_env_table_matches_the_registry():
     )
 
 
-def test_devtools_doc_names_every_rule():
-    doc = (REPO_ROOT / "docs" / "devtools.md").read_text()
-    assert [code for code in RULES if code not in doc] == []
-
-
-def test_devtools_doc_is_linked():
-    for rel in ("README.md", "docs/architecture.md"):
-        assert "devtools.md" in (REPO_ROOT / rel).read_text(), rel
+def test_devtools_doc_is_complete_and_linked():
+    assert devtools_doc_gaps(REPO_ROOT) == []

@@ -5,12 +5,6 @@ import importlib
 import pytest
 
 import repro
-from repro.analytic import FIDELITY_NAMES
-from repro.core.mechanisms import MECHANISMS, STAGE_COMPOSERS
-from repro.envopts import REPRO_ENV_OPTIONS
-from repro.experiments.common import SCALES
-from repro.runtime.executors import BACKEND_NAMES
-from repro.workloads.profiles import PROFILE_SETS
 
 
 class TestTopLevelExports:
@@ -28,26 +22,6 @@ class TestTopLevelExports:
 
     def test_profiles_exported(self):
         assert len(repro.ALL_PROFILES) == 6
-
-
-class TestRegistryAgreement:
-    """Registries that name the same things must agree as sets: a CLI
-    that accepts a name the engine rejects fails three calls later."""
-
-    def test_every_mechanism_has_a_composer(self):
-        assert set(STAGE_COMPOSERS) == set(MECHANISMS)
-
-    def test_env_choices_match_their_registries(self):
-        registries = {
-            "REPRO_BACKEND": BACKEND_NAMES,
-            "REPRO_SCALE": SCALES,
-            "REPRO_WORKLOAD_SET": PROFILE_SETS,
-            "REPRO_FIDELITY": FIDELITY_NAMES,
-        }
-        with_choices = {name for name, opt in REPRO_ENV_OPTIONS.items() if opt.choices}
-        assert with_choices == set(registries)
-        for name, registry in registries.items():
-            assert set(REPRO_ENV_OPTIONS[name].choices) == set(registry), name
 
 
 class TestSubpackageImports:

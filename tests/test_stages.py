@@ -20,10 +20,10 @@ from collections import deque
 
 import pytest
 
+from invariants import counter_collisions
 from repro import Simulator, load_workload, make_config
 from repro.branch.ras import ReturnAddressStack
 from repro.core import MECHANISMS
-from repro.core.results import aggregate_stage_counters
 from repro.core.stages import (
     CAUSE_BTB,
     CAUSE_COND,
@@ -254,11 +254,7 @@ class TestStageComposition:
         would silently drop one count from the results."""
         for mech in MECHANISMS:
             engine = self._engine(mech)
-            shared = (engine.btb, engine.btb_pf_buffer, engine.ftq, engine.mem)
-            flat = aggregate_stage_counters(0, 0, engine.stages, *shared)
-            own = [len(stage.counters()) for stage in engine.stages]
-            reserved = aggregate_stage_counters(0, 0, (), *shared)
-            assert len(flat) == len(reserved) + sum(own), mech
+            assert counter_collisions(engine.stages, engine) == [], mech
 
 
 class TestGoldenEquivalence:
