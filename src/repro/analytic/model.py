@@ -1,36 +1,42 @@
 """Closed-form per-series performance model with an empirical error bound.
 
 The exact engine's response over the (LLC round trip, BTB capacity) plane
-is smooth for a fixed (workload, mechanism, everything-else) *series*:
-CPI grows linearly in the round trip ``L`` (every uncovered miss drags in
-a full trip) and in the BTB-pressure feature ``p``
-(:meth:`~repro.workloads.profiles.WorkloadProfile.btb_pressure`), with an
-interaction term because BTB-miss-induced stalls are themselves paid in
-round trips. So each series is fit with ordinary least squares on the
-four-term basis::
+is smooth for a fixed (workload, mechanism, everything-else) *series*,
+but not linear: CPI grows convexly in the round trip ``L``. On oracle's
+``none`` series at quick scale, CPI climbs 0.019 per cycle of ``L``
+between 1 and 40 and 0.023 between 40 and 70, while log(CPI) climbs
+0.0073 and 0.0071 — nearly straight. So each series is fit with
+ordinary least squares on a four-term basis in **log-CPI** space::
 
-    CPI(L, p) = c0 + c1·L + c2·p + c3·L·p
+    CPI(L, p) = exp(c0 + c1·L + c2·p + c3·L·p)
 
-calibrated against a small grid of **anchor** cells the exact engine
-actually simulated (the lumos idiom: a closed-form model with scaling
-factors fit from reference points). Total stall cycles are fit on the
-same basis; retirement count and the stall seq/cond/uncond split are
-carried over from the anchors (both are axis-invariant within a series
-to first order).
+where ``p`` is the BTB-pressure feature
+(:meth:`~repro.workloads.profiles.WorkloadProfile.btb_pressure`).
+Latency and pressure scale CPI rather than add to it, and the ``L·p``
+term lets BTB-miss-induced stalls, themselves paid in round trips,
+steepen the latency slope. The fit is calibrated against a small grid
+of **anchor** cells the exact engine actually simulated (the lumos
+idiom: a closed-form model with scaling factors fit from reference
+points). Total stall cycles are fit linearly on the same basis;
+retirement count and the stall seq/cond/uncond split are carried over
+from the anchors (both are axis-invariant within a series to first
+order).
 
 **Error bound.** Each fit carries an empirical relative-error bound from
 leave-one-out cross-validation over its own anchors: refit without one
 anchor, predict it, record the relative CPI error; the bound is the worst
 held-out error times a safety factor plus a floor. It is an *empirical*
 bound — interpolated cells sit inside the anchor hull where the LOO
-probes are hardest, and ``tests/test_analytic.py`` asserts it holds
-against exact ground truth for every mechanism. Speedups divide two
-modeled CPIs, so their bound composes multiplicatively
-(:func:`combined_speedup_bound`).
+probes are hardest, ``tests/test_analytic.py`` asserts it holds against
+exact ground truth for every mechanism, and ``scripts/analytic_audit.py``
+measures realized error against it over every profile's dense column.
+Speedups divide two modeled CPIs, so their bound composes
+multiplicatively (:func:`combined_speedup_bound`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,18 +117,17 @@ def _dot(coeffs: tuple[float, ...], features: tuple[float, ...]) -> float:
 
 
 def _loo_bound(
-    points: Sequence[tuple[float, float]], values: Sequence[float]
+    points: Sequence[tuple[float, float]], log_cpis: Sequence[float]
 ) -> float:
-    """Leave-one-out worst relative error, safety-scaled and floored."""
+    """Leave-one-out worst relative CPI error, safety-scaled and floored."""
     worst = 0.0
     for hold in range(len(points)):
         rest_points = [p for i, p in enumerate(points) if i != hold]
-        rest_values = [v for i, v in enumerate(values) if i != hold]
+        rest_values = [v for i, v in enumerate(log_cpis) if i != hold]
         coeffs = _lstsq(rest_points, rest_values)
-        predicted = _dot(coeffs, _features(*points[hold]))
-        actual = values[hold]
-        if actual > 0.0:
-            worst = max(worst, abs(predicted - actual) / actual)
+        predicted = math.exp(_dot(coeffs, _features(*points[hold])))
+        actual = math.exp(log_cpis[hold])
+        worst = max(worst, abs(predicted - actual) / actual)
     return worst * _BOUND_SAFETY + _BOUND_FLOOR
 
 
@@ -132,6 +137,7 @@ class SeriesFit:
 
     workload: str
     mechanism: str
+    #: Coefficients of log(CPI) on the four-term basis.
     cpi_coeffs: tuple[float, ...]
     stall_coeffs: tuple[float, ...]
     #: Retired-instruction count (axis-invariant: the measured trace
@@ -160,7 +166,7 @@ class SeriesFit:
         and its error bound wherever it travels.
         """
         row = _features(latency, pressure)
-        cpi = max(1e-9, _dot(self.cpi_coeffs, row))
+        cpi = math.exp(_dot(self.cpi_coeffs, row))
         stall = max(0.0, _dot(self.stall_coeffs, row))
         raw: dict[str, float] = {
             "cycles": cpi * self.retired,
@@ -190,19 +196,19 @@ def fit_series(
             f"got {len(anchors)}"
         )
     points = [(a.latency, a.pressure) for a in anchors]
-    cpis: list[float] = []
+    log_cpis: list[float] = []
     stalls: list[float] = []
     for anchor in anchors:
         retired = anchor.result.instructions
-        if retired <= 0:
+        if retired <= 0 or anchor.result.cycles <= 0:
             raise AnalyticFitError(
-                f"anchor for {workload!r}/{mechanism!r} retired no instructions"
+                f"anchor for {workload!r}/{mechanism!r} has no positive CPI"
             )
-        cpis.append(anchor.result.cycles / retired)
+        log_cpis.append(math.log(anchor.result.cycles / retired))
         stalls.append(float(anchor.result.stall_cycles))
-    cpi_coeffs = _lstsq(points, cpis)
+    cpi_coeffs = _lstsq(points, log_cpis)
     stall_coeffs = _lstsq(points, stalls)
-    rel_err_bound = _loo_bound(points, cpis)
+    rel_err_bound = _loo_bound(points, log_cpis)
     totals = [0.0, 0.0, 0.0]
     for anchor in anchors:
         for i, key in enumerate(_STALL_KEYS):

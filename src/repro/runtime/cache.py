@@ -20,14 +20,15 @@ error.
 
 :data:`SCHEMA_TAG` versions every record and is derived automatically: a
 manual major tag plus a fingerprint of the simulator-side source tree
-(everything under ``repro`` except the ``experiments``/``runtime`` and
-``analysis`` layers — consumers of raw results, which cannot affect the
-cached counters themselves). Any change to engine semantics,
-counters, workload generation or config defaults therefore orphans old
-records without anyone having to remember a version bump — the same
-no-hand-maintained-list principle as the config digest. Stale-tag records
-are simply never read (they live under the old tag's directory) and can be
-deleted at leisure.
+(everything under ``repro`` except the ``experiments``/``runtime``/
+``analysis``/``analytic``/``warehouse`` layers, which consume raw
+results and cannot affect the cached counters themselves, the
+``devtools`` linter and the ``__main__.py`` command-line entry points).
+Any change to engine semantics, counters, workload generation or config
+defaults therefore orphans old records without anyone having to remember
+a version bump — the same no-hand-maintained-list principle as the
+config digest. Stale-tag records are simply never read (they live under
+the old tag's directory) and can be deleted at leisure.
 """
 
 from __future__ import annotations
@@ -52,17 +53,31 @@ _SCHEMA_MAJOR = "engine-v2"
 #: :mod:`repro.analytic.store`, so a model change orphans estimates
 #: without orphaning the exact records they were calibrated from.
 #: ``warehouse`` only *reads* the stores into its SQLite snapshot — an
-#: edit there must never orphan the records it consolidates.
-_NON_SEMANTIC_DIRS = ("experiments", "runtime", "analysis", "analytic", "warehouse")
+#: edit there must never orphan the records it consolidates. ``devtools``
+#: only reads source text (the linter).
+_NON_SEMANTIC_DIRS = (
+    "experiments",
+    "runtime",
+    "analysis",
+    "analytic",
+    "warehouse",
+    "devtools",
+)
+
+#: The ``repro`` package directory whose sources are fingerprinted.
+_PKG_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _source_fingerprint() -> str:
-    """Hash every simulator-side source file under the ``repro`` package."""
-    pkg_root = Path(__file__).resolve().parents[1]
+def _source_fingerprint(pkg_root: Path = _PKG_ROOT) -> str:
+    """Hash every simulator-side source file under the ``repro`` package.
+
+    Command-line entry points (``__main__.py``) are skipped wherever they
+    live: they parse flags and print, and never feed a simulation.
+    """
     digest = hashlib.sha256()
     for path in sorted(pkg_root.rglob("*.py")):
         rel = path.relative_to(pkg_root)
-        if rel.parts[0] in _NON_SEMANTIC_DIRS:
+        if rel.parts[0] in _NON_SEMANTIC_DIRS or path.name == "__main__.py":
             continue
         digest.update(str(rel).encode())
         digest.update(path.read_bytes())

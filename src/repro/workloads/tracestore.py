@@ -30,10 +30,10 @@ miss, never an error.
 
 :data:`TRACE_SCHEMA_TAG` mirrors :data:`repro.runtime.cache.SCHEMA_TAG`:
 a manual major tag plus a fingerprint of the workload-semantics sources
-(this package plus ``repro/config.py``, whose ``INSTR_BYTES``/
-``BLOCK_BYTES`` shape the layout). Any change to profiles, the builder,
-the walker or the storage representation orphans old records
-automatically.
+(this package but its ``__main__.py`` CLI, plus ``repro/config.py``,
+whose ``INSTR_BYTES``/``BLOCK_BYTES`` shape the layout). Any change to
+profiles, the builder, the walker or the storage representation orphans
+old records automatically.
 
 The CFG payload uses :mod:`pickle`, which is only safe for trusted data;
 records live in a local cache directory the user controls (the same trust
@@ -68,12 +68,20 @@ _MAGIC = b"BWKLD1\n"
 _NAME_DIGEST_CHARS = 16
 
 
-def _source_fingerprint() -> str:
-    """Hash every source file that can change a built workload."""
-    pkg_dir = Path(__file__).resolve().parent
+#: The ``repro`` package directory whose sources are fingerprinted.
+_PKG_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _source_fingerprint(pkg_root: Path = _PKG_ROOT) -> str:
+    """Hash every source file that can change a built workload.
+
+    The workload CLI (``__main__.py``) only inspects and prints, so it is
+    left out: editing it must not orphan stored builds.
+    """
+    pkg_dir = pkg_root / "workloads"
     digest = hashlib.sha256()
-    paths = sorted(pkg_dir.glob("*.py")) + [pkg_dir.parent / "config.py"]
-    for path in paths:
+    paths = [p for p in sorted(pkg_dir.glob("*.py")) if p.name != "__main__.py"]
+    for path in paths + [pkg_root / "config.py"]:
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:12]

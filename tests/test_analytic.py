@@ -17,11 +17,15 @@ rather than borrowed from the ground-truth pass.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analytic import (
     AnalyticStore,
+    AnchorPoint,
     combined_speedup_bound,
+    fit_series,
     is_analytic,
     parse_anchor_spec,
     plan_series,
@@ -29,6 +33,7 @@ from repro.analytic import (
     reported_bound,
 )
 from repro.core.mechanisms import MECHANISMS, make_config
+from repro.core.results import SimulationResult
 from repro.errors import ConfigError
 from repro.experiments.common import get_scale
 from repro.experiments.sweeps import get_sweep
@@ -76,6 +81,63 @@ def analytic_run(grid_jobs, tmp_path_factory):
     runtime = ExperimentRuntime(cache_dir=cache_dir, fidelity="analytic")
     results = dict(zip([j.key for j in grid_jobs], runtime.run_many(grid_jobs)))
     return runtime, results, cache_dir
+
+
+#: Retired instructions of the synthetic anchors below: large enough
+#: that truncating cycles to an integer moves no CPI past 1e-12.
+_RETIRED = 10**12
+
+
+def _anchors(points) -> list[AnchorPoint]:
+    """Anchor points from ``(latency, pressure, CPI)`` triples."""
+    return [
+        AnchorPoint(
+            latency=latency,
+            pressure=pressure,
+            result=SimulationResult(
+                workload=WL,
+                mechanism="none",
+                raw={"cycles": cpi * _RETIRED, "retired_instrs": _RETIRED},
+            ),
+        )
+        for latency, pressure, cpi in points
+    ]
+
+
+class TestModel:
+    """The closed-form fit on hand-written anchors: no simulation."""
+
+    def test_convex_latency_series_stays_under_escalation(self):
+        """Oracle's measured ``none`` anchors (quick scale, BTB 2048 and
+        32768): CPI is convex in latency, which a fit linear in CPI
+        cross-validates at 0.166 — past hybrid's 0.10 threshold."""
+        anchors = _anchors([
+            (1, 2.093, 2.2425), (1, 0.268, 2.1869),
+            (40, 2.093, 2.9858), (40, 0.268, 2.9284),
+            (70, 2.093, 3.6904), (70, 0.268, 3.6297),
+        ])
+        fit = fit_series("oracle", "none", anchors)
+        assert fit.rel_err_bound < 0.10
+
+    def test_log_bilinear_anchors_are_reproduced(self):
+        """CPI = exp(c0 + c1·L + c2·p + c3·L·p) is fit exactly: every
+        cell, anchor or interpolated, to 1e-9, and the bound is its floor."""
+
+        def cpi(latency, pressure):
+            return math.exp(0.7 + 0.006 * latency + 0.03 * pressure
+                            + 0.0004 * latency * pressure)
+
+        anchors = _anchors([
+            (lat, p, cpi(lat, p)) for lat in (1, 40, 70) for p in (0.268, 2.093)
+        ])
+        fit = fit_series(WL, "none", anchors)
+        assert fit.rel_err_bound == pytest.approx(0.01, abs=1e-9)
+        for lat in (1, 20, 40, 70):
+            for p in (0.268, 1.0, 2.093):
+                predicted = fit.predict(lat, p)
+                assert predicted.cycles / predicted.instructions == pytest.approx(
+                    cpi(lat, p), rel=1e-9
+                )
 
 
 class TestAnchorSpec:

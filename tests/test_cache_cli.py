@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +14,12 @@ from repro.runtime import (
     SCHEMA_TAG,
     ExperimentRuntime,
     ResultCache,
+    cache,
     prune_cache,
     scan_cache,
 )
 from repro.runtime.__main__ import main
+from repro.workloads import tracestore
 
 WL = "streaming"
 SCALE = 0.05
@@ -171,3 +175,48 @@ class TestCli:
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         with pytest.raises(SystemExit):
             main(["list"])
+
+
+class TestTagScope:
+    """Which sources the engine and trace-store tags fingerprint.
+
+    Each case edits a copy of the ``repro`` package, so the live tags
+    (and every cache keyed on them) are untouched.
+    """
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        package = Path(cache.__file__).resolve().parents[1]
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        return copy
+
+    @staticmethod
+    def _tags(root):
+        return (
+            cache._source_fingerprint(root),
+            tracestore._source_fingerprint(root),
+        )
+
+    @staticmethod
+    def _append_comment(path):
+        path.write_text(path.read_text() + "\n# an edit\n")
+
+    def test_copy_fingerprints_like_the_live_tree(self, tree):
+        assert self._tags(tree) == (
+            SCHEMA_TAG.rsplit("-", 1)[1],
+            tracestore.TRACE_SCHEMA_TAG.rsplit("-", 1)[1],
+        )
+
+    @pytest.mark.parametrize("rel", ["devtools/rules.py", "workloads/__main__.py"])
+    def test_tooling_edit_keeps_both_tags(self, tree, rel):
+        before = self._tags(tree)
+        self._append_comment(tree / rel)
+        assert self._tags(tree) == before
+
+    def test_workload_edit_moves_both_tags(self, tree):
+        before = self._tags(tree)
+        self._append_comment(tree / "workloads" / "builder.py")
+        after = self._tags(tree)
+        assert after[0] != before[0]
+        assert after[1] != before[1]
