@@ -2,9 +2,9 @@
 
 Trace-driven idiom: the engine calls :meth:`predict` for every conditional
 branch on the correct path and immediately :meth:`update`\\ s with the true
-outcome (the first time that dynamic branch is predicted). Wrong-path
-lookups call :meth:`predict` only, so speculative state never needs to be
-rolled back — see DESIGN.md section 5.4.
+outcome. Wrong-path lookups call :meth:`predict` only. ``predict`` has no
+training side (state changes only in ``update``), so speculative state never
+needs rolling back, and TAGE memoises its lookups between updates.
 """
 
 from __future__ import annotations

@@ -5,46 +5,36 @@ cycle model of the paper's core (Table I). The engine itself is thin —
 it builds the hardware blocks, asks :mod:`repro.core.mechanisms` to
 compose the mechanism's pipeline-stage list (:mod:`repro.core.stages`),
 then runs that list over a shared :class:`~repro.core.stages.PipelineState`
-once per cycle, in a fixed spine order every composition shares:
-
-1. **fill arrivals** — completed L1-I fills install (prefetch buffer or
-   L1-I); Confluence's variant predecodes arriving blocks into its BTB;
-2. **squash** — a resolved mispredicted/missed branch flushes the FTQ,
-   decode pipe and wrong-path ROB tail, restores the RAS and redirects the
-   BPU (cause recorded: BTB miss vs. direction vs. target — Figure 7);
-3. **retire** — up to commit-width instructions leave the ROB; retiring
-   blocks feed temporal-stream prefetchers (PIF/SHIFT monitor the retire
-   stream, which is why they lag on redirects — paper Section III-A);
-4. **decode→ROB** — delivered groups enter the back end after the decode
-   latency, subject to ROB occupancy;
-5. **fetch** — up to fetch-width instructions drain from the FTQ head; a
-   demand L1-I miss stalls fetch and is charged to the sequential /
-   conditional / unconditional class of the block's entry edge (Figure 3);
-6. **BPU** — one basic-block prediction per cycle; Boomerang's variant
-   resolves detected BTB misses by stalling for a predecode fill, others
-   degrade into a sequential run; wrong paths are really walked over the
-   static CFG so wrong-path prefetches genuinely fill (or pollute) the
-   prefetch buffer;
-7. **prefetch issue** (optional) — one L1-I probe per cycle, honouring
-   the priority mux: demand fetch > BTB miss probe > prefetch probe
-   (paper Fig. 6).
+once per cycle, in a fixed spine order every composition shares: fill
+arrivals, squash, retire, decode→ROB, fetch and the BPU, then optionally
+prefetch issue (the L1-I probe mux of paper Fig. 6). Each stage's module
+documents what it models.
 
 **The gated loop.** Most cycles most stages have nothing to do: fetch is
 parked on an L1-I miss, the BPU waits out a redirect bubble, no fill is
-due. Rather than calling every ``tick`` every cycle, the loop tests a
-*gate* per stage and calls ``tick`` only when the gate is open. The rule
-that keeps this exact: **each gate mirrors the early-out guard at the
-head of its tick**, so a gated-off tick is a no-op by that stage's own
-code. A gate may open more often than needed (the tick then returns at
-once), never less. Where an idle tick still counts something, its gate
-stays open on those cycles: fetch charges its stall class while parked
-on a miss, and the BPU counts wrong-path cycles and BTB-miss stall
-cycles. Every cycle is still visited — nothing is skipped or accrued in
-bulk — so the stats are those of ticking every stage every cycle.
+due. The loop tests a *gate* per stage and calls ``tick`` only when it is
+open, and jumps over runs of cycles on which nothing can move. Two rules
+keep the stats those of ticking every stage every cycle:
 
-The loop only ever calls ``stage.tick`` and only reads stage attributes
-(``name``, ``rob_size``, ``_scan_mark``), so delegating wrappers such as
-the profiler's timed stages see exactly the calls the loop makes.
+1. **Each gate mirrors the early-out guard at the head of its tick**, so
+   a gated-off tick is a no-op by that stage's own code. A gate may open
+   more often than needed (the tick then returns at once), never less.
+2. **Each ``idle`` mirrors its tick's idle counting.** On some cycles a
+   tick only counts: fetch charges its stall class while parked on a
+   miss, the BPU counts wrong-path and BTB-miss stall cycles. After a
+   cycle on which no stage did more, the state is frozen until the next
+   *wake* time, the earliest still ahead of: the first fill arrival, the
+   scheduled squash, the dispatch data stall, the decode-queue head,
+   ``fetch_ready``, ``bpu_stall_until``, the miss probe's ready cycle,
+   the stream prefetcher's queue head, and the cycle cap plus one (so a
+   livelock raises at the same cycle). The loop jumps there and calls
+   ``idle(state, cycle, n)`` on the fetch unit and the BPU, which accrue
+   the ``n`` skipped cycles in bulk.
+
+The loop only calls ``stage.tick`` and ``stage.idle`` and only reads
+stage attributes (``name``, ``rob_size``, ``_scan_mark``), so delegating
+wrappers such as the profiler's timed stages see exactly its calls. It
+records the cycles it visited, outside the stats, as ``visited_cycles``.
 
 All bookkeeping that remains here is run-scoped: the warmup/measured-region
 split, the cycle cap and the end-of-trace drain. Per-stage counters flatten
@@ -101,6 +91,8 @@ class FrontEndEngine:
         self.workload = workload
         self.config = config
         self.traits = traits_for(config.mechanism)
+        #: Cycles the last :meth:`run` visited (the rest were skipped idle).
+        self.visited_cycles = 0
 
         self.mem = InstructionMemory(config.memory, perfect=config.perfect_l1i)
         self.btb = BasicBlockBTB(config.btb)
@@ -150,6 +142,7 @@ class FrontEndEngine:
         fill_tick, squash_tick, retire_tick, decode_tick, fetch_tick, bpu_tick = (
             stage.tick for stage in stages[:6]
         )
+        fetch_idle, bpu_idle = stages[4].idle, stages[5].idle
         decode_rob_size = stages[3].rob_size
         fetch_rob_size = stages[4].rob_size
         # The optional seventh stage: an FTQ-scan engine (it keeps a
@@ -172,6 +165,7 @@ class FrontEndEngine:
         state = PipelineState(warmup_instrs=warmup_instrs, collect_counters=collect)
 
         cycle = 0
+        skipped_total = 0
         cycle_cap = _CYCLE_CAP_FACTOR * max(total_instrs, 1)
 
         # Loop-stable containers: stages mutate them in place (the squash
@@ -189,19 +183,24 @@ class FrontEndEngine:
                     f"{total_instrs} instructions) — engine livelock for "
                     f"{self.config.mechanism}"
                 )
+            # Set by every tick that can change state beyond idle counters.
+            busy = False
 
             # 1. fill — the earliest scheduled arrival is due.
             if arrivals and arrivals[0][0] <= cycle:
                 fill_tick(state, cycle)
+                busy = True
             # 2. squash — the scheduled squash cycle arrived.
             if state.squash_at <= cycle:
                 squash_tick(state, cycle)
+                busy = True
             # 3. retire — a correct-path ROB head, or the warmup snapshot
             #    is due (its threshold is re-checked after retiring).
             if (rob and not rob[0][1]) or (
                 state.warmup_snapshot is None and state.retired >= warmup_instrs
             ):
                 retire_tick(state, cycle)
+                busy = True
             # 4+5. decode, then fetch; both wait out the dispatch data
             #      stall, re-read after decode (which may arm a new one).
             if state.dispatch_stall_until <= cycle:
@@ -212,6 +211,7 @@ class FrontEndEngine:
                     and state.rob_instrs + decode_q[0][1] <= decode_rob_size
                 ):
                     decode_tick(state, cycle)
+                    busy = True
                 if state.dispatch_stall_until <= cycle:
                     if state.fetch_ready > cycle:
                         if state.stall_cls != -1:
@@ -221,17 +221,22 @@ class FrontEndEngine:
                         or state.rob_instrs + state.decode_instrs < fetch_rob_size
                     ):
                         fetch_tick(state, cycle)
-            # 6. BPU — every wrong-path cycle counts; otherwise the redirect
-            #    bubble has passed and a miss probe is in flight, or there
-            #    is trace left to predict and room in the FTQ.
-            if state.wrong_path or (
-                state.bpu_stall_until <= cycle
-                and (
-                    state.bmiss is not None
-                    or (state.bpu_idx < n_records and len(ftq_entries) < ftq_depth)
-                )
+                        busy = True
+            # 6. BPU — past the redirect bubble, a due miss probe advances or,
+            #    with FTQ room, a path is predicted; else it may only count.
+            bmiss = state.bmiss
+            if state.bpu_stall_until <= cycle and (
+                bmiss[2] <= cycle
+                if bmiss is not None
+                else len(ftq_entries) < ftq_depth
+                and (state.wrong_path or state.bpu_idx < n_records)
             ):
                 bpu_tick(state, cycle)
+                busy = True
+            elif state.wrong_path or (
+                bmiss is not None and state.bpu_stall_until <= cycle
+            ):
+                bpu_tick(state, cycle)  # counts idle cycles only
             # 7. prefetch issue — new FTQ pushes to scan or probe traffic
             #    queued for the mux; or a stream block is probe-ready.
             if scan is not None:
@@ -241,8 +246,10 @@ class FrontEndEngine:
                     or (state.bmiss is None and state.probe_pos < len(state.probe_q))
                 ):
                     issue_tick(state, cycle)
+                    busy = True
             elif pf_queue and pf_queue[0][0] <= cycle:
                 issue_tick(state, cycle)
+                busy = True
 
             # End-of-trace drain: if the BPU has consumed the whole trace and
             # everything younger has drained, stop (counts remaining retire).
@@ -256,6 +263,27 @@ class FrontEndEngine:
             ):
                 break
 
+            if busy:
+                continue
+            # Idle cycle: nothing changes until the next time a gate's
+            # comparison flips. Jump there, accruing the idle counts.
+            wake = cycle_cap + 1
+            for t in (
+                state.squash_at, state.dispatch_stall_until, state.fetch_ready,
+                state.bpu_stall_until, arrivals[0][0] if arrivals else 0,
+                state.decode_q[0][0] if state.decode_q else 0,
+                bmiss[2] if bmiss is not None else 0, pf_queue[0][0] if pf_queue else 0,
+            ):
+                if cycle < t < wake:
+                    wake = t
+            skipped = wake - cycle - 1
+            if skipped:
+                bpu_idle(state, cycle + 1, skipped)
+                fetch_idle(state, cycle + 1, skipped)
+                cycle += skipped
+                skipped_total += skipped
+
+        self.visited_cycles = cycle - skipped_total
         final = collect(cycle)
         base = state.warmup_snapshot or {k: 0 for k in final}
         stats = {k: final[k] - base.get(k, 0) for k in final}

@@ -7,7 +7,8 @@ name. An activation is a cycle on which the stage's gate opened, so the
 engine called its ``tick`` (:mod:`repro.core.engine`): a stage's
 activation count says how many cycles it could act, and its seconds what
 those activations cost. Stages that are idle most cycles — fill arrivals,
-squashes — show far fewer activations than the run has cycles.
+squashes — show far fewer activations than the run has cycles. The loop
+skips idle runs, so activations read against the cycles it visited.
 
 Profiling never changes simulated results (the wrappers are pure
 pass-throughs), but it does add per-call overhead, so wall-clock numbers
@@ -40,11 +41,13 @@ __all__ = [
 class StageProfiler:
     """Accumulates ``(activations, seconds)`` per stage name."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "cycles")
 
     def __init__(self) -> None:
         #: stage name -> [activations, seconds], insertion-ordered.
         self.rows: dict[str, list[float]] = {}
+        #: [simulated, visited] engine cycles over every profiled run.
+        self.cycles = [0, 0]
 
     def wrap(self, name: str, fn: Callable) -> Callable:
         """A pass-through wrapper timing every call of ``fn`` under ``name``.
@@ -81,6 +84,11 @@ class StageProfiler:
                 f"  {name:<16s} {int(calls):>12d} {seconds:>9.3f} {share:>6.1%}"
             )
         lines.append(f"  {'total':<16s} {'':>12s} {total:>9.3f}")
+        simulated, visited = self.cycles
+        skipped = 1 - visited / simulated if simulated else 0.0
+        lines.append(
+            f"cycles: simulated {simulated}, visited {visited} ({skipped:.1%} skipped)"
+        )
         return "\n".join(lines)
 
 
@@ -137,6 +145,8 @@ def run_profiled_single(
         _TimedStage(stage, profiler) for stage in engine.stages
     ]
     raw = engine.run()
+    profiler.cycles[0] += int(raw["total_cycles"])
+    profiler.cycles[1] += engine.visited_cycles
     return SimulationResult(
         workload=workload.name, mechanism=config.mechanism, raw=raw
     )

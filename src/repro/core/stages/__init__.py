@@ -19,7 +19,10 @@ Every stage implements ``tick(state, cycle)`` over the shared
 ``counters()``. The engine calls a tick only on cycles its *gate* opens,
 and each gate in :meth:`repro.core.engine.FrontEndEngine.run` mirrors the
 early-out guard at the head of its tick — so a stage that changes what
-its tick does when idle must change its gate with it. Counters flatten
+its tick does when idle must change its gate with it. The fetch unit and
+the BPU also implement ``idle(state, cycle, n)``, the counting their tick
+does on ``n`` cycles where nothing moves; the engine calls it for the
+idle runs it skips. Counters flatten
 into the engine's stats dict through
 :func:`repro.core.results.aggregate_stage_counters`. Mechanisms are
 assembled from these parts by :func:`repro.core.mechanisms.compose_stages`

@@ -117,6 +117,13 @@ class BPUStage:
         elif state.wrong_path:
             self._walk_wrong_path(state, cycle)
 
+    def idle(self, state: PipelineState, cycle: int, n: int) -> None:
+        """Accrue ``n`` cycles like ``cycle`` on which ``tick`` only counts."""
+        if state.wrong_path:
+            self.wp_cycles += n
+        if state.bmiss is not None and cycle >= state.bpu_stall_until:
+            self.btb_miss_stall_cycles += n  # as _advance_miss_probe counts
+
     def _advance_miss_probe(self, state: PipelineState, cycle: int) -> None:
         """Only the miss-probe variant ever arms ``state.bmiss``."""
         raise SimulationError(

@@ -78,13 +78,7 @@ class FetchUnit:
         if state.dispatch_stall_until > cycle:
             return
         if state.fetch_ready > cycle:
-            cls = state.stall_cls
-            if cls == SEQ:
-                self.stall_seq += 1
-            elif cls == CONDK:
-                self.stall_cond += 1
-            elif cls == UNCONDK:
-                self.stall_uncond += 1
+            self.idle(state, cycle, 1)
             return
         ftq_entries = self._ftq_entries
         if state.cur_entry is None and not ftq_entries:
@@ -122,19 +116,10 @@ class FetchUnit:
                 if ready > cycle:
                     state.fetch_ready = ready
                     if not wp:
-                        if cur_off == 0:
-                            ek = col_entry[tidx] if tidx >= 0 else SEQ
-                        else:
-                            ek = SEQ
-                        state.stall_cls = ek
-                        if ek == SEQ:
-                            self.stall_seq += 1
-                        elif ek == CONDK:
-                            self.stall_cond += 1
-                        else:
-                            self.stall_uncond += 1
-                    else:
-                        state.stall_cls = -1
+                        state.stall_cls = (
+                            col_entry[tidx] if cur_off == 0 and tidx >= 0 else SEQ
+                        )
+                        self.idle(state, cycle, 1)
                     break
             to_boundary = 16 - ((pc >> 2) & 15)
             take = n_instrs - cur_off
@@ -165,6 +150,21 @@ class FetchUnit:
         state.cur_off = cur_off
         state.last_block = last_block
         state.decode_instrs = decode_instrs
+
+    def idle(self, state: PipelineState, cycle: int, n: int) -> None:
+        """Charge ``n`` cycles like ``cycle`` to the stall class of a miss.
+
+        ``tick`` charges through here too, so a bulk charge of skipped
+        cycles is the same count as ticking each of them.
+        """
+        if state.dispatch_stall_until <= cycle < state.fetch_ready:
+            cls = state.stall_cls
+            if cls == SEQ:
+                self.stall_seq += n
+            elif cls == CONDK:
+                self.stall_cond += n
+            elif cls == UNCONDK:
+                self.stall_uncond += n
 
     def counters(self) -> dict[str, int]:
         return {

@@ -239,6 +239,15 @@ class TestProfiling:
         for name, calls in rows.items():
             assert 1 <= calls <= cycles, name
 
+    def test_table_reports_visited_cycles(self):
+        """The engine jumps idle runs; the table says how many cycles it
+        visited of those it simulated."""
+        profiler, raw = _profiled(SimJob("oracle", make_config("none"), SCALE))
+        simulated, visited = profiler.cycles
+        assert simulated == raw["total_cycles"]
+        assert 0 < visited < simulated
+        assert f"cycles: simulated {simulated}, visited {visited} (" in profiler.table()
+
     def test_empty_profiler_says_so(self):
         profiler = profiling.StageProfiler()
         assert "nothing executed" in profiler.table()

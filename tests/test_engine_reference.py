@@ -10,6 +10,8 @@ paper workloads x all 8 mechanisms and the knob variants are compared in
   dispatch with high target fan-out, landing-pad-dense code with many
   short blocks, dispatcher loops;
 * the instruction cap and a composition off the engine spine;
+* the idle-run skip: generated configs draw every latency that sets a
+  wake time (down to 1 cycle), and the skip must actually engage;
 * engine invariants that hold for every run: every trace instruction
   retires, squash causes partition the squashes, the cycle split adds up.
 """
@@ -48,6 +50,14 @@ class TestEngineRun:
         cap = wl.trace.n_instrs // 3
         want = reference_run(FrontEndEngine(wl, config), max_instructions=cap)
         assert FrontEndEngine(wl, config).run(max_instructions=cap) == want
+
+    def test_idle_runs_are_skipped(self):
+        """A long LLC round trip parks the coupled front end for tens of
+        cycles at a time: the loop jumps those runs instead of visiting them."""
+        wl = load_workload("oracle", scale=SCALE)
+        engine = FrontEndEngine(wl, make_config("none").with_llc_latency(70))
+        raw = engine.run()
+        assert 0 < engine.visited_cycles < raw["total_cycles"]
 
     def test_unknown_composition_refused(self):
         wl = load_workload("apache", scale=SCALE)
@@ -131,10 +141,16 @@ def configs(draw):
     mech = draw(st.sampled_from(MECHANISMS))
     config = make_config(mech, perfect_btb=draw(st.booleans()),
                          perfect_l1i=draw(st.booleans()))
+    # Every latency below sets a wake time of the idle-run skip.
     core = replace(
         config.core,
         ftq_depth=draw(st.sampled_from([1, 2, 4, 8, 32, 64])),
         rob_size=draw(st.sampled_from([32, 48, 64, 128, 256])),
+        decode_latency=draw(st.integers(1, 8)),
+        resolve_latency=draw(st.integers(1, 30)),
+        redirect_bubble=draw(st.integers(1, 6)),
+        data_stall_cycles=draw(st.integers(1, 60)),
+        predecode_latency=draw(st.integers(1, 8)),
     )
     prefetch = replace(config.prefetch, throttle_blocks=draw(st.integers(0, 8)))
     config = replace(config, core=core, prefetch=prefetch)
@@ -145,8 +161,15 @@ def configs(draw):
     )
 
 
+#: The coupled baseline waiting out LLC fills behind one-cycle redirects.
+LONG_LLC_SHORT_BUBBLE = replace(
+    make_config("none"), core=replace(make_config("none").core, redirect_bubble=1)
+).with_llc_latency(80)
+
+
 class TestGenerated:
     @given(profile=profiles(), config=configs())
+    @example(profile=_profile(), config=LONG_LLC_SHORT_BUBBLE)
     @example(profile=CFI_SHAPES["indirect-fanout"], config=make_config("boomerang"))
     @example(profile=CFI_SHAPES["landing-pads"], config=make_config("confluence"))
     @example(profile=CFI_SHAPES["dispatcher"], config=make_config("fdip").with_llc_latency(70))

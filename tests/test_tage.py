@@ -1,6 +1,11 @@
-"""Behavioural tests for the TAGE predictor."""
+"""Behavioural tests for the TAGE predictor, and its packed folded history
+and per-PC lookup memo against plain reference formulations."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch.predictors.tage import TagePredictor, _fold
 
@@ -60,6 +65,26 @@ class TestTageBasics:
             TagePredictor(base_entries=100)
         with pytest.raises(ValueError):
             TagePredictor(history_lengths=(10, 5))
+        with pytest.raises(ValueError):
+            TagePredictor(tag_bits=1)
+
+    def test_reset_equals_fresh(self):
+        """A reset predictor replays a stream exactly as a new one does
+        (the allocation seed included)."""
+        rng = random.Random(7)
+        stream = [(rng.randrange(1 << 16) * 4, rng.random() < 0.5) for _ in range(20_000)]
+
+        def replay(p):
+            out = []
+            for pc, taken in stream:
+                out.append(p.predict(pc))
+                p.update(pc, taken)
+            return out
+
+        used = TagePredictor()
+        replay(used)
+        used.reset()
+        assert replay(used) == replay(TagePredictor())
 
 
 class TestTageHistory:
@@ -139,3 +164,78 @@ class TestTageLearnsPatterns:
             bim.update(0x400, outcome)
             idx += 1
         assert tage_acc > bim_correct / 600
+
+
+# ---------------------------------------------------------------------------
+# Packed folds and the lookup memo against plain references
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def geometries(draw) -> dict:
+    lengths = draw(st.lists(st.integers(1, 200), min_size=1, max_size=6, unique=True))
+    return dict(
+        table_entries=1 << draw(st.integers(1, 12)),
+        tag_bits=draw(st.integers(2, 14)),
+        history_lengths=tuple(sorted(lengths)),
+    )
+
+
+def _expected_folds(p: TagePredictor) -> tuple[int, int, int]:
+    """The three packed ints, rebuilt field by field with :func:`_fold`."""
+    iw = p._index_bits
+    tw = p._tag_bits
+    fi = ft0 = ft1 = 0
+    for t, table in enumerate(p.tables):
+        h = p.history & ((1 << table.history_length) - 1)
+        fi |= _fold(h, iw) << (t * iw)
+        ft0 |= _fold(h, tw) << (t * tw)
+        ft1 |= _fold(h, tw - 1) << (t * tw + 1)
+    return fi, ft0, ft1
+
+
+def _state(p: TagePredictor) -> tuple:
+    return (
+        p.base,
+        [(t.ctr, t.tag, t.useful) for t in p.tables],
+        p.history,
+        p._alloc_seed,
+        (p._fi, p._ft0, p._ft1),
+    )
+
+
+class TestPackedHistory:
+    @given(geometry=geometries(), outcomes=st.lists(st.booleans(), max_size=400))
+    @settings(max_examples=60, deadline=None)
+    def test_fields_equal_reference_folds(self, geometry, outcomes):
+        p = TagePredictor(**geometry)
+        for i, taken in enumerate(outcomes):
+            p.update(0x400 + 4 * (i % 7), taken)
+            assert (p._fi, p._ft0, p._ft1) == _expected_folds(p)
+
+    @given(
+        geometry=geometries(),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 600),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_predicts_change_nothing(self, geometry, seed, n):
+        """Extra predicts (repeated and random PCs, as the wrong-path walk
+        makes) between updates leave tables, history and every later
+        prediction as if only predict+update pairs had run."""
+        rng = random.Random(seed)
+        pcs = [rng.randrange(1 << 14) * 4 for _ in range(rng.choice([2, 16, 200]))]
+        plain = TagePredictor(**geometry)
+        probed = TagePredictor(**geometry)
+        for _ in range(n):
+            pc = rng.choice(pcs)
+            taken = rng.random() < 0.6
+            for _ in range(rng.randrange(4)):
+                probe = rng.choice(pcs) if rng.random() < 0.5 else rng.randrange(1 << 20) * 4
+                probed.predict(probe)
+                probed.predict(probe)
+            assert probed.predict(pc) == plain.predict(pc)
+            plain.update(pc, taken)
+            probed.update(pc, taken)
+        assert _state(probed) == _state(plain)
+        assert [probed.predict(pc) for pc in pcs] == [plain.predict(pc) for pc in pcs]
