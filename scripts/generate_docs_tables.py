@@ -6,9 +6,9 @@ by this script and derived from code registries, so the docs can never
 silently drift from what the code actually ships:
 
 * ``exhibits`` — every entry of ``repro.experiments.EXPERIMENTS`` with its
-  module and (when one re-expresses the grid) its named sweep;
+  module and (for a simulated exhibit) the name of the module's ``SPEC``;
 * ``sweeps``   — every ``repro.experiments.sweeps.SWEEPS`` spec with its
-  axes and unique-job count at the default scale;
+  grid and unique-job count at the default scale;
 * ``claims``   — the per-exhibit paper claims shared with
   ``scripts/generate_experiments_md.py`` (the EXPERIMENTS.md generator).
 
@@ -32,7 +32,7 @@ sys.path.insert(0, str(REPO_ROOT / "scripts"))
 from generate_experiments_md import PAPER_CLAIMS  # noqa: E402
 from repro.experiments import EXPERIMENTS  # noqa: E402
 from repro.experiments.common import get_scale  # noqa: E402
-from repro.experiments.sweeps import SWEEPS, _axes_summary  # noqa: E402
+from repro.experiments.sweeps import SWEEPS  # noqa: E402
 
 DOC_PATH = REPO_ROOT / "docs" / "experiments.md"
 
@@ -40,17 +40,14 @@ _MARKER = "<!-- generated:begin {name} -->\n{body}<!-- generated:end {name} -->"
 
 
 def _exhibit_table() -> str:
-    sweep_by_exhibit = {
-        spec.exhibit: spec.name for spec in SWEEPS.values() if spec.exhibit
-    }
     lines = [
         "| exhibit | module | sweep | regenerate |",
         "|---|---|---|---|",
     ]
     for name, module in EXPERIMENTS.items():
         mod_path = module.__name__.replace("repro.experiments.", "")
-        sweep = sweep_by_exhibit.get(name)
-        sweep_cell = f"`{sweep}`" if sweep else "—"
+        spec = getattr(module, "SPEC", None)
+        sweep_cell = f"`{spec.name}`" if spec else "—"
         lines.append(
             f"| {name} | `experiments/{mod_path}.py` | {sweep_cell} | "
             f"`python -m repro.experiments default {name}` |"
@@ -61,17 +58,14 @@ def _exhibit_table() -> str:
 def _sweep_table() -> str:
     scale = get_scale("default")
     lines = [
-        "| sweep | mechanisms | axes | workloads | jobs | exhibit |",
-        "|---|---|---|---|---|---|",
+        "| sweep | grid | workloads | jobs |",
+        "|---|---|---|---|",
     ]
     for spec in SWEEPS.values():
-        mechs = ", ".join(spec.mechanisms)
-        axes = _axes_summary(spec)
         wl_set = spec.workload_set or "paper*"
-        exhibit = spec.exhibit or "—"
         lines.append(
-            f"| `{spec.name}` | {mechs} | {axes} | {wl_set} | "
-            f"{spec.job_count(scale)} | {exhibit} |"
+            f"| `{spec.name}` | {spec.summary()} | {wl_set} | "
+            f"{spec.job_count(scale)} |"
         )
     lines.append("")
     lines.append(

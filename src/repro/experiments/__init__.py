@@ -1,8 +1,12 @@
 """Regeneration harness: one module per paper exhibit.
 
 Each module exposes ``run(scale_name=None, ...) -> ExperimentResult`` and a
-``main()`` that prints the table. ``python -m repro.experiments`` runs the
-whole set. Scale via ``REPRO_SCALE`` = ``quick`` | ``default`` | ``full``.
+``main()`` that prints the table. A simulated exhibit's module is its
+``SPEC`` (a :class:`~repro.experiments.grid.SweepSpec`, also registered in
+:data:`SWEEPS`) plus the ``render`` that tabulates it; Figure 4 (trace
+analysis) and the storage table (analytic) run no simulations and stay
+plain modules. ``python -m repro.experiments`` runs the whole set. Scale
+via ``REPRO_SCALE`` = ``quick`` | ``default`` | ``full``.
 """
 
 from __future__ import annotations
@@ -24,15 +28,10 @@ from . import (
 )
 from .common import (
     SCALES,
-    workload_names,
     ExperimentResult,
     ExperimentScale,
-    baseline_config,
-    baseline_for,
-    clear_run_cache,
     get_scale,
-    precompute,
-    run_cached,
+    workload_names,
 )
 from .sweeps import SWEEPS, SweepSpec, get_sweep
 
@@ -52,12 +51,6 @@ EXPERIMENTS = {
     "ablations": ablations,
 }
 
-
-def run_all(scale_name: str | None = None) -> dict[str, ExperimentResult]:
-    """Run every experiment; returns exhibit id -> result."""
-    return {name: module.run(scale_name) for name, module in EXPERIMENTS.items()}
-
-
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
@@ -65,13 +58,7 @@ __all__ = [
     "SCALES",
     "SWEEPS",
     "SweepSpec",
+    "get_scale",
     "get_sweep",
     "workload_names",
-    "baseline_config",
-    "baseline_for",
-    "clear_run_cache",
-    "get_scale",
-    "precompute",
-    "run_all",
-    "run_cached",
 ]

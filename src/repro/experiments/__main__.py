@@ -42,7 +42,7 @@ import time
 from ..errors import ConfigError
 from ..runtime import backend_summary, configure_runtime, get_runtime
 from . import EXPERIMENTS
-from .common import SCALES
+from .common import SCALES, get_scale
 
 
 def _parse_flag(args: list[str], name: str) -> str | None:
@@ -86,6 +86,11 @@ def main(argv: list[str] | None = None) -> int:
     scale = None
     if args and args[0] in SCALES:
         scale = args.pop(0)
+    try:
+        get_scale(scale)  # an unknown REPRO_SCALE fails here, before any run
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     chosen = args or list(EXPERIMENTS)
     unknown = [name for name in chosen if name not in EXPERIMENTS]
     if unknown:

@@ -1,7 +1,7 @@
 """Ablations of Boomerang's design choices (paper Section IV-C).
 
 Beyond the paper's own throttle sweep (Figure 10), these quantify the
-pieces DESIGN.md calls out:
+pieces of the design that Section IV-C discusses:
 
 * **BTB prefetch buffer capacity** — staging predecoded entries outside
   the BTB; 32 entries is the paper's choice.
@@ -11,73 +11,42 @@ pieces DESIGN.md calls out:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..config import SimConfig
-from ..core.mechanisms import make_config
 from ..stats import geometric_mean
-from .common import (
-    workload_names,
-    ExperimentResult,
-    ExperimentScale,
-    baseline_config,
-    baseline_for,
-    get_scale,
-    precompute,
-    run_cached,
-)
-
-BTB_BUFFER_SIZES: tuple[int, ...] = (1, 8, 32, 128)
-FTQ_DEPTHS: tuple[int, ...] = (8, 16, 32, 64)
-PREDECODE_LATENCIES: tuple[int, ...] = (1, 3, 6)
+from .common import ExperimentResult
+from .grid import Grid, SweepResults, SweepSpec
 
 
-def _knob_configs() -> list[tuple[str, int, object]]:
-    """Every (knob, value, config) point of the ablation sweep."""
-    points: list[tuple[str, int, object]] = []
-    for size in BTB_BUFFER_SIZES:
-        cfg = make_config("boomerang")
-        cfg = replace(
-            cfg, prefetch=replace(cfg.prefetch, btb_prefetch_buffer_entries=size)
-        )
-        points.append(("btb_prefetch_buffer", size, cfg))
-    for depth in FTQ_DEPTHS:
-        cfg = make_config("boomerang")
-        points.append(("ftq_depth", depth, replace(cfg, core=replace(cfg.core, ftq_depth=depth))))
-    for latency in PREDECODE_LATENCIES:
-        cfg = make_config("boomerang")
-        points.append(
-            ("predecode_latency", latency, replace(cfg, core=replace(cfg.core, predecode_latency=latency)))
-        )
-    return points
-
-
-def _gmean_speedup(
-    cfg: SimConfig, names: tuple[str, ...], scale: ExperimentScale
-) -> float:
-    speedups = []
-    for name in names:
-        base = baseline_for(name, scale)
-        res = run_cached(name, cfg, scale.workload_scale)
-        speedups.append(res.speedup_over(base))
-    return geometric_mean(speedups)
-
-
-def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
-    scale = get_scale(scale_name)
-    names = workloads if workloads is not None else workload_names()
+def render(results: SweepResults) -> ExperimentResult:
     result = ExperimentResult(
         exhibit="ablations",
         title="Boomerang design ablations (gmean speedup over baseline)",
         headers=["knob", "value", "gmean_speedup"],
     )
-    points = _knob_configs()
-    pairs = [(name, baseline_config()) for name in names]
-    pairs += [(name, cfg) for _, _, cfg in points for name in names]
-    precompute(pairs, scale)
-    for knob, value, cfg in points:
-        result.rows.append([knob, value, _gmean_speedup(cfg, names, scale)])
+    for point in results.points():
+        ((knob, value),) = point.settings
+        result.rows.append([knob, value, geometric_mean(results.speedups(point))])
     return result
+
+
+SPEC = SweepSpec(
+    name="ablations",
+    title="Boomerang design ablations",
+    description=(
+        "Section IV-C's knobs, one at a time over Boomerang: BTB prefetch "
+        "buffer entries, FTQ depth and predecode latency, with baselines."
+    ),
+    mechanisms=("boomerang",),
+    axes=(("btb_prefetch_buffer", (1, 8, 32, 128)),),
+    union=(
+        Grid(("boomerang",), (("ftq_depth", (8, 16, 32, 64)),)),
+        Grid(("boomerang",), (("predecode_latency", (1, 3, 6)),)),
+    ),
+    render=render,
+)
+
+
+def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
+    return SPEC.run(scale_name, workloads=workloads)
 
 
 def main() -> None:

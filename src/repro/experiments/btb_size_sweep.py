@@ -7,55 +7,42 @@ straight-line path; only far unconditional discontinuities are lost.
 
 from __future__ import annotations
 
-from ..core.mechanisms import make_config
-from .common import (
-    workload_names,
-    ExperimentResult,
-    baseline_config,
-    baseline_for,
-    get_scale,
-    precompute,
-    run_cached,
+from .common import ExperimentResult
+from .grid import SweepResults, SweepSpec
+
+
+def render(results: SweepResults) -> ExperimentResult:
+    result = ExperimentResult(
+        exhibit="figure5",
+        title="Figure 5: FDIP stall-cycle coverage vs BTB size and LLC latency",
+        headers=["btb"] + [f"llc={lat}" for lat in results.scale.latency_points],
+    )
+    coverage: dict[int, list[object]] = {}
+    for point in results.points():
+        coverage.setdefault(point["btb_entries"], []).append(
+            results.stall_coverage(point)
+        )
+    for entries in sorted(coverage, reverse=True):
+        result.rows.append([f"{entries // 1024}K", *coverage[entries]])
+    result.notes.append("paper: 32K -> 2K BTB costs ~12% coverage")
+    return result
+
+
+SPEC = SweepSpec(
+    name="figure5",
+    title="FDIP over the BTB-size × LLC-latency grid",
+    description=(
+        "The Figure 5 grid: FDIP at every scale-resolved BTB size and "
+        "LLC latency point, with matched baselines."
+    ),
+    mechanisms=("fdip",),
+    axes=(("btb_entries", "btb_sizes"), ("llc_latency", "latency_points")),
+    render=render,
 )
 
 
 def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
-    scale = get_scale(scale_name)
-    names = workloads if workloads is not None else workload_names()
-    latencies = scale.latency_points
-    result = ExperimentResult(
-        exhibit="figure5",
-        title="Figure 5: FDIP stall-cycle coverage vs BTB size and LLC latency",
-        headers=["btb"] + [f"llc={lat}" for lat in latencies],
-    )
-    pairs = []
-    for entries in scale.btb_sizes:
-        for lat in latencies:
-            for name in names:
-                pairs.append(
-                    (name, baseline_config(btb_entries=entries, llc_round_trip=lat))
-                )
-                pairs.append(
-                    (name, make_config("fdip").with_btb_entries(entries).with_llc_latency(lat))
-                )
-    precompute(pairs, scale)
-    for entries in sorted(scale.btb_sizes, reverse=True):
-        row: list[object] = [f"{entries // 1024}K"]
-        for lat in latencies:
-            covered = 0.0
-            base_total = 0.0
-            for name in names:
-                base = baseline_for(
-                    name, scale, btb_entries=entries, llc_round_trip=lat
-                )
-                cfg = make_config("fdip").with_btb_entries(entries).with_llc_latency(lat)
-                res = run_cached(name, cfg, scale.workload_scale)
-                covered += max(0.0, base.stall_cycles - res.stall_cycles)
-                base_total += base.stall_cycles
-            row.append(covered / base_total if base_total else 0.0)
-        result.rows.append(row)
-    result.notes.append("paper: 32K -> 2K BTB costs ~12% coverage")
-    return result
+    return SPEC.run(scale_name, workloads=workloads)
 
 
 def main() -> None:

@@ -1,14 +1,17 @@
-"""Shared experiment infrastructure: scales, cached runs, result tables.
+"""Shared experiment infrastructure: scales, workload names, result tables.
 
 Experiments default to the ``default`` scale; set ``REPRO_SCALE=quick`` for
 CI-speed runs or ``REPRO_SCALE=full`` for the most faithful (slowest)
 regeneration. All scales preserve the footprint:structure over-subscription
-ratios (see DESIGN.md section 5.6); quick runs shrink trace length and
-sweep density, not the microarchitecture. ``REPRO_WORKLOAD_SET`` likewise
-selects which profiles the grids iterate (``paper`` by default; ``all``
-adds the four extended scenarios) without touching any paper figure.
+ratios (see "Scales and workload sets" in ``docs/experiments.md``); quick
+runs shrink trace length and sweep density, not the microarchitecture.
+``REPRO_WORKLOAD_SET`` likewise selects which profiles the grids iterate
+(``paper`` by default; ``all`` adds the four extended scenarios) without
+touching any paper figure.
 
-Execution and caching are owned by :mod:`repro.runtime`:
+Each simulated exhibit is a :class:`~repro.experiments.grid.SweepSpec`
+whose ``run`` submits the whole grid to :mod:`repro.runtime` as one batch,
+which owns execution and caching:
 
 * **Cache keys are sound.** Every run is keyed by ``(workload, scale,
   config-digest)`` where the digest hashes the *entire* frozen
@@ -20,16 +23,14 @@ Execution and caching are owned by :mod:`repro.runtime`:
   result is stored as a JSON record under a schema-version tag
   (``repro.runtime.cache.SCHEMA_TAG``); warm reruns skip simulation
   entirely. Bumping the tag orphans stale records rather than reusing them.
-* **Sweeps run in parallel — or distributed.** Experiment modules
-  assemble their full (workload, config) job list and call
-  :func:`precompute`; the misses execute on the selected executor
-  backend (``REPRO_BACKEND``/``--backend``): a process pool with
-  ``REPRO_JOBS``/``--jobs`` > 1, or work-stealing broker workers
-  (``python -m repro.runtime worker``) sharing ``REPRO_CACHE_DIR`` —
-  see ``docs/runtime.md``. Ordering and values are deterministic —
-  parallel and distributed runs are bit-identical to serial ones.
-  ``REPRO_SCALE`` only selects the grid each module assembles; it
-  composes freely with the flags (each scale's runs are distinct cache
+* **Grids run in parallel — or distributed.** The batch's misses execute
+  on the selected executor backend (``REPRO_BACKEND``/``--backend``): a
+  process pool with ``REPRO_JOBS``/``--jobs`` > 1, or work-stealing
+  broker workers (``python -m repro.runtime worker``) sharing
+  ``REPRO_CACHE_DIR`` — see ``docs/runtime.md``. Ordering and values are
+  deterministic — parallel and distributed runs are bit-identical to
+  serial ones. ``REPRO_SCALE`` only selects the grid each spec resolves;
+  it composes freely with the flags (each scale's runs are distinct cache
   entries, since the workload scale is part of the key). Option
   precedence (explicit kwargs/flags beat ``REPRO_*`` beat defaults) is
   asserted in :func:`repro.runtime.resolve_options`.
@@ -37,15 +38,13 @@ Execution and caching are owned by :mod:`repro.runtime`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..analysis.tables import format_table
 from ..envopts import env_str
-from ..config import SimConfig
-from ..core.mechanisms import make_config
-from ..core.results import SimulationResult
-from ..runtime import SimJob, get_runtime
+from ..errors import ConfigError
 from ..workloads.profiles import workload_set
+
 
 def workload_names(set_name: str | None = None) -> tuple[str, ...]:
     """Workload names every experiment iterates, in paper order.
@@ -109,77 +108,7 @@ def get_scale(name: str | None = None) -> ExperimentScale:
         return SCALES[chosen]
     except KeyError:
         known = ", ".join(sorted(SCALES))
-        raise ValueError(f"unknown scale {chosen!r}; known scales: {known}") from None
-
-
-# ---------------------------------------------------------------------------
-# Cached simulation runs (figures 7/8/9 share one grid; sweeps reuse bases).
-# All execution/caching delegates to the process-wide repro.runtime instance.
-# ---------------------------------------------------------------------------
-
-
-def run_cached(
-    workload_name: str,
-    config: SimConfig,
-    workload_scale: float = 1.0,
-) -> SimulationResult:
-    """Run (or fetch) one simulation via the shared experiment runtime.
-
-    Keyed by the exhaustive config digest; repeated in-process calls with
-    an equal config return the identical result object.
-    """
-    return get_runtime().run_one(workload_name, config, workload_scale)
-
-
-def precompute(
-    pairs: list[tuple[str, SimConfig]],
-    scale: ExperimentScale,
-) -> None:
-    """Execute a whole (workload, config) job list through the runtime.
-
-    Sweep modules call this with every point they are about to read so the
-    runtime can batch the cache misses across a process pool; the
-    point-by-point ``run_cached`` calls that follow are then pure memo hits.
-    Duplicates are fine — the runtime dedupes by key.
-    """
-    get_runtime().run_many(
-        [SimJob(name, cfg, scale.workload_scale) for name, cfg in pairs]
-    )
-
-
-def clear_run_cache() -> None:
-    """Drop the in-process memo (any disk cache stays intact)."""
-    get_runtime().clear_memo()
-
-
-def baseline_config(
-    btb_entries: int | None = None,
-    llc_round_trip: int | None = None,
-    noc_kind: str | None = None,
-) -> SimConfig:
-    """The matched no-prefetch baseline config for the given overrides."""
-    cfg = make_config("none")
-    if btb_entries is not None:
-        cfg = cfg.with_btb_entries(btb_entries)
-    if llc_round_trip is not None:
-        cfg = cfg.with_llc_latency(llc_round_trip)
-    if noc_kind is not None:
-        cfg = replace(
-            cfg, memory=replace(cfg.memory, noc=replace(cfg.memory.noc, kind=noc_kind))
-        )
-    return cfg
-
-
-def baseline_for(
-    workload_name: str,
-    scale: ExperimentScale,
-    btb_entries: int | None = None,
-    llc_round_trip: int | None = None,
-    noc_kind: str | None = None,
-) -> SimulationResult:
-    """The matched no-prefetch baseline used by coverage/speedup metrics."""
-    cfg = baseline_config(btb_entries, llc_round_trip, noc_kind)
-    return run_cached(workload_name, cfg, scale.workload_scale)
+        raise ConfigError(f"unknown scale {chosen!r}; known scales: {known}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,73 +10,60 @@ prediction at all (Section III-A).
 
 from __future__ import annotations
 
-from ..config import SimConfig
-from ..core.mechanisms import make_config
-from .common import (
-    workload_names,
-    ExperimentResult,
-    baseline_config,
-    baseline_for,
-    get_scale,
-    precompute,
-    run_cached,
-)
+from .common import ExperimentResult
+from .grid import Grid, SweepResults, SweepSpec
+
 #: Near-ideal BTB used to isolate the direction predictor (paper III-A).
 IDEAL_BTB_ENTRIES = 32768
 
-
-def _series_config(mechanism: str, predictor: str, lat: int) -> SimConfig:
-    cfg = make_config(mechanism).with_btb_entries(IDEAL_BTB_ENTRIES)
-    return cfg.with_llc_latency(lat).with_predictor(predictor)
-
-#: (label, mechanism, predictor kind) series in paper order.
-SERIES: tuple[tuple[str, str, str], ...] = (
-    ("PIF", "pif", "tage"),
-    ("FDIP TAGE", "fdip", "tage"),
-    ("FDIP 2-bit", "fdip", "bimodal"),
-    ("FDIP Never-Taken", "fdip", "never_taken"),
-)
+#: (mechanism, predictor kind) -> series label.
+SERIES: dict[tuple[str, object], str] = {
+    ("pif", "tage"): "PIF",
+    ("fdip", "tage"): "FDIP TAGE",
+    ("fdip", "bimodal"): "FDIP 2-bit",
+    ("fdip", "never_taken"): "FDIP Never-Taken",
+}
 
 
-def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
-    scale = get_scale(scale_name)
-    names = workloads if workloads is not None else workload_names()
-    latencies = scale.latency_points
+def render(results: SweepResults) -> ExperimentResult:
+    latencies = results.scale.latency_points
     result = ExperimentResult(
         exhibit="figure2",
         title="Figure 2: fraction of stall cycles covered vs LLC latency (32K BTB)",
         headers=["series"] + [f"llc={lat}" for lat in latencies],
     )
-    pairs = []
-    for lat in latencies:
-        for name in names:
-            pairs.append(
-                (name, baseline_config(btb_entries=IDEAL_BTB_ENTRIES, llc_round_trip=lat))
-            )
-            for _, mechanism, predictor in SERIES:
-                pairs.append((name, _series_config(mechanism, predictor, lat)))
-    precompute(pairs, scale)
-    for label, mechanism, predictor in SERIES:
-        row: list[object] = [label]
-        for lat in latencies:
-            covered = 0.0
-            base_total = 0.0
-            for name in names:
-                base = baseline_for(
-                    name, scale, btb_entries=IDEAL_BTB_ENTRIES, llc_round_trip=lat
-                )
-                res = run_cached(
-                    name, _series_config(mechanism, predictor, lat), scale.workload_scale
-                )
-                covered += max(0.0, base.stall_cycles - res.stall_cycles)
-                base_total += base.stall_cycles
-            row.append(covered / base_total if base_total else 0.0)
-        result.rows.append(row)
+    coverage: dict[tuple[str, object], list[object]] = {}
+    for point in results.points():
+        series = (point.mechanism, point["predictor"])
+        coverage.setdefault(series, []).append(results.stall_coverage(point))
+    for series, values in coverage.items():
+        result.rows.append([SERIES[series], *values])
     result.notes.append(
         "paper: FDIP TAGE tracks PIF across the latency range; never-taken "
         "retains most coverage (short conditional targets)"
     )
     return result
+
+
+_AXES = (("btb_entries", (IDEAL_BTB_ENTRIES,)), ("llc_latency", "latency_points"))
+
+SPEC = SweepSpec(
+    name="figure2",
+    title="Stall-cycle coverage vs LLC latency at a near-ideal BTB",
+    description=(
+        "The Figure 2 grid: PIF with TAGE and FDIP with TAGE, 2-bit and "
+        "never-taken predictors, at a 32K-entry BTB over the scale's LLC "
+        "latency points, with matched baselines."
+    ),
+    mechanisms=("pif",),
+    axes=(*_AXES, ("predictor", ("tage",))),
+    union=(Grid(("fdip",), (*_AXES, ("predictor", ("tage", "bimodal", "never_taken")))),),
+    render=render,
+)
+
+
+def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
+    return SPEC.run(scale_name, workloads=workloads)
 
 
 def main() -> None:

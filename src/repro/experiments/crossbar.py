@@ -8,64 +8,36 @@ over Confluence.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..config import SimConfig
-from ..core.mechanisms import make_config
-from ..stats import geometric_mean
-from .common import (
-    workload_names,
-    ExperimentResult,
-    baseline_config,
-    baseline_for,
-    get_scale,
-    precompute,
-    run_cached,
-)
-
-#: The Figure 11 mechanism set.
-MECHS: tuple[str, ...] = ("next_line", "fdip", "shift", "confluence", "boomerang")
-
-LABELS = {
-    "next_line": "Next Line",
-    "fdip": "FDIP",
-    "shift": "SHIFT",
-    "confluence": "Confluence",
-    "boomerang": "Boomerang",
-}
+from .common import ExperimentResult
+from .grid import SweepResults, SweepSpec
+from .speedup import MECHANISM_LABELS
 
 
-def _crossbar(cfg: SimConfig) -> SimConfig:
-    return replace(
-        cfg, memory=replace(cfg.memory, noc=replace(cfg.memory.noc, kind="crossbar"))
+def render(results: SweepResults) -> ExperimentResult:
+    return ExperimentResult(
+        exhibit="figure11",
+        title="Figure 11: speedup over no-prefetch baseline, crossbar NoC (18-cycle LLC)",
+        headers=["workload"] + [MECHANISM_LABELS[p.mechanism] for p in results.points()],
+        rows=results.speedup_rows(),
+        notes=["paper: same ordering as the mesh, smaller absolute gains"],
     )
+
+
+SPEC = SweepSpec(
+    name="figure11",
+    title="Figure mechanisms under the crossbar interconnect",
+    description=(
+        "The Figure 11 grid: the main mechanisms with the NoC switched "
+        "to the 18-cycle crossbar (baselines matched on the same NoC)."
+    ),
+    mechanisms=("next_line", "fdip", "shift", "confluence", "boomerang"),
+    axes=(("noc_kind", ("crossbar",)),),
+    render=render,
+)
 
 
 def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
-    scale = get_scale(scale_name)
-    names = workloads if workloads is not None else workload_names()
-    result = ExperimentResult(
-        exhibit="figure11",
-        title="Figure 11: speedup over no-prefetch baseline, crossbar NoC (18-cycle LLC)",
-        headers=["workload"] + [LABELS[m] for m in MECHS],
-    )
-    per_mech: dict[str, list[float]] = {m: [] for m in MECHS}
-    pairs = [(name, baseline_config(noc_kind="crossbar")) for name in names]
-    pairs += [(name, _crossbar(make_config(m))) for name in names for m in MECHS]
-    precompute(pairs, scale)
-    for name in names:
-        base = baseline_for(name, scale, noc_kind="crossbar")
-        row: list[object] = [name]
-        for mech in MECHS:
-            cfg = _crossbar(make_config(mech))
-            res = run_cached(name, cfg, scale.workload_scale)
-            speedup = res.speedup_over(base)
-            per_mech[mech].append(speedup)
-            row.append(speedup)
-        result.rows.append(row)
-    result.rows.append(["gmean"] + [geometric_mean(per_mech[m]) for m in MECHS])
-    result.notes.append("paper: same ordering as the mesh, smaller absolute gains")
-    return result
+    return SPEC.run(scale_name, workloads=workloads)
 
 
 def main() -> None:

@@ -11,60 +11,38 @@ like the paper's 100%-stacked bars.
 
 from __future__ import annotations
 
-from ..core.mechanisms import make_config
-from .common import (
-    workload_names,
-    ExperimentResult,
-    ExperimentScale,
-    baseline_config,
-    baseline_for,
-    get_scale,
-    precompute,
-    run_cached,
-)
+from .common import ExperimentResult
+from .grid import Grid, SweepResults, SweepSpec
+
+LABELS = {"none": "Base", "next_line": "Next-Line", "fdip": "FDIP", "pif": "PIF"}
 
 
-def _configs(scale: ExperimentScale) -> list[tuple[str, object]]:
-    configs: list[tuple[str, object]] = [
-        ("Base 2K", make_config("none")),
-        ("Next-Line 2K", make_config("next_line")),
-    ]
-    for entries in scale.fig3_btb_sizes:
-        label = f"FDIP {entries // 1024}K"
-        configs.append((label, make_config("fdip").with_btb_entries(entries)))
-    configs.append(("PIF 32K", make_config("pif").with_btb_entries(32768)))
-    return configs
-
-
-def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
-    scale = get_scale(scale_name)
-    names = workloads if workloads is not None else workload_names()
+def render(results: SweepResults) -> ExperimentResult:
     result = ExperimentResult(
         exhibit="figure3",
         title="Figure 3: miss-cycle breakdown, % of no-prefetch baseline miss cycles",
         headers=["config", "sequential%", "conditional%", "unconditional%", "total%"],
     )
-    configs = _configs(scale)
-    pairs = [(name, baseline_config()) for name in names]
-    pairs += [(name, cfg) for _, cfg in configs for name in names]
-    precompute(pairs, scale)
-    base_totals = {name: baseline_for(name, scale).stall_cycles for name in names}
-    denom = sum(base_totals.values())
-    for label, cfg in configs:
+    points = results.points()
+    base_point = points[0]
+    denom = sum(results[name, base_point].stall_cycles for name in results.workloads)
+    for point in points:
         seq = cond = uncond = 0.0
-        for name in names:
-            res = run_cached(name, cfg, scale.workload_scale)
+        for name in results.workloads:
+            res = results[name, point]
             seq += res.raw.get("stall_seq", 0)
             cond += res.raw.get("stall_cond", 0)
             uncond += res.raw.get("stall_uncond", 0)
-        row = [
-            label,
-            100.0 * seq / denom,
-            100.0 * cond / denom,
-            100.0 * uncond / denom,
-            100.0 * (seq + cond + uncond) / denom,
-        ]
-        result.rows.append(row)
+        label = f"{LABELS[point.mechanism]} {point.config().btb.entries // 1024}K"
+        result.rows.append(
+            [
+                label,
+                100.0 * seq / denom,
+                100.0 * cond / denom,
+                100.0 * uncond / denom,
+                100.0 * (seq + cond + uncond) / denom,
+            ]
+        )
     base_row = result.row_for("Base 2K")
     result.notes.append(
         f"baseline sequential share = {100 * float(base_row[1]) / float(base_row[4]):.0f}% "
@@ -74,6 +52,28 @@ def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None)
         "paper: the FDIP BTB-size gap concentrates in the unconditional class"
     )
     return result
+
+
+SPEC = SweepSpec(
+    name="figure3",
+    title="Miss-cycle breakdown by class",
+    description=(
+        "The Figure 3 grid: the no-prefetch baseline and Next-Line at the "
+        "2K BTB, FDIP over the scale's Figure 3 BTB sizes, and PIF at 32K; "
+        "every row normalizes to the first, so no matched baselines."
+    ),
+    mechanisms=("none", "next_line"),
+    union=(
+        Grid(("fdip",), (("btb_entries", "fig3_btb_sizes"),)),
+        Grid(("pif",), (("btb_entries", (32768,)),)),
+    ),
+    include_baseline=False,
+    render=render,
+)
+
+
+def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
+    return SPEC.run(scale_name, workloads=workloads)
 
 
 def main() -> None:

@@ -4,41 +4,54 @@ Paper: Boomerang improves performance 27.5% on average, edging Confluence
 (+1%) without any of its metadata; both complete control-flow-delivery
 schemes beat the L1-I-only prefetchers by ~11% on average because they
 also remove pipeline squashes.
+
+:data:`SPEC` is also the grid behind Figures 7 and 8, which render it
+their own way.
 """
 
 from __future__ import annotations
 
 from ..core.mechanisms import FIGURE_MECHANISMS
-from ..stats import geometric_mean
-from .common import workload_names, ExperimentResult, get_scale
-from .grid import MECHANISM_LABELS, run_grid
+from .common import ExperimentResult
+from .grid import SweepResults, SweepSpec
+
+#: Display labels matching the paper's figure legends.
+MECHANISM_LABELS: dict[str, str] = {
+    "none": "Base",
+    "next_line": "Next Line",
+    "dip": "DIP",
+    "fdip": "FDIP",
+    "pif": "PIF",
+    "shift": "SHIFT",
+    "confluence": "Confluence",
+    "boomerang": "Boomerang",
+}
+
+
+def render(results: SweepResults) -> ExperimentResult:
+    return ExperimentResult(
+        exhibit="figure9",
+        title="Figure 9: speedup over no-prefetch baseline",
+        headers=["workload"] + [MECHANISM_LABELS[p.mechanism] for p in results.points()],
+        rows=results.speedup_rows(),
+        notes=["paper: Boomerang +27.5% avg, ~= Confluence, ~+11% over L1-I-only schemes"],
+    )
+
+
+SPEC = SweepSpec(
+    name="figure9",
+    title="All figure mechanisms on the paper workloads",
+    description=(
+        "The grid Figures 7, 8 and 9 share: every plotted mechanism per "
+        "workload plus the no-prefetch baseline."
+    ),
+    mechanisms=FIGURE_MECHANISMS,
+    render=render,
+)
 
 
 def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
-    scale = get_scale(scale_name)
-    names = workloads if workloads is not None else workload_names()
-    grid = run_grid(scale, workloads=names)
-    result = ExperimentResult(
-        exhibit="figure9",
-        title="Figure 9: speedup over no-prefetch baseline",
-        headers=["workload"] + [MECHANISM_LABELS[m] for m in FIGURE_MECHANISMS],
-    )
-    per_mech: dict[str, list[float]] = {m: [] for m in FIGURE_MECHANISMS}
-    for name in names:
-        base = grid[(name, "none")]
-        row: list[object] = [name]
-        for mech in FIGURE_MECHANISMS:
-            speedup = grid[(name, mech)].speedup_over(base)
-            per_mech[mech].append(speedup)
-            row.append(speedup)
-        result.rows.append(row)
-    result.rows.append(
-        ["gmean"] + [geometric_mean(per_mech[m]) for m in FIGURE_MECHANISMS]
-    )
-    result.notes.append(
-        "paper: Boomerang +27.5% avg, ~= Confluence, ~+11% over L1-I-only schemes"
-    )
-    return result
+    return SPEC.run(scale_name, workloads=workloads)
 
 
 def main() -> None:

@@ -1,270 +1,48 @@
-"""Declarative sweep grids: axes × mechanisms × workload set → one job batch.
+"""Named sweep grids: every exhibit's grid plus the standalone sweeps.
 
-The figure modules each hand-assemble their (workload, config) grids. A
-:class:`SweepSpec` expresses the same thing declaratively — named knob
-axes over named mechanisms over a workload set — and compiles to one
-:class:`~repro.runtime.SimJob` batch that the runtime executes on any
-backend (``--jobs`` process pool, or the distributed broker with
-``--backend broker``). That makes the dense full-scale grids the ROADMAP
-promises (8-point latency × 5-point BTB, cross-profile ablation matrices
-over all 10 profiles) one command each::
+:data:`SWEEPS` holds each figure module's own ``SPEC`` under its exhibit
+id (``figure9`` is the grid Figures 7, 8 and 9 share), next to grids that
+belong to no figure: ``smoke``, ``dense-latency-btb`` and
+``ablation-matrix``. The spec machinery lives in
+:mod:`repro.experiments.grid`. Any of them is one command::
 
     python -m repro.experiments.sweeps list
     python -m repro.experiments.sweeps run smoke --jobs 4
+    python -m repro.experiments.sweeps run figure9 --scale quick
     python -m repro.experiments.sweeps run dense-latency-btb \\
         --backend broker --cache-dir ~/.repro-cache
 
-Knob axes (:data:`KNOBS`) apply a value to a ``SimConfig``; *shared*
-knobs (BTB size, LLC latency, NoC kind) also apply to the matched
-no-prefetch baseline each speedup is computed against — exactly how the
-figure modules build their baselines — while mechanism-local knobs
-(throttle policy, FTQ depth, ...) leave the baseline untouched. An axis
-may give explicit values or the string ``"scale"`` to take its points
-from the active :class:`~repro.experiments.common.ExperimentScale`, which
-is how the ``figure*`` sweeps reproduce each paper grid at any scale.
-
-See ``docs/experiments.md`` for the figure → module → sweep map (the
-table is generated from :data:`SWEEPS` and drift-checked in CI).
+A figure's sweep submits exactly the jobs ``python -m repro.experiments``
+runs for it and prints the same table. See ``docs/experiments.md`` for
+the figure → module → sweep map (generated from :data:`SWEEPS` and
+drift-checked in CI).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
-
-from ...config import SimConfig
-from ...core.mechanisms import FIGURE_MECHANISMS, MECHANISMS, make_config
+from ...core.mechanisms import MECHANISMS
 from ...errors import ConfigError
-from ...runtime import SimJob, get_runtime
-from ...stats import geometric_mean
-from ...workloads.profiles import PROFILE_SETS
-from ..common import ExperimentResult, ExperimentScale, get_scale, workload_names
+from .. import (
+    ablations,
+    btb_size_sweep,
+    coverage_vs_latency,
+    crossbar,
+    miss_breakdown,
+    opportunity,
+    speedup,
+    throttle_sweep,
+)
+from ..grid import KNOBS, Grid, SweepPoint, SweepResults, SweepSpec
 
-# ---------------------------------------------------------------------------
-# Knob axes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Knob:
-    """One sweepable config dimension.
-
-    ``shared`` knobs describe the machine around the mechanism and are
-    applied to the no-prefetch baseline too; non-shared knobs tune the
-    mechanism itself and leave the baseline at its defaults.
-    """
-
-    name: str
-    shared: bool
-    apply: "callable"
-
-
-def _apply_noc_kind(cfg: SimConfig, kind: str) -> SimConfig:
-    return replace(
-        cfg, memory=replace(cfg.memory, noc=replace(cfg.memory.noc, kind=kind))
-    )
-
-
-def _apply_ftq_depth(cfg: SimConfig, depth: int) -> SimConfig:
-    return replace(cfg, core=replace(cfg.core, ftq_depth=depth))
-
-
-def _apply_predecode(cfg: SimConfig, latency: int) -> SimConfig:
-    return replace(cfg, core=replace(cfg.core, predecode_latency=latency))
-
-
-def _apply_throttle(cfg: SimConfig, blocks: int) -> SimConfig:
-    return replace(cfg, prefetch=replace(cfg.prefetch, throttle_blocks=blocks))
-
-
-def _apply_btb_buffer(cfg: SimConfig, entries: int) -> SimConfig:
-    return replace(
-        cfg, prefetch=replace(cfg.prefetch, btb_prefetch_buffer_entries=entries)
-    )
-
-
-#: Every axis name a sweep may use.
-KNOBS: dict[str, Knob] = {
-    knob.name: knob
-    for knob in (
-        Knob("btb_entries", True, lambda cfg, v: cfg.with_btb_entries(v)),
-        Knob("llc_latency", True, lambda cfg, v: cfg.with_llc_latency(v)),
-        Knob("noc_kind", True, _apply_noc_kind),
-        Knob("predictor", False, lambda cfg, v: cfg.with_predictor(v)),
-        Knob("ftq_depth", False, _apply_ftq_depth),
-        Knob("predecode_latency", False, _apply_predecode),
-        Knob("throttle_blocks", False, _apply_throttle),
-        Knob("btb_prefetch_buffer", False, _apply_btb_buffer),
-    )
-}
-
-#: Axis values: explicit points, or "scale" to resolve from the active
-#: ExperimentScale (latency_points / btb_sizes).
-AxisValues = tuple[object, ...]
-Axis = tuple[str, "AxisValues | str"]
-
-
-def _axis_points(axis: Axis, scale: ExperimentScale) -> AxisValues:
-    knob, values = axis
-    if values == "scale":
-        if knob == "llc_latency":
-            return scale.latency_points
-        if knob == "btb_entries":
-            return scale.btb_sizes
-        raise ConfigError(f"axis {knob!r} has no scale-resolved points")
-    return tuple(values)
-
-
-# ---------------------------------------------------------------------------
-# Sweep specification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point: a mechanism plus concrete knob settings."""
-
-    mechanism: str
-    settings: tuple[tuple[str, object], ...]
-
-    def config(self) -> SimConfig:
-        cfg = make_config(self.mechanism)
-        for knob, value in self.settings:
-            cfg = KNOBS[knob].apply(cfg, value)
-        return cfg
-
-    def baseline(self) -> SimConfig:
-        """The matched no-prefetch baseline (shared knobs only)."""
-        cfg = make_config("none")
-        for knob, value in self.settings:
-            if KNOBS[knob].shared:
-                cfg = KNOBS[knob].apply(cfg, value)
-        return cfg
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A named, declarative experiment grid.
-
-    The grid is the cartesian product ``workloads × mechanisms ×
-    axis-values``; :meth:`jobs` compiles it (plus the matched baselines)
-    into one deduplicated batch for
-    :meth:`~repro.runtime.ExperimentRuntime.run_many`.
-    """
-
-    name: str
-    title: str
-    description: str
-    mechanisms: tuple[str, ...]
-    axes: tuple[Axis, ...] = ()
-    #: Profile set (None → ``REPRO_WORKLOAD_SET`` / ``paper``).
-    workload_set: str | None = None
-    #: Run a matched no-prefetch baseline per grid point (for speedups).
-    include_baseline: bool = True
-    #: The paper exhibit this grid re-expresses, if any.
-    exhibit: str | None = None
-
-    def __post_init__(self) -> None:
-        unknown_mechs = [m for m in self.mechanisms if m not in MECHANISMS]
-        if unknown_mechs:
-            raise ConfigError(
-                f"sweep {self.name!r}: unknown mechanisms {unknown_mechs}; "
-                f"known: {', '.join(MECHANISMS)}"
-            )
-        unknown_axes = [knob for knob, _ in self.axes if knob not in KNOBS]
-        if unknown_axes:
-            raise ConfigError(
-                f"sweep {self.name!r}: unknown axes {unknown_axes}; "
-                f"known: {', '.join(KNOBS)}"
-            )
-        if self.workload_set is not None and self.workload_set not in PROFILE_SETS:
-            raise ConfigError(
-                f"sweep {self.name!r}: unknown workload set "
-                f"{self.workload_set!r}; known: {', '.join(sorted(PROFILE_SETS))}"
-            )
-
-    # ------------------------------------------------------------ geometry
-
-    def axis_names(self) -> tuple[str, ...]:
-        return tuple(knob for knob, _ in self.axes)
-
-    def points(self, scale: ExperimentScale) -> list[SweepPoint]:
-        """Every (mechanism, settings) grid point, in deterministic order."""
-        value_grid = [_axis_points(axis, scale) for axis in self.axes]
-        names = self.axis_names()
-        return [
-            SweepPoint(mechanism, tuple(zip(names, values)))
-            for mechanism in self.mechanisms
-            for values in itertools.product(*value_grid)
-        ]
-
-    def workloads(self, workload_set: str | None = None) -> tuple[str, ...]:
-        return workload_names(workload_set or self.workload_set)
-
-    def jobs(
-        self,
-        scale: ExperimentScale,
-        workload_set: str | None = None,
-    ) -> list[SimJob]:
-        """The full job batch: every grid point plus matched baselines."""
-        names = self.workloads(workload_set)
-        batch: list[SimJob] = []
-        for point in self.points(scale):
-            for name in names:
-                if self.include_baseline and point.mechanism != "none":
-                    batch.append(SimJob(name, point.baseline(), scale.workload_scale))
-                batch.append(SimJob(name, point.config(), scale.workload_scale))
-        return batch
-
-    def job_count(self, scale: ExperimentScale, workload_set: str | None = None) -> int:
-        """Unique simulations the batch resolves to (duplicates collapsed)."""
-        return len({job.key for job in self.jobs(scale, workload_set)})
-
-    # ----------------------------------------------------------- execution
-
-    def run(
-        self,
-        scale_name: str | None = None,
-        workload_set: str | None = None,
-    ) -> ExperimentResult:
-        """Execute the grid through the shared runtime; tabulate results.
-
-        Per-row metrics: IPC and (when baselines are included) speedup
-        over the matched no-prefetch baseline. A ``gmean`` row summarizes
-        each (mechanism, settings) group across its workloads.
-        """
-        scale = get_scale(scale_name)
-        names = self.workloads(workload_set)
-        runtime = get_runtime()
-        runtime.run_many(self.jobs(scale, workload_set))  # batch: pool/broker
-        headers = ["workload", "mechanism", *self.axis_names(), "ipc"]
-        if self.include_baseline:
-            headers.append("speedup")
-        result = ExperimentResult(
-            exhibit=f"sweep:{self.name}", title=self.title, headers=headers
-        )
-        for point in self.points(scale):
-            axis_values = [value for _, value in point.settings]
-            speedups: list[float] = []
-            for name in names:
-                res = runtime.run_one(name, point.config(), scale.workload_scale)
-                row: list[object] = [name, point.mechanism, *axis_values, res.ipc]
-                if self.include_baseline:
-                    base = runtime.run_one(name, point.baseline(), scale.workload_scale)
-                    speedup = res.speedup_over(base)
-                    speedups.append(speedup)
-                    row.append(speedup)
-                result.rows.append(row)
-            if self.include_baseline and len(names) > 1:
-                result.rows.append(
-                    ["gmean", point.mechanism, *axis_values, "", geometric_mean(speedups)]
-                )
-        return result
-
-
-# ---------------------------------------------------------------------------
-# Named sweeps
-# ---------------------------------------------------------------------------
+__all__ = [
+    "KNOBS",
+    "SWEEPS",
+    "Grid",
+    "SweepPoint",
+    "SweepResults",
+    "SweepSpec",
+    "get_sweep",
+]
 
 _SWEEP_LIST: tuple[SweepSpec, ...] = (
     SweepSpec(
@@ -277,61 +55,14 @@ _SWEEP_LIST: tuple[SweepSpec, ...] = (
         mechanisms=("fdip", "boomerang"),
         axes=(("llc_latency", (30, 70)),),
     ),
-    SweepSpec(
-        name="figure2-coverage",
-        title="Stall-cycle coverage vs LLC latency at a near-ideal BTB",
-        description=(
-            "The Figure 2 grid's temporal-vs-fetch-directed comparison "
-            "(PIF vs FDIP, 32K-entry BTB, scale-resolved latency points); "
-            "the predictor-series variants stay in the figure module."
-        ),
-        mechanisms=("pif", "fdip"),
-        axes=(("btb_entries", (32768,)), ("llc_latency", "scale")),
-        exhibit="figure2",
-    ),
-    SweepSpec(
-        name="figure5-btb-grid",
-        title="FDIP over the BTB-size × LLC-latency grid",
-        description=(
-            "The Figure 5 grid: FDIP at every scale-resolved BTB size and "
-            "LLC latency point, with matched baselines."
-        ),
-        mechanisms=("fdip",),
-        axes=(("btb_entries", "scale"), ("llc_latency", "scale")),
-        exhibit="figure5",
-    ),
-    SweepSpec(
-        name="figure789-mechanisms",
-        title="All figure mechanisms on the paper workloads",
-        description=(
-            "The shared grid behind Figures 7/8/9: every plotted mechanism "
-            "per workload plus the no-prefetch baseline."
-        ),
-        mechanisms=FIGURE_MECHANISMS,
-        exhibit="figure9",
-    ),
-    SweepSpec(
-        name="figure10-throttle",
-        title="Boomerang next-N-block throttle policies",
-        description=(
-            "The Figure 10 grid: Boomerang with 0/1/2/4/8 sequential "
-            "blocks prefetched under an unresolved BTB miss."
-        ),
-        mechanisms=("boomerang",),
-        axes=(("throttle_blocks", (0, 1, 2, 4, 8)),),
-        exhibit="figure10",
-    ),
-    SweepSpec(
-        name="figure11-crossbar",
-        title="Figure mechanisms under the crossbar interconnect",
-        description=(
-            "The Figure 11 grid: the main mechanisms with the NoC switched "
-            "to the 18-cycle crossbar (baselines matched on the same NoC)."
-        ),
-        mechanisms=FIGURE_MECHANISMS,
-        axes=(("noc_kind", ("crossbar",)),),
-        exhibit="figure11",
-    ),
+    opportunity.SPEC,
+    coverage_vs_latency.SPEC,
+    miss_breakdown.SPEC,
+    btb_size_sweep.SPEC,
+    speedup.SPEC,
+    throttle_sweep.SPEC,
+    crossbar.SPEC,
+    ablations.SPEC,
     SweepSpec(
         name="dense-latency-btb",
         title="Dense 8-point latency × 5-point BTB grid (FDIP + Boomerang)",
@@ -356,18 +87,6 @@ _SWEEP_LIST: tuple[SweepSpec, ...] = (
         mechanisms=tuple(m for m in MECHANISMS if m != "none"),
         workload_set="all",
     ),
-    SweepSpec(
-        name="boomerang-buffer",
-        title="Boomerang BTB prefetch buffer capacity, cross-profile",
-        description=(
-            "Section IV-C's buffer-capacity ablation (1/8/32/128 entries) "
-            "extended over all 10 profiles."
-        ),
-        mechanisms=("boomerang",),
-        axes=(("btb_prefetch_buffer", (1, 8, 32, 128)),),
-        workload_set="all",
-        exhibit="ablations",
-    ),
 )
 
 #: Sweep name -> spec, in presentation order.
@@ -380,16 +99,3 @@ def get_sweep(name: str) -> SweepSpec:
     except KeyError:
         known = ", ".join(SWEEPS)
         raise ConfigError(f"unknown sweep {name!r}; known sweeps: {known}") from None
-
-
-def _axes_summary(spec: SweepSpec) -> str:
-    """One-line axis description (used by the CLI and the docs tables)."""
-    if not spec.axes:
-        return "-"
-    parts = []
-    for knob, values in spec.axes:
-        if values == "scale":
-            parts.append(f"{knob}=<scale>")
-        else:
-            parts.append(f"{knob}={'/'.join(str(v) for v in values)}")
-    return ", ".join(parts)

@@ -57,7 +57,7 @@ from ...errors import ConfigError
 from ...runtime import backend_summary, configure_runtime, get_runtime
 from ...runtime.cache import SCHEMA_TAG
 from ..common import get_scale
-from . import SWEEPS, _axes_summary, get_sweep
+from . import SWEEPS, get_sweep
 from .manifest import load_manifest, missing_cells, verify_matches_spec, write_manifest
 
 
@@ -66,8 +66,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print(f"named sweeps (job counts at scale={scale.name}):")
     for spec in SWEEPS.values():
         jobs = spec.job_count(scale)
-        exhibit = f" [{spec.exhibit}]" if spec.exhibit else ""
-        print(f"  {spec.name:<22s} {jobs:4d} jobs  {spec.title}{exhibit}")
+        print(f"  {spec.name:<22s} {jobs:4d} jobs  {spec.title}")
     return 0
 
 
@@ -76,13 +75,10 @@ def _cmd_show(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     print(f"{spec.name} — {spec.title}")
     print(f"  {spec.description}")
-    print(f"  mechanisms:   {', '.join(spec.mechanisms)}")
-    print(f"  axes:         {_axes_summary(spec)}")
+    print(f"  grid:         {spec.summary()}")
     print(f"  workload set: {spec.workload_set or 'default (REPRO_WORKLOAD_SET)'}")
     print(f"  workloads:    {', '.join(spec.workloads())}")
     print(f"  baselines:    {'matched per point' if spec.include_baseline else 'none'}")
-    if spec.exhibit:
-        print(f"  re-expresses: {spec.exhibit} (python -m repro.experiments {spec.exhibit})")
     print(f"  jobs at scale={scale.name}: {spec.job_count(scale)}")
     _show_costs(spec, scale, args)
     return 0

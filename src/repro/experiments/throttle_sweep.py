@@ -8,55 +8,41 @@ two blocks, erroneous prefetches start delaying useful ones.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from .common import ExperimentResult
+from .grid import SweepResults, SweepSpec
 
-from ..config import SimConfig
-from ..core.mechanisms import make_config
-from ..stats import geometric_mean
-from .common import (
-    workload_names,
-    ExperimentResult,
-    baseline_config,
-    baseline_for,
-    get_scale,
-    precompute,
-    run_cached,
-)
 #: Next-N policies in paper order.
 POLICIES: tuple[int, ...] = (0, 1, 2, 4, 8)
 
 POLICY_LABELS = {0: "None", 1: "1 Block", 2: "2 Blocks", 4: "4 Blocks", 8: "8 Blocks"}
 
 
-def _policy_config(policy: int) -> SimConfig:
-    cfg = make_config("boomerang")
-    return replace(cfg, prefetch=replace(cfg.prefetch, throttle_blocks=policy))
+def render(results: SweepResults) -> ExperimentResult:
+    return ExperimentResult(
+        exhibit="figure10",
+        title="Figure 10: Boomerang speedup vs next-N-block prefetch on BTB miss",
+        headers=["workload"]
+        + [POLICY_LABELS[p["throttle_blocks"]] for p in results.points()],
+        rows=results.speedup_rows(),
+        notes=["paper: next-2 optimal on average; Streaming prefers None"],
+    )
+
+
+SPEC = SweepSpec(
+    name="figure10",
+    title="Boomerang next-N-block throttle policies",
+    description=(
+        "The Figure 10 grid: Boomerang with 0/1/2/4/8 sequential "
+        "blocks prefetched under an unresolved BTB miss."
+    ),
+    mechanisms=("boomerang",),
+    axes=(("throttle_blocks", POLICIES),),
+    render=render,
+)
 
 
 def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None) -> ExperimentResult:
-    scale = get_scale(scale_name)
-    names = workloads if workloads is not None else workload_names()
-    result = ExperimentResult(
-        exhibit="figure10",
-        title="Figure 10: Boomerang speedup vs next-N-block prefetch on BTB miss",
-        headers=["workload"] + [POLICY_LABELS[p] for p in POLICIES],
-    )
-    per_policy: dict[int, list[float]] = {p: [] for p in POLICIES}
-    pairs = [(name, baseline_config()) for name in names]
-    pairs += [(name, _policy_config(p)) for name in names for p in POLICIES]
-    precompute(pairs, scale)
-    for name in names:
-        base = baseline_for(name, scale)
-        row: list[object] = [name]
-        for policy in POLICIES:
-            res = run_cached(name, _policy_config(policy), scale.workload_scale)
-            speedup = res.speedup_over(base)
-            per_policy[policy].append(speedup)
-            row.append(speedup)
-        result.rows.append(row)
-    result.rows.append(["gmean"] + [geometric_mean(per_policy[p]) for p in POLICIES])
-    result.notes.append("paper: next-2 optimal on average; Streaming prefers None")
-    return result
+    return SPEC.run(scale_name, workloads=workloads)
 
 
 def main() -> None:

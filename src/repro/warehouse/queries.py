@@ -19,6 +19,7 @@ so an estimated number is never presented as a measured one.
 from __future__ import annotations
 
 import sqlite3
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -28,7 +29,11 @@ from ..stats import geometric_mean
 from .core import ANALYTIC_SCHEMA_TAG, ENGINE_SCHEMA_TAG
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (sweeps import runtime)
-    from ..experiments.sweeps import SweepPoint
+    from ..experiments.common import ExperimentScale
+    from ..experiments.grid import Grid, SweepPoint
+
+#: A rendered contour cell for (mechanism, knob settings).
+CellFn = Callable[[str, tuple[tuple[str, object], ...]], str]
 
 #: Rendered for a grid cell with no (complete) warehouse answer.
 MISSING = "—"
@@ -176,11 +181,13 @@ def render_contour(
 ) -> str:
     """The per-mechanism speedup table over a sweep's knob grid.
 
-    For a two-axis sweep (the dense latency × BTB grid) each mechanism
-    gets a matrix — first axis down, second axis across. One axis renders
-    as axis-points × mechanisms; no axes as one row per mechanism.
+    Each of the sweep's products renders in turn. For two axes (the
+    dense latency × BTB grid) each mechanism gets a matrix — first axis
+    down, second axis across. One axis renders as axis-points ×
+    mechanisms; no axes as one row per mechanism.
     """
     from ..experiments.common import get_scale
+    from ..experiments.grid import SweepPoint
     from ..experiments.sweeps import get_sweep
 
     spec = get_sweep(sweep)
@@ -193,51 +200,61 @@ def render_contour(
         f"{len(workloads)} workload(s), scale `{exp_scale.name}`",
         "",
     ]
-    values: dict[tuple[str, tuple[object, ...]], GridValue | None] = {}
-    for point in points:
-        values[(point.mechanism, tuple(v for _, v in point.settings))] = _point_value(
+    values = {
+        point: _point_value(
             conn, point, workloads, exp_scale.workload_scale, spec.include_baseline
         )
+        for point in points
+    }
 
-    def cell(mechanism: str, settings: tuple[object, ...]) -> str:
-        value = values[(mechanism, settings)]
+    def cell(mechanism: str, settings: tuple[tuple[str, object], ...]) -> str:
+        value = values[SweepPoint(mechanism, settings)]
         return value.render() if value is not None else MISSING
 
-    axes = spec.axes
-    if len(axes) == 2:
-        from ..experiments.sweeps import _axis_points
+    for grid in spec.grids():
+        lines.extend(_contour_tables(grid, exp_scale, metric, cell))
+    lines.extend(_footer(list(values.values())))
+    return "\n".join(lines).rstrip() + "\n"
 
-        rows_axis, cols_axis = axes
-        row_points = _axis_points(rows_axis, exp_scale)
-        col_points = _axis_points(cols_axis, exp_scale)
-        for mechanism in spec.mechanisms:
+
+def _contour_tables(
+    grid: Grid, exp_scale: ExperimentScale, metric: str, cell: CellFn
+) -> list[str]:
+    """One product's tables: a matrix per mechanism for two axes, points
+    × mechanisms for one, a row per mechanism for none."""
+    from ..experiments.grid import _axis_points
+
+    lines: list[str] = []
+    axes = grid.axes
+    if len(axes) == 2:
+        (row_knob, _), (col_knob, _) = axes
+        row_points = _axis_points(axes[0], exp_scale)
+        col_points = _axis_points(axes[1], exp_scale)
+        for mechanism in grid.mechanisms:
             lines.append(f"#### {mechanism}")
-            headers = [f"{rows_axis[0]} \\ {cols_axis[0]}"] + [
-                str(c) for c in col_points
-            ]
+            headers = [f"{row_knob} \\ {col_knob}"] + [str(c) for c in col_points]
             table = [
-                [str(r)] + [cell(mechanism, (r, c)) for c in col_points]
+                [str(r)]
+                + [cell(mechanism, ((row_knob, r), (col_knob, c))) for c in col_points]
                 for r in row_points
             ]
             lines.extend(_markdown_table(headers, table))
             lines.append("")
     elif len(axes) == 1:
-        from ..experiments.sweeps import _axis_points
-
+        knob = axes[0][0]
         axis_points = _axis_points(axes[0], exp_scale)
-        headers = [axes[0][0]] + list(spec.mechanisms)
+        headers = [knob] + list(grid.mechanisms)
         table = [
-            [str(p)] + [cell(m, (p,)) for m in spec.mechanisms] for p in axis_points
+            [str(p)] + [cell(m, ((knob, p),)) for m in grid.mechanisms]
+            for p in axis_points
         ]
         lines.extend(_markdown_table(headers, table))
         lines.append("")
     else:
-        headers = ["mechanism", metric]
-        table = [[m, cell(m, ())] for m in spec.mechanisms]
-        lines.extend(_markdown_table(headers, table))
+        table = [[m, cell(m, ())] for m in grid.mechanisms]
+        lines.extend(_markdown_table(["mechanism", metric], table))
         lines.append("")
-    lines.extend(_footer(list(values.values())))
-    return "\n".join(lines).rstrip() + "\n"
+    return lines
 
 
 def render_sensitivity(
@@ -258,7 +275,7 @@ def render_sensitivity(
     from ..experiments.sweeps import get_sweep
 
     spec = get_sweep(sweep)
-    if spec.axes:
+    if spec.axis_names():
         raise ConfigError(
             f"sweep {spec.name!r} has knob axes; `sensitivity` renders "
             f"axis-free sweeps — use `contour {spec.name}` instead"
@@ -271,15 +288,15 @@ def render_sensitivity(
         f"scale `{exp_scale.name}`",
         "",
     ]
-    headers = ["workload"] + list(spec.mechanisms)
     points = {p.mechanism: p for p in spec.points(exp_scale)}
+    headers = ["workload"] + list(points)
     table: list[list[str]] = []
     rendered: list[GridValue | None] = []
-    per_mech: dict[str, list[float]] = {m: [] for m in spec.mechanisms}
-    complete: dict[str, bool] = {m: True for m in spec.mechanisms}
+    per_mech: dict[str, list[float]] = {m: [] for m in points}
+    complete: dict[str, bool] = {m: True for m in points}
     for name in workloads:
         row = [name]
-        for mechanism in spec.mechanisms:
+        for mechanism in points:
             value = _point_value(
                 conn,
                 points[mechanism],
@@ -297,7 +314,7 @@ def render_sensitivity(
         table.append(row)
     if len(workloads) > 1:
         gmean_row = ["**gmean**"]
-        for mechanism in spec.mechanisms:
+        for mechanism in points:
             if complete[mechanism] and per_mech[mechanism]:
                 gmean_row.append(f"{geometric_mean(per_mech[mechanism]):.4f}")
             else:

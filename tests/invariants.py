@@ -27,9 +27,7 @@ from repro.core.results import aggregate_stage_counters
 from repro.devtools import RULES
 from repro.envopts import REPRO_ENV_OPTIONS
 from repro.errors import ConfigError
-from repro.experiments import EXPERIMENTS
 from repro.experiments.common import SCALES
-from repro.experiments.sweeps import SWEEPS
 from repro.runtime import config_digest
 from repro.runtime.executors import BACKEND_NAMES
 from repro.workloads.profiles import PROFILE_SETS
@@ -134,7 +132,7 @@ ENV_CHOICE_REGISTRIES = {
 
 
 def registry_drift(
-    *, composers=STAGE_COMPOSERS, env_options=REPRO_ENV_OPTIONS, sweeps=SWEEPS
+    *, composers=STAGE_COMPOSERS, env_options=REPRO_ENV_OPTIONS
 ) -> list[str]:
     """Registries that name the same things but disagree as sets: a CLI
     that accepts a name the engine rejects fails three calls later."""
@@ -149,9 +147,6 @@ def registry_drift(
     for name, registry in ENV_CHOICE_REGISTRIES.items():
         if name in env_options and set(env_options[name].choices) != set(registry):
             drift.append(f"{name} choices disagree with its registry")
-    for spec in sweeps.values():
-        if spec.exhibit is not None and spec.exhibit not in EXPERIMENTS:
-            drift.append(f"sweep {spec.name!r} names unknown exhibit {spec.exhibit!r}")
     return drift
 
 

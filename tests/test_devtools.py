@@ -37,7 +37,6 @@ from repro.devtools.formats import format_facts, write_baseline
 from repro.devtools.rules import _DURABLE_MODULES
 from repro.devtools.sources import load_context, parse_suppressions
 from repro.envopts import REPRO_ENV_OPTIONS, EnvOption
-from repro.experiments.sweeps import SWEEPS
 from repro.workloads.profiles import PROFILE_SETS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -420,12 +419,6 @@ class TestRPL006:
         options = {**REPRO_ENV_OPTIONS, extra.name: extra}
         assert registry_drift(env_options=options) == [
             "env options with choices disagree on ['REPRO_EXTRA']"
-        ]
-
-    def test_unknown_sweep_exhibit_flagged(self):
-        bad = replace(SWEEPS["smoke"], name="bad", exhibit="figure_99")
-        assert registry_drift(sweeps={**SWEEPS, "bad": bad}) == [
-            "sweep 'bad' names unknown exhibit 'figure_99'"
         ]
 
     def test_live_registries_consistent(self):

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_all
-from repro.experiments.common import (
-    SCALES,
-    ExperimentResult,
-    get_scale,
-    run_cached,
-)
 from repro.core.mechanisms import make_config
+from repro.errors import ConfigError
+from repro.experiments import EXPERIMENTS
+from repro.experiments.__main__ import main
+from repro.experiments.common import SCALES, ExperimentResult, get_scale
+from repro.runtime import get_runtime
 
 
 class TestScales:
@@ -24,8 +22,15 @@ class TestScales:
         assert get_scale().name == "quick"
 
     def test_unknown_scale_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             get_scale("enormous")
+
+    def test_cli_unknown_env_scale_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SCALE", "bogus")
+        assert main(["figure4"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown scale 'bogus'" in captured.err
+        assert captured.out == ""
 
     def test_quick_is_smaller(self):
         assert SCALES["quick"].workload_scale < SCALES["default"].workload_scale
@@ -35,13 +40,14 @@ class TestScales:
 class TestRunCached:
     def test_cache_hit_same_object(self):
         cfg = make_config("none")
-        a = run_cached("streaming", cfg, workload_scale=0.05)
-        b = run_cached("streaming", cfg, workload_scale=0.05)
+        a = get_runtime().run_one("streaming", cfg, workload_scale=0.05)
+        b = get_runtime().run_one("streaming", cfg, workload_scale=0.05)
         assert a is b
 
     def test_different_mechanism_different_run(self):
-        a = run_cached("streaming", make_config("none"), workload_scale=0.05)
-        b = run_cached("streaming", make_config("next_line"), workload_scale=0.05)
+        runtime = get_runtime()
+        a = runtime.run_one("streaming", make_config("none"), workload_scale=0.05)
+        b = runtime.run_one("streaming", make_config("next_line"), workload_scale=0.05)
         assert a is not b
 
 

@@ -46,7 +46,7 @@ class TestSubpackageImports:
     @pytest.mark.parametrize(
         "module",
         ["repro.workloads", "repro.memory", "repro.branch", "repro.prefetch",
-         "repro.core", "repro.analysis", "repro.runtime"],
+         "repro.core", "repro.analysis", "repro.runtime", "repro.experiments"],
     )
     def test_all_names_resolve(self, module):
         mod = importlib.import_module(module)

@@ -10,7 +10,6 @@ from invariants import digest_blind_leaves
 from repro.config import SimConfig
 from repro.core.engine import FrontEndEngine
 from repro.core.mechanisms import make_config
-from repro.experiments.common import run_cached
 from repro.runtime import (
     SCHEMA_TAG,
     ExperimentRuntime,
@@ -18,6 +17,7 @@ from repro.runtime import (
     SimJob,
     canonicalize,
     config_digest,
+    get_runtime,
     scale_token,
 )
 from repro.workloads.profiles import get_profile
@@ -60,8 +60,8 @@ class TestRunCachedSoundness:
         two configs returned each other's cached results."""
         cfg_a = make_config("none")
         cfg_b = replace(cfg_a, core=replace(cfg_a.core, data_stall_cycles=1))
-        a = run_cached(WL, cfg_a, workload_scale=SCALE)
-        b = run_cached(WL, cfg_b, workload_scale=SCALE)
+        a = get_runtime().run_one(WL, cfg_a, workload_scale=SCALE)
+        b = get_runtime().run_one(WL, cfg_b, workload_scale=SCALE)
         assert a is not b
         assert a.raw["cycles"] != b.raw["cycles"]
 
@@ -311,7 +311,7 @@ class TestOptionPrecedence:
 class TestEngineCounters:
     def test_ftq_flushes_surfaced(self):
         """Squash accounting is externally observable via ftq_flushes."""
-        res = run_cached(WL, make_config("none"), workload_scale=SCALE)
+        res = get_runtime().run_one(WL, make_config("none"), workload_scale=SCALE)
         squashes = (
             res.raw["squash_btb"] + res.raw["squash_cond"] + res.raw["squash_target"]
         )

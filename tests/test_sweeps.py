@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SimConfig
@@ -9,8 +11,9 @@ from repro.core.mechanisms import MECHANISMS, make_config
 from repro.errors import ConfigError
 from repro.experiments import EXPERIMENTS
 from repro.experiments.common import SCALES, ExperimentScale, get_scale
-from repro.experiments.sweeps import KNOBS, SWEEPS, SweepSpec, get_sweep
+from repro.experiments.sweeps import KNOBS, SWEEPS, Grid, SweepSpec, get_sweep
 from repro.experiments.sweeps.__main__ import main
+from repro.runtime import SimJob
 
 #: A scale small enough to actually execute a sweep in a unit test.
 TINY = ExperimentScale(
@@ -32,11 +35,6 @@ class TestRegistryIntegrity:
     def test_names_match_keys(self):
         for name, spec in SWEEPS.items():
             assert spec.name == name
-
-    def test_every_exhibit_reference_is_real(self):
-        for spec in SWEEPS.values():
-            if spec.exhibit is not None:
-                assert spec.exhibit in EXPERIMENTS, spec.name
 
     def test_roadmap_dense_grid_shape(self):
         """The ROADMAP's 8-point latency x 5-point BTB grid, as promised."""
@@ -72,13 +70,21 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="workload set"):
             SweepSpec("x", "t", "d", mechanisms=("fdip",), workload_set="imaginary")
 
+    def test_axis_naming_no_scale_field_rejected(self):
+        with pytest.raises(ConfigError, match="name no scale field"):
+            SweepSpec("x", "t", "d", mechanisms=("fdip",), axes=(("llc_latency", "scale"),))
+
+    def test_unknown_mechanism_in_union_rejected(self):
+        with pytest.raises(ConfigError, match="unknown mechanisms"):
+            SweepSpec("x", "t", "d", mechanisms=("fdip",), union=(Grid(("warp",)),))
+
 
 class TestGridGeometry:
     def test_points_are_cartesian_product(self, tiny_scale):
         spec = SweepSpec(
             "x", "t", "d",
             mechanisms=("fdip", "boomerang"),
-            axes=(("llc_latency", "scale"), ("btb_entries", (2048, 8192))),
+            axes=(("llc_latency", "latency_points"), ("btb_entries", (2048, 8192))),
         )
         points = spec.points(tiny_scale)
         assert len(points) == 2 * 2 * 2  # mechanisms x latencies x btb sizes
@@ -109,6 +115,8 @@ class TestGridGeometry:
             "predecode_latency": 6,
             "throttle_blocks": 1,
             "btb_prefetch_buffer": 8,
+            "perfect_l1i": True,
+            "perfect_btb": True,
         }
         assert set(samples) == set(KNOBS)
         base = make_config("boomerang")
@@ -116,6 +124,38 @@ class TestGridGeometry:
             cfg = KNOBS[knob].apply(base, value)
             assert isinstance(cfg, SimConfig)
             assert cfg != base
+
+    def test_scale_axes_resolve_from_the_scale(self, tiny_scale):
+        spec = SweepSpec(
+            "x", "t", "d",
+            mechanisms=("fdip",),
+            axes=(("btb_entries", "fig3_btb_sizes"), ("llc_latency", "latency_points")),
+        )
+        settings = [p.settings for p in spec.points(tiny_scale)]
+        assert settings == [
+            (("btb_entries", 2048), ("llc_latency", 1)),
+            (("btb_entries", 2048), ("llc_latency", 30)),
+        ]
+
+    def test_union_points_follow_product_order(self, tiny_scale):
+        spec = SweepSpec(
+            "x", "t", "d",
+            mechanisms=("none",),
+            union=(Grid(("fdip", "pif"), (("btb_entries", (8192,)),)),),
+        )
+        points = spec.points(tiny_scale)
+        assert [(p.mechanism, p.settings) for p in points] == [
+            ("none", ()),
+            ("fdip", (("btb_entries", 8192),)),
+            ("pif", (("btb_entries", 8192),)),
+        ]
+        assert spec.axis_names() == ("btb_entries",)
+        assert points[1]["btb_entries"] == 8192
+        assert spec.summary() == "none ∪ fdip, pif × btb_entries=8192"
+
+    def test_perfect_knobs_match_make_config(self):
+        point = SWEEPS["figure1"].points(get_scale("quick"))[2]
+        assert point.config() == make_config("none", perfect_l1i=True, perfect_btb=True)
 
     def test_job_count_collapses_duplicate_baselines(self, tiny_scale):
         spec = SweepSpec(
@@ -146,6 +186,66 @@ class TestSweepExecution:
             assert 0 < row[3] <= 3  # IPC within the 3-wide machine
 
 
+#: Unique jobs each exhibit grid submits at quick scale.
+QUICK_JOB_COUNTS = {
+    "figure1": 18,
+    "figure2": 90,
+    "figure3": 30,
+    "figure5": 108,
+    "figure9": 42,
+    "figure10": 36,
+    "figure11": 36,
+    "ablations": 60,
+}
+
+#: Exhibits whose module is a spec plus a render.
+SPEC_EXHIBITS = [name for name, module in EXPERIMENTS.items() if hasattr(module, "SPEC")]
+
+#: Two profiles keep the per-exhibit read check to a few seconds.
+CHECK_WORKLOADS = ("streaming", "db2")
+
+
+class TestExhibitGrids:
+    def test_registry_holds_every_exhibit_grid(self):
+        names = {EXPERIMENTS[e].SPEC.name for e in SPEC_EXHIBITS}
+        assert names == set(QUICK_JOB_COUNTS)
+        for exhibit in SPEC_EXHIBITS:
+            spec = EXPERIMENTS[exhibit].SPEC
+            assert SWEEPS[spec.name].grids() == spec.grids(), exhibit
+
+    @pytest.mark.parametrize("name", sorted(QUICK_JOB_COUNTS))
+    def test_quick_job_count(self, name):
+        assert SWEEPS[name].job_count(get_scale("quick")) == QUICK_JOB_COUNTS[name]
+
+    @pytest.mark.parametrize("exhibit", SPEC_EXHIBITS)
+    def test_exhibit_reads_exactly_what_it_submits(self, exhibit, tiny_scale):
+        spec = EXPERIMENTS[exhibit].SPEC
+        read: set[tuple[str, str, str]] = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        def recording_render(results):
+            return spec.render(replace(results, by_key=Recording(results.by_key)))
+
+        table = replace(spec, render=recording_render).run(
+            "tiny", workloads=CHECK_WORKLOADS
+        )
+        assert table.rows
+        submitted = {j.key for j in spec.jobs(tiny_scale, workloads=CHECK_WORKLOADS)}
+        if exhibit == "figure7":
+            # Figure 7 plots only the mechanisms' squashes; the baselines
+            # it submits are the ones Figures 8 and 9 read from the grid.
+            submitted = {
+                SimJob(name, point.config(), tiny_scale.workload_scale).key
+                for point in spec.points(tiny_scale)
+                for name in CHECK_WORKLOADS
+            }
+        assert read == submitted
+
+
 class TestSweepCLI:
     def test_list_and_show_run_cleanly(self, capsys):
         assert main(["list"]) == 0
@@ -158,6 +258,18 @@ class TestSweepCLI:
         assert main(["run", "nope"]) == 2
         err = capsys.readouterr().err
         assert "known sweeps" in err and "smoke" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["list"], ["show", "smoke"], ["run", "smoke", "--no-table"]]
+    )
+    def test_unknown_env_scale_fails_cleanly(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "bogus")
+        assert main(argv) == 2
+        assert "unknown scale 'bogus'" in capsys.readouterr().err
+
+    def test_unknown_scale_flag_fails_cleanly(self, capsys):
+        assert main(["show", "smoke", "--scale", "bogus"]) == 2
+        assert "known scales" in capsys.readouterr().err
 
     def test_run_stale_backend_fails_cleanly(self, capsys, monkeypatch):
         from repro.runtime import runner
