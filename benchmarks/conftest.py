@@ -54,8 +54,8 @@ def record_exhibit():
     """Write an ExperimentResult's table to benchmarks/results/ and stdout."""
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _record(result, float_fmt: str = "{:.3f}") -> None:
-        text = result.to_table(float_fmt=float_fmt)
+    def _record(result) -> None:
+        text = result.to_table()
         (RESULTS_DIR / f"{result.exhibit}.txt").write_text(text + "\n")
         print()
         print(text)

@@ -7,7 +7,7 @@ from repro.experiments import miss_breakdown
 
 def test_figure3_miss_breakdown(benchmark, record_exhibit):
     result = run_once(benchmark, miss_breakdown.run)
-    record_exhibit(result, float_fmt="{:.1f}")
+    record_exhibit(result)
 
     base = result.row_for("Base 2K")
     nl = result.row_for("Next-Line 2K")

@@ -7,7 +7,7 @@ from repro.experiments import squashes
 
 def test_figure7_squashes(benchmark, record_exhibit):
     result = run_once(benchmark, squashes.run)
-    record_exhibit(result, float_fmt="{:.2f}")
+    record_exhibit(result)
 
     avg = {row[1]: row for row in result.rows if row[0] == "avg"}
 

@@ -54,7 +54,7 @@ HEADER = """# EXPERIMENTS — paper vs. measured
 Regenerated with `python scripts/generate_experiments_md.py` (scale: {scale};
 fig. 2/5 latency grids: {latency_note}). Absolute values are not expected to
 match the paper — the substrate is a synthetic-workload, single-core Python
-model (DESIGN.md §2, §5) — the reproduced content is each exhibit's *shape*.
+model (docs/architecture.md) — the reproduced content is each exhibit's *shape*.
 
 Global deviations to keep in mind when reading the tables:
 
@@ -99,8 +99,7 @@ def main() -> int:
         out.write(f"## {name}\n\n")
         out.write(f"**Paper:** {PAPER_CLAIMS[name]}\n\n")
         out.write("**Measured:**\n\n```\n")
-        fmt = "{:.1f}" if name == "figure3" else "{:.3f}"
-        out.write(result.to_table(float_fmt=fmt))
+        out.write(result.to_table())
         out.write("\n```\n\n")
         out.write(f"_Regenerated in {elapsed:.0f}s "
                   f"(`python -m repro.experiments {exhibit_scale} {name}`)._\n\n")

@@ -5,7 +5,6 @@ from .predictors import (
     AlwaysTakenPredictor,
     BimodalPredictor,
     DirectionPredictor,
-    GsharePredictor,
     NeverTakenPredictor,
     OraclePredictor,
     TagePredictor,
@@ -20,7 +19,6 @@ __all__ = [
     "BTBPrefetchBuffer",
     "BimodalPredictor",
     "DirectionPredictor",
-    "GsharePredictor",
     "NeverTakenPredictor",
     "OraclePredictor",
     "ReturnAddressStack",

@@ -1,4 +1,4 @@
-"""Branch direction predictors: never/always-taken, bimodal, gshare, TAGE."""
+"""Branch direction predictors: never/always-taken, oracle, bimodal, TAGE."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .base import (
     OraclePredictor,
 )
 from .bimodal import BimodalPredictor
-from .gshare import GsharePredictor
 from .tage import TagePredictor
 
 
@@ -26,10 +25,6 @@ def make_predictor(params: PredictorParams) -> DirectionPredictor:
         return OraclePredictor()
     if kind == "bimodal":
         return BimodalPredictor(entries=params.bimodal_entries)
-    if kind == "gshare":
-        return GsharePredictor(
-            entries=params.gshare_entries, history_bits=params.gshare_history
-        )
     if kind == "tage":
         return TagePredictor(
             base_entries=params.bimodal_entries,
@@ -44,7 +39,6 @@ __all__ = [
     "AlwaysTakenPredictor",
     "BimodalPredictor",
     "DirectionPredictor",
-    "GsharePredictor",
     "NeverTakenPredictor",
     "OraclePredictor",
     "TagePredictor",

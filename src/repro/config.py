@@ -13,7 +13,8 @@ Memory latency         45 ns (90 cycles at 2 GHz)
 =====================  =====================================================
 
 Only one core is simulated in detail; the other 15 cores exist through the
-NoC/LLC latency model (see DESIGN.md section 5.1).
+NoC/LLC latency model (:attr:`MemoryParams.llc_round_trip`,
+:mod:`repro.memory.noc`).
 """
 
 from __future__ import annotations
@@ -195,11 +196,8 @@ class PredictorParams:
     tage_table_entries: int = 1024
     tage_tag_bits: int = 8
     tage_history_lengths: tuple[int, ...] = (5, 15, 44, 130)
-    #: gshare geometry (an extra baseline beyond the paper's set).
-    gshare_entries: int = 4096
-    gshare_history: int = 12
 
-    KNOWN_KINDS = ("never_taken", "always_taken", "bimodal", "gshare", "tage", "oracle")
+    KNOWN_KINDS = ("never_taken", "always_taken", "bimodal", "tage", "oracle")
 
     def __post_init__(self) -> None:
         _require(self.kind in self.KNOWN_KINDS, f"unknown predictor kind {self.kind!r}")

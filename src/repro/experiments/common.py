@@ -125,9 +125,13 @@ class ExperimentResult:
     headers: list[str]
     rows: list[list[object]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: How the table prints floats; the exhibit's render sets it.
+    float_fmt: str = "{:.3f}"
 
-    def to_table(self, float_fmt: str = "{:.3f}") -> str:
-        text = format_table(self.headers, self.rows, title=self.title, float_fmt=float_fmt)
+    def to_table(self) -> str:
+        text = format_table(
+            self.headers, self.rows, title=self.title, float_fmt=self.float_fmt
+        )
         if self.notes:
             text += "\n" + "\n".join(f"note: {n}" for n in self.notes)
         return text

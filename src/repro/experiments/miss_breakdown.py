@@ -22,6 +22,7 @@ def render(results: SweepResults) -> ExperimentResult:
         exhibit="figure3",
         title="Figure 3: miss-cycle breakdown, % of no-prefetch baseline miss cycles",
         headers=["config", "sequential%", "conditional%", "unconditional%", "total%"],
+        float_fmt="{:.1f}",
     )
     points = results.points()
     base_point = points[0]
@@ -77,7 +78,7 @@ def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None)
 
 
 def main() -> None:
-    print(run().to_table(float_fmt="{:.1f}"))
+    print(run().to_table())
 
 
 if __name__ == "__main__":

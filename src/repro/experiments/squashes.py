@@ -22,6 +22,7 @@ def render(results: SweepResults) -> ExperimentResult:
         exhibit="figure7",
         title="Figure 7: squashes per kilo-instruction (mispredict + BTB miss)",
         headers=["workload", "mechanism", "mispredict_pki", "btb_miss_pki", "total_pki"],
+        float_fmt="{:.2f}",
     )
     points = results.points()
     for name in results.workloads:
@@ -64,7 +65,7 @@ def run(scale_name: str | None = None, workloads: tuple[str, ...] | None = None)
 
 
 def main() -> None:
-    print(run().to_table(float_fmt="{:.2f}"))
+    print(run().to_table())
 
 
 if __name__ == "__main__":

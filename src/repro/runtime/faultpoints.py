@@ -19,10 +19,10 @@ one environment lookup. The points wired in:
 ``worker-claimed``
     ``run_worker`` just claimed a job (the lease is held, nothing ran).
 ``warehouse-refresh``
-    the warehouse consolidator is about to apply its Nth change inside
-    the refresh transaction (nothing may be durable until COMMIT; the
+    the warehouse rebuild is about to insert its Nth row inside the
+    refresh transaction (nothing may be durable until COMMIT; the
     previous snapshot must stay readable and the next refresh must
-    converge with an exactly-once revision history).
+    converge).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """repro.warehouse — the queryable SQLite snapshot of every result store.
 
-See :mod:`repro.warehouse.core` for the consolidation model and
+See :mod:`repro.warehouse.core` for the rebuild and
 :mod:`repro.warehouse.queries` for the canned queries. Entry point::
 
     python -m repro.warehouse refresh --cache-dir ~/.repro-cache

@@ -7,11 +7,10 @@ Usage::
     python -m repro.warehouse contour SWEEP [--scale NAME] [--workload-set NAME]
     python -m repro.warehouse sensitivity [SWEEP] [--scale NAME] [...]
 
-``refresh`` consolidates every readable result record (exact and
-analytic) into ``warehouse.sqlite`` beside the schema-tag directories —
-idempotent, crash-safe, with a full per-refresh revision history (see
-``repro.warehouse.core``). The query subcommands print Markdown tables
-straight from that snapshot.
+``refresh`` rebuilds ``warehouse.sqlite``, beside the schema-tag
+directories, from every readable result record (exact and analytic) in
+one crash-safe transaction (see ``repro.warehouse.core``). The query
+subcommands print Markdown tables straight from that snapshot.
 
 The cache directory comes from ``--cache-dir`` or ``REPRO_CACHE_DIR`` —
 the same resolution every other CLI in this repo uses.
@@ -57,11 +56,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
         conn.close()
     print(f"warehouse at {path} (schema {status.schema})")
     for tag, fidelity, count in status.by_tag:
-        print(f"  {tag:<48s} {fidelity:<9s} {count:6d} active cell(s)")
-    print(
-        f"  {status.active_cells} active / {status.inactive_cells} inactive "
-        f"cell(s), {status.refreshes} refresh(es), {status.revisions} revision(s)"
-    )
+        print(f"  {tag:<48s} {fidelity:<9s} {count:6d} cell(s)")
+    print(f"  {status.cells} cell(s)")
     return 0
 
 
@@ -118,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_refresh = sub.add_parser(
-        "refresh", help="scan the stores and consolidate the warehouse"
+        "refresh", help="rebuild the warehouse from the stores"
     )
     p_refresh.add_argument("--cache-dir", help="cache directory (or REPRO_CACHE_DIR)")
     p_refresh.set_defaults(func=_cmd_refresh)

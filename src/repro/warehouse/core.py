@@ -1,4 +1,4 @@
-"""The SQLite result warehouse: consolidation, change history, provenance.
+"""The SQLite result warehouse: a snapshot rebuilt from the stores.
 
 The stores the runtime writes — exact result records (``engine-v*``
 tags) and analytic estimates (``analytic-v*`` tags) — are
@@ -11,27 +11,17 @@ The warehouse is the queryable snapshot: one SQLite database (stdlib
 
 ``python -m repro.warehouse refresh`` scans every tag directory's
 one-file records (the files :class:`~repro.runtime.cache.ResultCache`
-reads) and **consolidates incrementally**: rows are keyed by
-``(workload, scale token, config digest, schema tag, fidelity tier)``
-and each refresh classifies every key as
-
-* **insert** — never seen before,
-* **update** — content changed under an existing key,
-* **reactivate** — a previously deactivated key reappeared on disk,
-* **deactivate** — an active key vanished from disk (pruned tag,
-  deleted record),
-
-or *unchanged* (touched not at all — the refresh is idempotent, and a
-re-run against unchanged stores writes zero revision rows). Every
-applied change appends to the ``revisions`` table, and every refresh
-records its provenance in ``refreshes``: worker id, the engine and
-analytic schema tags in force, and the source commit. The whole
-consolidation runs in **one transaction**, so a refresh SIGKILLed at
-any instant leaves the previous snapshot fully readable and contributes
-*zero* revision rows — the next refresh converges to exactly the same
-state with an exactly-once change history (``tests/test_faults.py``
-pins this with real subprocesses via the ``warehouse-refresh``
-faultpoint).
+reads) and **rebuilds** the ``cells`` table from them: rows are keyed
+by ``(workload, scale token, config digest, schema tag, fidelity
+tier)``, and the table holds exactly the readable records — a pruned
+tag or a deleted record leaves no row behind. The rebuild runs in
+**one transaction**: read the old ``(key, content digest)`` map, delete
+every row, insert every record, commit. A refresh SIGKILLed at any
+instant therefore leaves the previous snapshot fully readable, and the
+next refresh converges to the same state (``tests/test_faults.py`` pins
+this with real subprocesses via the ``warehouse-refresh`` faultpoint).
+The old digest map only feeds the counts a refresh reports (inserted,
+updated, unchanged, removed); no history is kept.
 
 The exact/analytic tiers stay isolated at the SQL layer: the fidelity
 tier is part of the primary key, analytic rows carry their
@@ -45,20 +35,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import socket
 import sqlite3
-import subprocess
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..analytic.store import ANALYTIC_SCHEMA_TAG
 from ..errors import ConfigError
-from ..runtime.cache import SCHEMA_TAG as ENGINE_SCHEMA_TAG
 from ..runtime.faultpoints import maybe_fault
 
 #: Bump on warehouse *database* format changes (tables, key shape).
-WAREHOUSE_SCHEMA = "warehouse-v2"
+WAREHOUSE_SCHEMA = "warehouse-v3"
 
 #: The database filename, beside the schema-tag directories.
 DB_NAME = "warehouse.sqlite"
@@ -84,34 +69,7 @@ _DDL: tuple[str, ...] = (
     "  analytic_rel_err_bound REAL NOT NULL DEFAULT 0.0,\n"
     "  raw TEXT NOT NULL,\n"
     "  content_digest TEXT NOT NULL,\n"
-    "  active INTEGER NOT NULL DEFAULT 1,\n"
-    "  first_seen INTEGER NOT NULL,\n"
-    "  last_seen INTEGER NOT NULL,\n"
     "  PRIMARY KEY (workload, scale, config_digest, schema_tag, fidelity)\n"
-    ")",
-    "CREATE TABLE IF NOT EXISTS refreshes (\n"
-    "  refresh_id INTEGER PRIMARY KEY AUTOINCREMENT,\n"
-    "  started_at REAL NOT NULL,\n"
-    "  worker TEXT NOT NULL,\n"
-    "  engine_tag TEXT NOT NULL,\n"
-    "  analytic_tag TEXT NOT NULL,\n"
-    "  source_commit TEXT NOT NULL,\n"
-    "  inserted INTEGER NOT NULL DEFAULT 0,\n"
-    "  updated INTEGER NOT NULL DEFAULT 0,\n"
-    "  reactivated INTEGER NOT NULL DEFAULT 0,\n"
-    "  deactivated INTEGER NOT NULL DEFAULT 0,\n"
-    "  unchanged INTEGER NOT NULL DEFAULT 0\n"
-    ")",
-    "CREATE TABLE IF NOT EXISTS revisions (\n"
-    "  revision_id INTEGER PRIMARY KEY AUTOINCREMENT,\n"
-    "  refresh_id INTEGER NOT NULL,\n"
-    "  action TEXT NOT NULL,\n"
-    "  workload TEXT NOT NULL,\n"
-    "  scale TEXT NOT NULL,\n"
-    "  config_digest TEXT NOT NULL,\n"
-    "  schema_tag TEXT NOT NULL,\n"
-    "  fidelity TEXT NOT NULL,\n"
-    "  content_digest TEXT NOT NULL\n"
     ")",
 )
 
@@ -271,205 +229,80 @@ def _cell_metrics(
     return ipc, cycles, retired, number("analytic_rel_err_bound") or 0.0
 
 
-def _source_commit() -> str:
-    """The current source commit, for refresh provenance (best effort)."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 and out.stdout.strip() else "unknown"
-
-
 # ---------------------------------------------------------------------------
-# Incremental consolidation
+# The rebuild
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RefreshStats:
-    """What one ``refresh`` run changed (all zero = already converged)."""
+    """How one ``refresh`` changed the snapshot (no changes = converged)."""
 
-    refresh_id: int
     inserted: int = 0
     updated: int = 0
-    reactivated: int = 0
-    deactivated: int = 0
     unchanged: int = 0
+    removed: int = 0
 
     @property
     def changes(self) -> int:
-        return self.inserted + self.updated + self.reactivated + self.deactivated
+        return self.inserted + self.updated + self.removed
 
     def summary(self) -> str:
         return (
-            f"refresh #{self.refresh_id}: +{self.inserted} inserted, "
-            f"~{self.updated} updated, ^{self.reactivated} reactivated, "
-            f"-{self.deactivated} deactivated, {self.unchanged} unchanged"
+            f"+{self.inserted} inserted, ~{self.updated} updated, "
+            f"-{self.removed} removed, {self.unchanged} unchanged"
         )
 
 
-def _apply_cell_change(
-    conn: sqlite3.Connection,
-    refresh_id: int,
-    action: str,
-    key: CellKey,
-    cell: SourceCell | None,
-) -> None:
-    """One consolidation step: mutate the row, append its revision."""
-    maybe_fault("warehouse-refresh")
-    workload, scale, digest, tag, fidelity = key
-    content = cell.content_digest if cell is not None else ""
-    if action == "insert" and cell is not None:
-        ipc, cycles, retired, bound = _cell_metrics(cell.raw)
-        conn.execute(
-            "INSERT INTO cells (workload, scale, config_digest, schema_tag,"
-            " fidelity, mechanism, ipc, cycles, retired_instrs,"
-            " analytic_rel_err_bound, raw, content_digest, active,"
-            " first_seen, last_seen)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 1, ?, ?)",
-            (
-                workload,
-                scale,
-                digest,
-                tag,
-                fidelity,
-                cell.mechanism,
-                ipc,
-                cycles,
-                retired,
-                bound,
-                json.dumps(cell.raw, sort_keys=True, separators=(",", ":")),
-                cell.content_digest,
-                refresh_id,
-                refresh_id,
-            ),
-        )
-    elif action in ("update", "reactivate") and cell is not None:
-        ipc, cycles, retired, bound = _cell_metrics(cell.raw)
-        conn.execute(
-            "UPDATE cells SET mechanism = ?, ipc = ?, cycles = ?,"
-            " retired_instrs = ?, analytic_rel_err_bound = ?, raw = ?,"
-            " content_digest = ?, active = 1, last_seen = ?"
-            " WHERE workload = ? AND scale = ? AND config_digest = ?"
-            " AND schema_tag = ? AND fidelity = ?",
-            (
-                cell.mechanism,
-                ipc,
-                cycles,
-                retired,
-                bound,
-                json.dumps(cell.raw, sort_keys=True, separators=(",", ":")),
-                cell.content_digest,
-                refresh_id,
-                workload,
-                scale,
-                digest,
-                tag,
-                fidelity,
-            ),
-        )
-    else:  # deactivate
-        conn.execute(
-            "UPDATE cells SET active = 0, last_seen = ?"
-            " WHERE workload = ? AND scale = ? AND config_digest = ?"
-            " AND schema_tag = ? AND fidelity = ?",
-            (refresh_id, workload, scale, digest, tag, fidelity),
-        )
-    conn.execute(
-        "INSERT INTO revisions (refresh_id, action, workload, scale,"
-        " config_digest, schema_tag, fidelity, content_digest)"
-        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-        (refresh_id, action, workload, scale, digest, tag, fidelity, content),
-    )
+_INSERT_CELL = (
+    "INSERT INTO cells (workload, scale, config_digest, schema_tag, fidelity,"
+    " mechanism, ipc, cycles, retired_instrs, analytic_rel_err_bound, raw,"
+    " content_digest) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
 
 
-def refresh_warehouse(
-    cache_dir: str | os.PathLike[str],
-    worker: str | None = None,
-) -> RefreshStats:
-    """Scan the stores and consolidate the warehouse; returns what changed.
+def refresh_warehouse(cache_dir: str | os.PathLike[str]) -> RefreshStats:
+    """Rebuild ``cells`` from the stores; returns what changed.
 
-    Idempotent (a second run against unchanged stores applies zero
-    changes) and crash-safe (the scan happens outside any transaction;
-    every mutation — including the ``refreshes`` provenance row — commits
-    atomically at the end, so a SIGKILL mid-consolidation leaves the
-    previous snapshot intact and no partial revision history).
+    The scan happens outside any transaction. The rebuild — read the old
+    content digests, delete every row, insert every readable record —
+    is one transaction, so a SIGKILL mid-rebuild leaves the previous
+    snapshot intact, and a re-run against unchanged stores reports zero
+    changes.
     """
     source = scan_sources(cache_dir)
     conn = connect(cache_dir)
     try:
         conn.execute("BEGIN IMMEDIATE")
-        cursor = conn.execute(
-            "INSERT INTO refreshes (started_at, worker, engine_tag,"
-            " analytic_tag, source_commit) VALUES (?, ?, ?, ?, ?)",
-            (
-                time.time(),
-                worker or f"{socket.gethostname()}-{os.getpid()}",
-                ENGINE_SCHEMA_TAG,
-                ANALYTIC_SCHEMA_TAG,
-                _source_commit(),
-            ),
-        )
-        refresh_id = int(cursor.lastrowid or 0)
-        existing: dict[CellKey, tuple[str, int]] = {
-            (str(r[0]), str(r[1]), str(r[2]), str(r[3]), str(r[4])): (
-                str(r[5]),
-                int(r[6]),
-            )
+        old: dict[CellKey, str] = {
+            (str(r[0]), str(r[1]), str(r[2]), str(r[3]), str(r[4])): str(r[5])
             for r in conn.execute(
                 "SELECT workload, scale, config_digest, schema_tag, fidelity,"
-                " content_digest, active FROM cells"
+                " content_digest FROM cells"
             )
         }
-        counts = {"insert": 0, "update": 0, "reactivate": 0, "deactivate": 0}
-        unchanged = 0
-        for key in sorted(source):
-            cell = source[key]
-            current = existing.get(key)
-            if current is None:
-                action = "insert"
-            elif current[0] != cell.content_digest:
-                action = "update"
-            elif current[1] == 0:
-                action = "reactivate"
-            else:
-                unchanged += 1
-                continue
-            counts[action] += 1
-            _apply_cell_change(conn, refresh_id, action, key, cell)
-        for key in sorted(existing):
-            if key in source or existing[key][1] == 0:
-                continue
-            counts["deactivate"] += 1
-            _apply_cell_change(conn, refresh_id, "deactivate", key, None)
-        conn.execute(
-            "UPDATE refreshes SET inserted = ?, updated = ?, reactivated = ?,"
-            " deactivated = ?, unchanged = ? WHERE refresh_id = ?",
-            (
-                counts["insert"],
-                counts["update"],
-                counts["reactivate"],
-                counts["deactivate"],
-                unchanged,
-                refresh_id,
-            ),
-        )
+        conn.execute("DELETE FROM cells")
+        for key, cell in source.items():
+            maybe_fault("warehouse-refresh")
+            conn.execute(
+                _INSERT_CELL,
+                (
+                    *key,
+                    cell.mechanism,
+                    *_cell_metrics(cell.raw),
+                    json.dumps(cell.raw, sort_keys=True, separators=(",", ":")),
+                    cell.content_digest,
+                ),
+            )
         conn.execute("COMMIT")
     finally:
         conn.close()
+    kept = [old[k] == cell.content_digest for k, cell in source.items() if k in old]
     return RefreshStats(
-        refresh_id=refresh_id,
-        inserted=counts["insert"],
-        updated=counts["update"],
-        reactivated=counts["reactivate"],
-        deactivated=counts["deactivate"],
-        unchanged=unchanged,
+        inserted=len(source) - len(kept),
+        updated=kept.count(False),
+        unchanged=kept.count(True),
+        removed=len(old.keys() - source.keys()),
     )
 
 
@@ -483,32 +316,22 @@ class WarehouseStatus:
     """Aggregate counts of one warehouse database."""
 
     schema: str
-    active_cells: int
-    inactive_cells: int
-    refreshes: int
-    revisions: int
-    #: (schema_tag, fidelity) -> active row count, sorted by tag.
+    cells: int
+    #: (schema_tag, fidelity, row count), sorted by tag.
     by_tag: tuple[tuple[str, str, int], ...]
 
 
 def read_status(conn: sqlite3.Connection) -> WarehouseStatus:
-    def one(sql: str) -> int:
-        row = conn.execute(sql).fetchone()
-        return int(row[0]) if row is not None else 0
-
     schema_row = conn.execute("SELECT value FROM meta WHERE key = 'schema'").fetchone()
     by_tag = tuple(
         (str(r[0]), str(r[1]), int(r[2]))
         for r in conn.execute(
-            "SELECT schema_tag, fidelity, COUNT(*) FROM cells WHERE active = 1"
+            "SELECT schema_tag, fidelity, COUNT(*) FROM cells"
             " GROUP BY schema_tag, fidelity ORDER BY schema_tag, fidelity"
         )
     )
     return WarehouseStatus(
         schema=str(schema_row[0]) if schema_row is not None else "",
-        active_cells=one("SELECT COUNT(*) FROM cells WHERE active = 1"),
-        inactive_cells=one("SELECT COUNT(*) FROM cells WHERE active = 0"),
-        refreshes=one("SELECT COUNT(*) FROM refreshes"),
-        revisions=one("SELECT COUNT(*) FROM revisions"),
+        cells=sum(count for _, _, count in by_tag),
         by_tag=by_tag,
     )

@@ -7,7 +7,7 @@ simulation runs here: the grid geometry comes from the sweep registry
 ``(workload, scale token, config digest)`` keys the runtime caches under,
 and every key is answered by a warehouse lookup.
 
-Tier isolation is enforced in the lookup SQL: among the active rows for a
+Tier isolation is enforced in the lookup SQL: among the rows for a
 key, ``exact`` cells always outrank ``analytic`` ones (an estimate can
 never shadow a measured result), current-schema rows outrank stale ones,
 and ties break deterministically. Cells that used any analytic estimate
@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..analytic.model import combined_speedup_bound
+from ..analytic.store import ANALYTIC_SCHEMA_TAG
 from ..runtime import SimJob
+from ..runtime.cache import SCHEMA_TAG as ENGINE_SCHEMA_TAG
 from ..stats import geometric_mean
-from .core import ANALYTIC_SCHEMA_TAG, ENGINE_SCHEMA_TAG
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (sweeps import runtime)
     from ..experiments.common import ExperimentScale
@@ -60,18 +61,18 @@ class CellView:
 def lookup_cell(
     conn: sqlite3.Connection, workload: str, scale: str, digest: str
 ) -> CellView | None:
-    """The best active row for one content-addressed key.
+    """The best row for one content-addressed key.
 
-    Preference order: exact over analytic (the PR 8 isolation invariant,
-    now at the SQL layer), current schema tags over stale ones, then most
-    recently seen, then lexically-latest tag — every clause deterministic,
-    so repeated queries over the same snapshot are bit-identical.
+    Preference order: exact over analytic (the tier-isolation invariant,
+    at the SQL layer), current schema tags over stale ones, then the
+    lexically-latest tag — every clause deterministic, so repeated
+    queries over the same snapshot are bit-identical.
     """
     row = conn.execute(
         "SELECT mechanism, ipc, fidelity, analytic_rel_err_bound FROM cells"
-        " WHERE workload = ? AND scale = ? AND config_digest = ? AND active = 1"
+        " WHERE workload = ? AND scale = ? AND config_digest = ?"
         " ORDER BY (fidelity = 'exact') DESC, (schema_tag IN (?, ?)) DESC,"
-        " last_seen DESC, schema_tag DESC LIMIT 1",
+        " schema_tag DESC LIMIT 1",
         (workload, scale, digest, ENGINE_SCHEMA_TAG, ANALYTIC_SCHEMA_TAG),
     ).fetchone()
     if row is None:

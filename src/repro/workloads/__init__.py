@@ -1,7 +1,8 @@
 """Synthetic server workloads: profiles, CFG builder, traces and the store.
 
 This subpackage substitutes for the paper's Flexus-captured commercial
-workloads (see DESIGN.md section 2). The public surface is:
+workloads (see "The workload layer" in docs/architecture.md). The
+public surface is:
 
 * :func:`load_workload` / :class:`Workload` — build a ready-to-simulate
   workload from a named profile (memoized by content digest, optionally

@@ -15,7 +15,7 @@ Zeus (SPECweb99 front ends), and Oracle and DB2 (TPC-C OLTP) on a full-system
 simulator. Those binaries and traces are not available, so each workload is
 replaced by a *profile*: a parameter vector for the synthetic program builder
 that reproduces the statistical properties the mechanisms under study react
-to (see DESIGN.md section 2):
+to (see "Workload profiles" in docs/architecture.md):
 
 * instruction footprint ≫ L1-I capacity (scaled ~4x down from the paper's
   multi-MB footprints, preserving the over-subscription ratio against the

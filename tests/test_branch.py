@@ -7,7 +7,6 @@ from repro.branch.btb import BasicBlockBTB, BTBEntry, BTBPrefetchBuffer
 from repro.branch.predictors import (
     AlwaysTakenPredictor,
     BimodalPredictor,
-    GsharePredictor,
     NeverTakenPredictor,
     OraclePredictor,
     TagePredictor,
@@ -212,27 +211,6 @@ class TestBimodal:
             p.update(0x100, True)
         p.reset()
         assert p.predict(0x100) is False
-
-
-class TestGshare:
-    def test_learns_history_pattern(self):
-        """Alternating outcomes are history-predictable for gshare."""
-        p = GsharePredictor(entries=1024, history_bits=8)
-        outcome = True
-        for _ in range(200):
-            p.update(0x100, outcome)
-            outcome = not outcome
-        correct = 0
-        for _ in range(100):
-            if p.predict(0x100) == outcome:
-                correct += 1
-            p.update(0x100, outcome)
-            outcome = not outcome
-        assert correct > 90
-
-    def test_storage_bits(self):
-        p = GsharePredictor(entries=4096, history_bits=12)
-        assert p.storage_bits() == 2 * 4096 + 12
 
 
 class TestMakePredictor:

@@ -127,7 +127,7 @@ class TestLegacyShardLeftovers:
         assert refresh_warehouse(tmp_path).inserted == 1
         conn = connect(tmp_path)
         try:
-            assert read_status(conn).active_cells == 1
+            assert read_status(conn).cells == 1
         finally:
             conn.close()
 

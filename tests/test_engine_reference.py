@@ -157,7 +157,7 @@ def configs(draw):
     config = config.with_btb_entries(draw(st.sampled_from([64, 256, 1024, 2048, 8192])))
     config = config.with_llc_latency(draw(st.integers(1, 80)))
     return config.with_predictor(
-        draw(st.sampled_from(["tage", "bimodal", "gshare", "oracle", "never_taken"]))
+        draw(st.sampled_from(["tage", "bimodal", "oracle", "never_taken"]))
     )
 
 

@@ -1,5 +1,8 @@
 """Tests for the experiment harness (quick scale)."""
 
+import re
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.mechanisms import make_config
@@ -66,6 +69,28 @@ class TestExperimentResult:
         assert r.row_for("w") == ["w", 2]
         with pytest.raises(KeyError):
             r.row_for("missing")
+
+
+class TestCliFloatFormat:
+    @pytest.mark.parametrize("exhibit, decimals", [("figure3", 1), ("figure7", 2)])
+    def test_cli_prints_the_exhibits_own_format(
+        self, monkeypatch, capsys, exhibit, decimals
+    ):
+        """``python -m repro.experiments quick figure3`` prints the table
+        the module's ``main()`` and ``benchmarks/results/`` print (one
+        workload here, to keep it cheap)."""
+        module = EXPERIMENTS[exhibit]
+        one_workload = SimpleNamespace(
+            run=lambda scale: module.run(scale, workloads=("streaming",))
+        )
+        monkeypatch.setitem(EXPERIMENTS, exhibit, one_workload)
+        assert main(["quick", exhibit]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, x in enumerate(lines) if x.startswith("---")) + 1
+        end = next(i for i, x in enumerate(lines) if x.startswith("note:"))
+        numbers = re.findall(r"\d+\.\d+", "\n".join(lines[start:end]))
+        assert numbers
+        assert {len(n.split(".")[1]) for n in numbers} == {decimals}
 
 
 class TestRegistry:

@@ -253,13 +253,13 @@ def _assert_all_readable(cache_dir, count: int, workload: str = "wl"):
 
 
 class TestWarehouseRefreshKilledMidConsolidation:
-    """SIGKILL inside the warehouse consolidation transaction.
+    """SIGKILL inside the warehouse rebuild transaction.
 
     The contract (``repro.warehouse.core``): the whole refresh — the
-    provenance row, every cell mutation, every revision — commits
+    delete of every old row and the insert of every new one — commits
     atomically, so a refresh killed at any instant (a) leaves the
-    previous snapshot fully readable and (b) contributes *zero* rows,
-    and the next refresh converges with an exactly-once change history.
+    previous snapshot fully readable and (b) changes *zero* rows, and
+    the next refresh converges.
     """
 
     def _status(self, cache_dir):
@@ -295,13 +295,12 @@ class TestWarehouseRefreshKilledMidConsolidation:
         )
         assert faultinject.wait_exit(proc) == KILLED
         # The snapshot survives the kill readable — and empty: the dead
-        # refresh committed nothing, not even its own provenance row.
+        # refresh committed none of the rows it inserted.
         assert self._integrity_ok(tmp_path)
-        status = self._status(tmp_path)
-        assert (status.active_cells, status.revisions, status.refreshes) == (0, 0, 0)
+        assert self._status(tmp_path).cells == 0
         stats = refresh_warehouse(tmp_path)
         assert (stats.inserted, stats.changes) == (40, 40)
-        assert self._status(tmp_path).revisions == 40  # exactly-once history
+        assert self._status(tmp_path).cells == 40
         assert refresh_warehouse(tmp_path).changes == 0
 
     def test_kill_mid_refresh_preserves_previous_snapshot(self, tmp_path):
@@ -316,22 +315,12 @@ class TestWarehouseRefreshKilledMidConsolidation:
         )
         assert faultinject.wait_exit(proc) == KILLED
         assert self._integrity_ok(tmp_path)
-        status = self._status(tmp_path)
-        # The pre-kill snapshot, bit for bit: 30 cells, their 30 insert
-        # revisions, the one completed refresh — nothing half-applied.
-        assert (status.active_cells, status.revisions, status.refreshes) == (
-            30,
-            30,
-            1,
-        )
+        # The pre-kill snapshot: the dead refresh had deleted all 30 rows
+        # and re-inserted 3 when it died, and none of that is visible.
+        assert self._status(tmp_path).cells == 30
         stats = refresh_warehouse(tmp_path)
         assert (stats.inserted, stats.unchanged) == (10, 30)
-        status = self._status(tmp_path)
-        assert (status.active_cells, status.revisions, status.refreshes) == (
-            40,
-            40,
-            2,
-        )
+        assert self._status(tmp_path).cells == 40
         # Every record is still readable through the cache as well.
         _assert_all_readable(tmp_path, 40)
 

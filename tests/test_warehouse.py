@@ -1,22 +1,22 @@
-"""Warehouse suite: consolidation state machine, queries, tiers, CLI.
+"""Warehouse suite: rebuild state machine, queries, tiers, CLI.
 
 The contracts under test, in order:
 
 * **Schema round-trip** — a warehouse written by this code is re-opened
   by this code; one written under a different ``WAREHOUSE_SCHEMA`` is
   refused, never misread.
-* **Consolidation state machine** — a seeded property test interleaves
-  cache puts/overwrites with ``prune`` / stale-tag decay and asserts,
-  after every cycle, that the incrementally-refreshed warehouse is
-  *exactly* what a from-scratch rebuild of the same stores produces.
+* **Rebuild state machine** — a seeded property test interleaves cache
+  puts/overwrites with ``prune`` / stale-tag decay and asserts, after
+  every cycle, that the refreshed warehouse holds exactly the readable
+  records and equals a from-scratch rebuild of the same stores; pruned
+  or deleted records leave no row, and the refresh counts say what
+  changed.
 * **Layout independence** — ``contour dense-latency-btb`` renders the
   full grid, bit-identically whether or not the cache also holds files
   that are not records (a legacy ``shard.jsonl``, its lock file).
 * **Tier interplay** — analytic cells surface their
-  ``analytic_rel_err_bound`` and can never shadow an exact row (the PR 8
-  isolation invariant, enforced by the lookup SQL).
-* **Revision history** — every applied change writes exactly one
-  revision; converged refreshes write none.
+  ``analytic_rel_err_bound`` and can never shadow an exact row, and a
+  current-tag row outranks a stale-tag one (enforced by the lookup SQL).
 * **CLI** — ``refresh``/``status`` round-trip; the query subcommands need
   an existing warehouse.
 
@@ -88,22 +88,22 @@ def _put_stale(cache_dir: Path, workload: str, digest: str, cycles: float) -> No
     )
 
 
-def _active_cells(cache_dir: Path) -> dict[tuple[str, str, str, str], str]:
-    """(workload, scale, digest, tag) -> raw JSON, active exact cells only."""
+def _cells(cache_dir: Path) -> dict[tuple[str, str, str, str], str]:
+    """(workload, scale, digest, tag) -> raw JSON for every row."""
     conn = connect(cache_dir)
     try:
         return {
             (str(r[0]), str(r[1]), str(r[2]), str(r[3])): str(r[4])
             for r in conn.execute(
                 "SELECT workload, scale, config_digest, schema_tag, raw"
-                " FROM cells WHERE active = 1"
+                " FROM cells"
             )
         }
     finally:
         conn.close()
 
 
-def _rebuild_active(cache_dir: Path, scratch: Path) -> dict[tuple[str, str, str, str], str]:
+def _rebuild(cache_dir: Path, scratch: Path) -> dict[tuple[str, str, str, str], str]:
     """A from-scratch warehouse over a copy of the same stores."""
     clone = scratch / "rebuild"
     if clone.exists():
@@ -112,7 +112,7 @@ def _rebuild_active(cache_dir: Path, scratch: Path) -> dict[tuple[str, str, str,
         cache_dir, clone, ignore=shutil.ignore_patterns("warehouse.sqlite*")
     )
     refresh_warehouse(clone)
-    return _active_cells(clone)
+    return _cells(clone)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +128,7 @@ class TestSchema:
         status = read_status(conn)
         conn.close()
         assert status.schema == WAREHOUSE_SCHEMA
-        assert status.active_cells == 0
-        assert status.refreshes == 1
+        assert status.cells == 0
 
     def test_foreign_schema_is_refused(self, tmp_path):
         connect(tmp_path).close()
@@ -145,7 +144,7 @@ class TestSchema:
 
 
 # ---------------------------------------------------------------------------
-# Consolidation state machine (property test)
+# Rebuild state machine (property test)
 # ---------------------------------------------------------------------------
 
 
@@ -153,9 +152,9 @@ class TestConsolidationStateMachine:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interleaved_lifecycle_always_equals_rebuild(self, tmp_path, seed):
         """Puts, overwrites, stale decay, pruning and repeated refreshes,
-        in random interleavings: after every cycle the
-        incrementally-consolidated warehouse must equal both the test's
-        own model of the stores and a from-scratch rebuild."""
+        in random interleavings: after every cycle the refreshed
+        warehouse must equal both the test's own model of the stores and
+        a from-scratch rebuild."""
         rng = random.Random(seed)
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
@@ -177,7 +176,7 @@ class TestConsolidationStateMachine:
                 cycles = float(rng.randrange(5000, 9000))
                 cache.put(key[0], key[1], key[2], _result(key[0], cycles))
                 expected[key] = cycles
-            action = rng.choice(("stale-put", "prune-stale", "reactivate", "noop"))
+            action = rng.choice(("stale-put", "prune-stale", "re-put", "noop"))
             if action == "stale-put":
                 digest = _digest(rng)
                 cycles = float(rng.randrange(100, 400))
@@ -187,62 +186,53 @@ class TestConsolidationStateMachine:
                 prune_cache(cache_dir)
                 for key in [k for k in expected if k[3] == STALE_TAG]:
                     graveyard[key] = expected.pop(key)
-            elif action == "reactivate" and graveyard:
+            elif action == "re-put" and graveyard:
                 key = rng.choice(sorted(graveyard))
                 cycles = graveyard.pop(key)
                 _put_stale(cache_dir, key[0], key[2], cycles)
                 expected[key] = cycles
             refresh_warehouse(cache_dir)
-            active = _active_cells(cache_dir)
-            assert set(active) == set(expected), f"cycle {cycle} ({action})"
-            for key, raw_json in active.items():
+            cells = _cells(cache_dir)
+            assert set(cells) == set(expected), f"cycle {cycle} ({action})"
+            for key, raw_json in cells.items():
                 assert json.loads(raw_json)["cycles"] == expected[key]
-            assert active == _rebuild_active(cache_dir, tmp_path)
+            assert cells == _rebuild(cache_dir, tmp_path)
         # Converged: one more refresh applies nothing.
         assert refresh_warehouse(cache_dir).changes == 0
 
-    def test_revision_history_is_exactly_once(self, tmp_path):
+    def test_refresh_counts_against_old_snapshot(self, tmp_path):
         cache = ResultCache(tmp_path)
         for i in range(5):
             cache.put(f"wl{i}", SCALE_TOK, f"{i:064x}", _result(f"wl{i}", 1000.0 + i))
         first = refresh_warehouse(tmp_path)
         assert (first.inserted, first.changes) == (5, 5)
-        # Overwrite one, drop nothing: exactly one update revision.
         cache.put("wl0", SCALE_TOK, f"{0:064x}", _result("wl0", 4242.0))
         second = refresh_warehouse(tmp_path)
-        assert (second.inserted, second.updated, second.deactivated) == (0, 1, 0)
-        third = refresh_warehouse(tmp_path)
-        assert third.changes == 0
-        conn = connect(tmp_path)
-        try:
-            actions = [
-                (str(r[0]), int(r[1]))
-                for r in conn.execute(
-                    "SELECT action, COUNT(*) FROM revisions GROUP BY action"
-                    " ORDER BY action"
-                )
-            ]
-            assert actions == [("insert", 5), ("update", 1)]
-            assert read_status(conn).refreshes == 3
-        finally:
-            conn.close()
+        assert (second.inserted, second.updated, second.unchanged) == (0, 1, 4)
+        assert second.removed == 0
+        assert refresh_warehouse(tmp_path).changes == 0
 
-    def test_prune_then_reput_is_deactivate_then_reactivate(self, tmp_path):
+    def test_pruned_tag_rows_are_removed(self, tmp_path):
         _put_stale(Path(tmp_path), "wl", "a" * 64, 777.0)
-        refresh_warehouse(tmp_path)
+        assert refresh_warehouse(tmp_path).inserted == 1
         prune_cache(tmp_path)
         stats = refresh_warehouse(tmp_path)
-        assert stats.deactivated == 1
-        _put_stale(Path(tmp_path), "wl", "a" * 64, 777.0)
+        assert (stats.removed, stats.changes) == (1, 1)
+        assert _cells(tmp_path) == {}
+
+    def test_deleted_record_row_is_gone_after_refresh(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keep, drop = "1" * 64, "2" * 64
+        cache.put("wl", SCALE_TOK, keep, _result("wl", 1000.0))
+        cache.put("wl", SCALE_TOK, drop, _result("wl", 2000.0))
+        refresh_warehouse(tmp_path)
+        (tmp_path / SCHEMA_TAG / "wl" / f"s{SCALE_TOK}__{drop[:16]}.json").unlink()
         stats = refresh_warehouse(tmp_path)
-        assert (stats.reactivated, stats.inserted) == (1, 0)
+        assert (stats.removed, stats.unchanged) == (1, 1)
         conn = connect(tmp_path)
         try:
-            actions = [
-                str(r[0])
-                for r in conn.execute("SELECT action FROM revisions ORDER BY revision_id")
-            ]
-            assert actions == ["insert", "deactivate", "reactivate"]
+            assert lookup_cell(conn, "wl", SCALE_TOK, drop) is None
+            assert lookup_cell(conn, "wl", SCALE_TOK, keep) is not None
         finally:
             conn.close()
 
@@ -329,7 +319,7 @@ class TestLayoutIndependence:
             refresh_warehouse(cache_dir)
             conn = connect(cache_dir)
             try:
-                assert read_status(conn).active_cells == 720
+                assert read_status(conn).cells == 720
                 outputs[layout] = render_contour(
                     conn, "dense-latency-btb", scale="quick", workload_set="paper"
                 )
@@ -386,7 +376,7 @@ class TestTierInterplay:
         conn = connect(tmp_path)
         try:
             status = read_status(conn)
-            assert status.active_cells == 2  # both tiers consolidated...
+            assert status.cells == 2  # both tiers consolidated...
             view = lookup_cell(conn, "wl", SCALE_TOK, digest)
             assert view is not None
             assert view.fidelity == "exact"  # ...but exact always wins
@@ -396,6 +386,20 @@ class TestTierInterplay:
                 (tag, count) for tag, _, count in status.by_tag
             )
             assert by_tier == {SCHEMA_TAG: 1, ANALYTIC_SCHEMA_TAG: 1}
+        finally:
+            conn.close()
+
+    def test_current_tag_beats_stale_tag(self, tmp_path):
+        digest = "ef" * 32
+        _put_stale(Path(tmp_path), "wl", digest, 3000.0)
+        ResultCache(tmp_path).put("wl", SCALE_TOK, digest, _result("wl", 1000.0))
+        refresh_warehouse(tmp_path)
+        conn = connect(tmp_path)
+        try:
+            assert read_status(conn).cells == 2
+            view = lookup_cell(conn, "wl", SCALE_TOK, digest)
+            assert view is not None
+            assert view.ipc == 1500.0 / 1000.0  # the current tag's record
         finally:
             conn.close()
 
@@ -459,7 +463,7 @@ class TestCli:
         assert "+1 inserted" in out
         assert self._main("status", "--cache-dir", str(tmp_path)) == 0
         out = capsys.readouterr().out
-        assert WAREHOUSE_SCHEMA in out and "1 active" in out
+        assert WAREHOUSE_SCHEMA in out and "1 cell(s)" in out
 
     def test_queries_and_gate_require_a_warehouse(self, tmp_path, capsys):
         assert self._main("status", "--cache-dir", str(tmp_path)) == 1
