@@ -15,6 +15,11 @@ directory a sweep is about to use doubles as a warm-up. CI runs it after
 the experiment smoke runs and appends the table to the step summary next
 to the result-cache hit counts.
 
+Each row also shows the record's size on disk, and each pass prints the
+store's hit/miss/corrupt counts. The exit status is 1 when the warm
+loads were not faster in total, or when any warm load missed or found a
+corrupt record (a stored build that cannot be read back).
+
 Usage::
 
     python scripts/trace_store_timing.py --cache-dir DIR
@@ -31,12 +36,30 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.workloads import (  # noqa: E402  (path bootstrap above)
+    TraceStore,
     clear_workload_cache,
     configure_trace_store,
     get_trace_store,
     load_workload,
     workload_set,
 )
+
+
+def timed_load(name: str, scale: float) -> float:
+    """Seconds for one ``load_workload`` with the in-process memo cleared."""
+    clear_workload_cache()
+    t0 = time.perf_counter()
+    load_workload(name, scale=scale)
+    return time.perf_counter() - t0
+
+
+def lookups(store: TraceStore) -> tuple[int, int, int]:
+    return store.hits, store.misses, store.corrupt
+
+
+def describe(before: tuple[int, int, int], after: tuple[int, int, int]) -> str:
+    hits, misses, corrupt = (a - b for a, b in zip(after, before))
+    return f"{hits} hits, {misses} misses, {corrupt} corrupt"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,52 +70,58 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload scale (default: quick, 0.25)")
     args = parser.parse_args(argv)
 
-    profiles = workload_set(args.set)
+    names = [profile.name for profile in workload_set(args.set)]
 
-    # Cold pass: build with the store attached but empty (or stale), so the
+    # First pass: load with the store attached but empty (or stale), so the
     # records land on disk for the warm pass and for any following sweep.
     configure_trace_store(args.cache_dir)
     store = get_trace_store()
-    rows: list[tuple[str, float, float]] = []
-    for profile in profiles:
-        clear_workload_cache()
-        hits_before = store.hits
-        t0 = time.perf_counter()
-        load_workload(profile.name, scale=args.scale)
-        t_first = time.perf_counter() - t0
-        first_was_hit = store.hits > hits_before
+    start = lookups(store)
+    first: list[float] = []
+    first_hit: list[bool] = []
+    for name in names:
+        hits = store.hits
+        first.append(timed_load(name, args.scale))
+        first_hit.append(store.hits > hits)
+    after_first = lookups(store)
 
-        clear_workload_cache()
-        t0 = time.perf_counter()
-        load_workload(profile.name, scale=args.scale)
-        t_warm = time.perf_counter() - t0
-        # If the store was already warm, the first pass was not a cold
-        # build; rebuild without the store to report an honest cold time.
-        if first_was_hit:
-            clear_workload_cache()
-            configure_trace_store(None)
-            t0 = time.perf_counter()
-            load_workload(profile.name, scale=args.scale)
-            t_first = time.perf_counter() - t0
-            configure_trace_store(args.cache_dir)
-        rows.append((profile.name, t_first, t_warm))
+    warm: list[float] = []
+    record_bytes: list[int] = []
+    for name in names:
+        hit_bytes = store.hit_bytes
+        warm.append(timed_load(name, args.scale))
+        record_bytes.append(store.hit_bytes - hit_bytes)
+    after_warm = lookups(store)
+
+    # A first load that hit the store was not a cold build; rebuild those
+    # without the store to report an honest cold time.
+    configure_trace_store(None)
+    cold = [
+        timed_load(name, args.scale) if was_hit else seconds
+        for name, seconds, was_hit in zip(names, first, first_hit)
+    ]
 
     print(f"trace store at {args.cache_dir} (scale {args.scale}, set {args.set})")
-    print(f"{'workload':<14s} {'cold build':>12s} {'warm load':>12s} {'speedup':>8s}")
-    total_cold = total_warm = 0.0
-    for name, cold, warm in rows:
-        total_cold += cold
-        total_warm += warm
-        speedup = cold / warm if warm > 0 else float("inf")
-        print(f"{name:<14s} {cold * 1e3:>10.1f}ms {warm * 1e3:>10.1f}ms {speedup:>7.1f}x")
+    print(f"{'workload':<14s} {'cold build':>12s} {'warm load':>12s} {'speedup':>8s} "
+          f"{'record':>10s}")
+    for name, cold_s, warm_s, size in zip(names, cold, warm, record_bytes):
+        speedup = cold_s / warm_s if warm_s > 0 else float("inf")
+        print(f"{name:<14s} {cold_s * 1e3:>10.1f}ms {warm_s * 1e3:>10.1f}ms "
+              f"{speedup:>7.1f}x {size / 1024:>8.1f}KB")
+    total_cold, total_warm = sum(cold), sum(warm)
     speedup = total_cold / total_warm if total_warm > 0 else float("inf")
     print(f"{'total':<14s} {total_cold * 1e3:>10.1f}ms {total_warm * 1e3:>10.1f}ms "
-          f"{speedup:>7.1f}x")
+          f"{speedup:>7.1f}x {sum(record_bytes) / 1024:>8.1f}KB")
+    print(f"first pass: {describe(start, after_first)}")
+    print(f"warm pass: {describe(after_first, after_warm)}")
+    status = 0
     if total_warm >= total_cold:
         print("WARNING: warm loads were not faster than cold builds", file=sys.stderr)
-        return 1
-    return 0
-
+        status = 1
+    if after_warm[0] - after_first[0] != len(names):
+        print("ERROR: a warm load missed or found a corrupt record", file=sys.stderr)
+        status = 1
+    return status
 
 if __name__ == "__main__":
     sys.exit(main())

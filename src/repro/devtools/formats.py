@@ -12,9 +12,11 @@ misreads (or silently orphans) old records.
 
 This module extracts those *format facts* straight from the AST:
 
-* literal constants (``_MAGIC``, ``_NAME_DIGEST_CHARS``),
-* filename-grammar functions (``_job_filename`` / ``_parse_job_name`` /
-  ``_path`` / ``manifest_path``), fingerprinted by a docstring-stripped
+* literal constants (``_MAGIC``, ``_NAME_DIGEST_CHARS``, the trace
+  store's ``_CFG_ARRAYS`` layout),
+* filename-grammar and encoder functions (``_job_filename`` /
+  ``_parse_job_name`` / ``_path`` / ``manifest_path`` / ``_encode_cfg``),
+  fingerprinted by a docstring-stripped
   ``ast.dump`` so comments and formatting never count as drift,
 * the string keys of every record dict a writer builds,
 * the lifecycle directory-name regexes.
@@ -92,9 +94,9 @@ GROUPS: tuple[GroupSpec, ...] = (
         group="trace-store",
         file="workloads/tracestore.py",
         tag_const="_SCHEMA_MAJOR",
-        consts=("_MAGIC", "_NAME_DIGEST_CHARS"),
+        consts=("_MAGIC", "_NAME_DIGEST_CHARS", "_PREFIX", "_CFG_ARRAYS"),
         regexes=("_TAG_DIR_RE",),
-        funcs=("_path",),
+        funcs=("_path", "_encode_cfg"),
         dict_key_funcs=("put",),
     ),
     GroupSpec(

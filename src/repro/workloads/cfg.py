@@ -24,13 +24,16 @@ _FALLS_THROUGH = frozenset((BranchKind.COND, BranchKind.CALL, BranchKind.IND_CAL
 _DIRECT = frozenset((BranchKind.COND, BranchKind.JUMP, BranchKind.CALL))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticBlock:
     """One basic block: layout plus the behaviour of its terminating branch.
 
     ``target`` is the *primary* static target: the taken target for direct
     branches, the most likely target for indirect branches, and ``0`` for
     returns (whose target comes from the call stack).
+
+    Slotted, with no per-instance ``__dict__``: every process that
+    replays a workload keeps one instance per static block resident.
     """
 
     start: int
@@ -75,7 +78,7 @@ class StaticBlock:
         return self.kind == BranchKind.COND and self.loop_mean > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Function:
     """A contiguous run of basic blocks with a single entry."""
 
@@ -104,13 +107,14 @@ class ControlFlowGraph:
     _branch_map: dict[int, list[StaticBlock]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        # One stable sort by branch address, then bucketing: every list
+        # comes out sorted, with ties in ``blocks`` order.
+        blocks = list(self.blocks.values())
+        branch_pcs = [blk.start + (blk.n_instrs - 1) * INSTR_BYTES for blk in blocks]
         self._branch_map = {}
-        for blk in self.blocks.values():
-            branch_pc = blk.start + (blk.n_instrs - 1) * INSTR_BYTES
-            self._branch_map.setdefault(block_of(branch_pc), []).append(blk)
-        for entries in self._branch_map.values():
-            if len(entries) > 1:
-                entries.sort(key=lambda b: b.branch_pc)
+        setdefault = self._branch_map.setdefault
+        for i in sorted(range(len(blocks)), key=branch_pcs.__getitem__):
+            setdefault(block_of(branch_pcs[i]), []).append(blocks[i])
 
     @property
     def n_blocks(self) -> int:

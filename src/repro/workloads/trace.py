@@ -8,9 +8,9 @@ same trace and every mechanism is evaluated on identical input.
 Traces are stored **columnar**: six parallel ``array`` columns (one per
 ``REC_*`` field) instead of one Python tuple per record. A full-scale
 trace is a few flat megabytes of C integers rather than hundreds of
-megabytes of boxed tuples, the columns pickle/serialize as raw bytes (the
-:mod:`~repro.workloads.tracestore` disk format is exactly
-``array.tobytes`` per column), and forked pool workers share them
+megabytes of boxed tuples, the columns serialize as raw bytes (the
+:mod:`~repro.workloads.tracestore` record holds each column's buffer
+as-is), and forked pool workers share them
 copy-on-write. The engine's hot per-prediction loop reads
 ``trace.columns[REC_KIND]`` etc. directly (indexed reads, no per-record
 allocation); iterating a :class:`Trace` yields one record tuple at a time
@@ -29,7 +29,7 @@ import random
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from ..config import INSTR_BYTES
 from ..errors import WorkloadError
@@ -233,9 +233,9 @@ def _draw_trips(rng: random.Random, mean: float) -> int:
 #:  corr_invert, indirect_target_pcs, indirect_weights).
 _WalkInfo = tuple
 
-#: Pulls the walk-relevant StaticBlock fields out of an instance ``__dict__``
-#: in one C call (``fallthrough`` is a property, so it is derived below).
-_WALK_FIELDS = itemgetter(
+#: Reads the walk-relevant StaticBlock fields in one C call
+#: (``fallthrough`` is a property, so it is derived below).
+_WALK_FIELDS = attrgetter(
     "kind", "n_instrs", "target", "bias", "loop_mean",
     "corr_src", "corr_invert", "indirect_targets",
 )
@@ -246,17 +246,17 @@ _NO_TARGETS: tuple[list, list] = ([], [])
 def _compile_walk_info(cfg: ControlFlowGraph) -> dict[int, _WalkInfo]:
     """Flatten every StaticBlock into a plain tuple for the walk loop.
 
-    Frozen-dataclass attribute reads cost an attribute-protocol round trip
-    each; the walker touches several per record, so one upfront O(blocks)
-    pass — one ``itemgetter`` call per block straight off the instance
-    dict — pays for itself within the first few thousand records. Indirect
-    target pools (rare) are pre-split into parallel (targets, weights)
-    lists so each draw skips two list comprehensions.
+    The walker touches several fields of the current block per record;
+    a tuple unpack is cheaper than that many slot reads, so one upfront
+    O(blocks) pass, one ``attrgetter`` call per block, pays for itself
+    within the first few thousand records. Indirect target pools (rare)
+    are pre-split into parallel (targets, weights) lists so each draw
+    skips two list comprehensions.
     """
     info: dict[int, _WalkInfo] = {}
     for pc, blk in cfg.blocks.items():
         (kind, n_instrs, target, bias, loop_mean,
-         corr_src, corr_invert, ind) = _WALK_FIELDS(blk.__dict__)
+         corr_src, corr_invert, ind) = _WALK_FIELDS(blk)
         if ind:
             targets_weights = ([t for t, _ in ind], [w for _, w in ind])
         else:

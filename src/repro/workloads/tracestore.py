@@ -6,27 +6,39 @@ profile, and before this store existed every pool worker (and every cold
 process) paid it again. The store persists one record per built workload::
 
     <cache_dir>/
-      <TRACE_SCHEMA_TAG>/                  # e.g. "trace-v1-<fingerprint>"
+      <TRACE_SCHEMA_TAG>/                  # e.g. "trace-v2-<fingerprint>"
         <profile>__<digest16>__L<len>.wkld
 
 keyed by an **exhaustive content digest of the frozen WorkloadProfile
 tree** (every field contributes via the same canonicalization as the
 result cache's config digest — no hand-picked field list to go stale)
 plus the requested trace length. Records written by a profile that merely
-*shares a name* with another can therefore never be served for it — the
-unsoundness PR 1 removed from the result cache, removed here from the
-workload layer.
+*shares a name* with another can therefore never be served for it, the
+same guarantee the result cache's config digest gives.
 
 Record format (binary, one file per workload)::
 
-    magic | u32 header length | JSON header | column payloads | CFG pickle
+    magic | u32 header length | u32 crc32 | JSON header | typed arrays
 
-The header carries the schema tag, the full profile digest, the requested
-length, the derived trace seed, and per-column (name, typecode, nbytes) so
-a record is self-describing; the column payloads are ``array.tobytes`` of
-the six trace columns. Records are written atomically (temp file +
-``os.replace``) and any unreadable, truncated or mismatching record is a
-miss, never an error.
+The crc32 covers every byte after it (header and arrays), so a flipped
+byte or a short write cannot decode into a different build. The header
+carries the schema tag, the full profile digest, the requested length,
+the derived trace seed, the CFG's name, entry and function names, and
+one (name, typecode, nbytes) triple per array, so a record is
+self-describing. The arrays are ``array`` buffers written as-is, in
+:data:`_ARRAYS` order: the six trace columns; one array per scalar
+:class:`~repro.workloads.cfg.StaticBlock` field, in the order
+``tests/test_build_digests.py`` hashes them; the indirect-target pools as
+per-block offsets into parallel target and weight arrays; and the
+functions' id, entry and layer, with their ``block_starts`` as offsets
+into one flat array. A record holds only numbers and strings: no object
+is rebuilt by class name, so a load cannot run code.
+
+Records are written atomically (temp file + ``os.replace``). A missing
+or unreadable record is a miss; a record that exists but fails a check
+(magic, checksum, header JSON, schema/digest/length, per-array
+typecode/nbytes, array consistency) is counted as ``corrupt`` and also
+returned as a miss, never raised.
 
 :data:`TRACE_SCHEMA_TAG` mirrors :data:`repro.runtime.cache.SCHEMA_TAG`:
 a manual major tag plus a fingerprint of the workload-semantics sources
@@ -34,11 +46,6 @@ a manual major tag plus a fingerprint of the workload-semantics sources
 whose ``INSTR_BYTES``/``BLOCK_BYTES`` shape the layout). Any change to
 profiles, the builder, the walker or the storage representation orphans
 old records automatically.
-
-The CFG payload uses :mod:`pickle`, which is only safe for trusted data;
-records live in a local cache directory the user controls (the same trust
-model as the result cache), and the schema/digest checks reject anything
-this code did not write.
 """
 
 from __future__ import annotations
@@ -46,27 +53,85 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import re
 import shutil
 import struct
+import zlib
 from array import array
-from dataclasses import dataclass
+from collections import deque
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, itemgetter, le, sub
 from pathlib import Path
 
-from .cfg import ControlFlowGraph
+from .cfg import ControlFlowGraph, Function, StaticBlock
+from .isa import BranchKind
 from .profiles import WorkloadProfile
 from .trace import COLUMN_SPECS, Trace
 
 #: Bump on record *format* changes; semantic changes are fingerprinted.
-_SCHEMA_MAJOR = "trace-v1"
+_SCHEMA_MAJOR = "trace-v2"
 
 #: First bytes of every record file.
-_MAGIC = b"BWKLD1\n"
+_MAGIC = b"BWKLD2\n"
 
 #: Digest prefix length used in filenames (full digest verified on read).
 _NAME_DIGEST_CHARS = 16
 
+#: After the magic: JSON header length, then crc32 of header + arrays.
+_PREFIX = struct.Struct("<II")
+
+#: (name, typecode) of every CFG array, in record order. The ``block.*``
+#: arrays hold the scalar StaticBlock fields in the order
+#: ``tests/test_build_digests.py::cfg_digest`` hashes them; the
+#: ``*offsets`` arrays have one more entry than their owners, and owner
+#: ``i``'s items are ``[offsets[i], offsets[i + 1])`` of the next arrays.
+_CFG_ARRAYS = (
+    ("block.start", "q"),
+    ("block.n_instrs", "i"),
+    ("block.kind", "b"),
+    ("block.target", "q"),
+    ("block.func_id", "i"),
+    ("block.bias", "d"),
+    ("block.loop_mean", "d"),
+    ("block.corr_src", "q"),
+    ("block.corr_invert", "b"),
+    ("indirect.offsets", "i"),
+    ("indirect.target", "q"),
+    ("indirect.weight", "d"),
+    ("func.id", "i"),
+    ("func.entry", "q"),
+    ("func.layer", "i"),
+    ("func.block_offsets", "i"),
+    ("func.block_starts", "q"),
+)
+
+#: Every array of a record, in record order: trace columns, then the CFG.
+_ARRAYS = tuple((f"trace.{name}", tc) for name, tc in COLUMN_SPECS) + _CFG_ARRAYS
+
+#: The ``block.*`` arrays, then ``indirect_targets`` (the ``indirect.*``
+#: arrays), read off a StaticBlock in one call.
+_N_BLOCK_SCALARS = 9
+_BLOCK_FIELDS = attrgetter(
+    *(name.removeprefix("block.") for name, _ in _CFG_ARRAYS[:_N_BLOCK_SCALARS]),
+    "indirect_targets",
+)
+
+#: Header keys a reader relies on, with their JSON types.
+_HEADER_TYPES = {
+    "schema": str,
+    "profile_digest": str,
+    "length": int,
+    "trace_seed": int,
+    "n_instrs": int,
+    "cfg_name": str,
+    "cfg_entry": int,
+    "function_names": list,
+    "arrays": list,
+}
+
+_KIND_BY_VALUE = {int(kind): kind for kind in BranchKind}
 
 #: The ``repro`` package directory whose sources are fingerprinted.
 _PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -112,14 +177,30 @@ def trace_seed(profile: WorkloadProfile) -> int:
     return profile.seed * 7919 + 1
 
 
+class CorruptRecord(Exception):
+    """A stored record failed the named check in its message."""
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise CorruptRecord(what)
+
+
 class TraceStore:
-    """Directory-backed store of built (CFG, trace) workload records."""
+    """Directory-backed store of built (CFG, trace) workload records.
+
+    Every :meth:`get` counts as exactly one of ``hits``, ``misses`` (no
+    readable record) or ``corrupt`` (a record that failed a check);
+    ``hit_bytes`` sums the sizes of the records served.
+    """
 
     def __init__(self, cache_dir: str | os.PathLike):
         self.root = Path(cache_dir) / TRACE_SCHEMA_TAG
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
         self.stores = 0
+        self.hit_bytes = 0
 
     def _path(self, profile_name: str, digest: str, length: int) -> Path:
         safe_name = re.sub(r"[^A-Za-z0-9_.-]", "_", profile_name)
@@ -142,65 +223,19 @@ class TraceStore:
         """
         if digest is None:
             digest = profile_digest(profile)
-        path = self._path(profile.name, digest, length)
         try:
-            blob = path.read_bytes()
-            parsed = self._parse(blob, digest, length)
-        except Exception:
-            # "Any unreadable, truncated or mismatching record is a miss,
-            # never an error": corrupt pickle payloads alone can raise
-            # nearly anything (AttributeError, ImportError, IndexError,
-            # UnicodeDecodeError, ...), so no allowlist can be exhaustive.
-            parsed = None
-        if parsed is None:
+            blob = self._path(profile.name, digest, length).read_bytes()
+        except OSError:
             self.misses += 1
             return None
+        try:
+            built = _decode_record(blob, digest, length)
+        except CorruptRecord:
+            self.corrupt += 1
+            return None
         self.hits += 1
-        return parsed
-
-    def _parse(
-        self, blob: bytes, digest: str, length: int
-    ) -> tuple[ControlFlowGraph, Trace] | None:
-        if not blob.startswith(_MAGIC):
-            return None
-        view = memoryview(blob)  # zero-copy slices for the bulk payloads
-        offset = len(_MAGIC)
-        (header_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        header = json.loads(blob[offset : offset + header_len])
-        offset += header_len
-        if (
-            header.get("schema") != TRACE_SCHEMA_TAG
-            or header.get("profile_digest") != digest
-            or header.get("length") != length
-            or header.get("columns") is None
-            or len(header["columns"]) != len(COLUMN_SPECS)
-        ):
-            return None
-        columns: list[array] = []
-        n_records = header["n_records"]
-        for (name, typecode), (h_name, h_typecode, nbytes) in zip(
-            COLUMN_SPECS, header["columns"]
-        ):
-            if h_name != name or h_typecode != typecode:
-                return None
-            col = array(typecode)
-            col.frombytes(view[offset : offset + nbytes])
-            offset += nbytes
-            if len(col) != n_records:
-                return None
-            columns.append(col)
-        cfg_bytes = header["cfg_bytes"]
-        cfg = pickle.loads(view[offset : offset + cfg_bytes])
-        if not isinstance(cfg, ControlFlowGraph):
-            return None
-        trace = Trace(
-            cfg=cfg,
-            columns=tuple(columns),
-            seed=header["trace_seed"],
-            n_instrs=header["n_instrs"],
-        )
-        return cfg, trace
+        self.hit_bytes += len(blob)
+        return built
 
     # --------------------------------------------------------------- write
 
@@ -220,9 +255,7 @@ class TraceStore:
 
         if digest is None:
             digest = profile_digest(profile)
-        path = self._path(profile.name, digest, length)
-        payloads = [col.tobytes() for col in trace.columns]
-        cfg_blob = pickle.dumps(cfg, protocol=pickle.HIGHEST_PROTOCOL)
+        arrays = [*trace.columns, *_encode_cfg(cfg)]
         header = json.dumps(
             {
                 "schema": TRACE_SCHEMA_TAG,
@@ -231,26 +264,198 @@ class TraceStore:
                 "length": length,
                 "trace_seed": trace.seed,
                 "n_instrs": trace.n_instrs,
-                "n_records": len(trace),
-                "columns": [
-                    [name, typecode, len(payload)]
-                    for (name, typecode), payload in zip(COLUMN_SPECS, payloads)
+                "cfg_name": cfg.name,
+                "cfg_entry": cfg.entry,
+                "function_names": [f.name for f in cfg.functions],
+                "arrays": [
+                    [name, arr.typecode, len(arr) * arr.itemsize]
+                    for (name, _), arr in zip(_ARRAYS, arrays)
                 ],
-                "cfg_bytes": len(cfg_blob),
             },
             separators=(",", ":"),
         ).encode()
+        crc = zlib.crc32(header)
+        for arr in arrays:
+            crc = zlib.crc32(arr, crc)
+        path = self._path(profile.name, digest, length)
         try:
             with atomic_writer(path, mode="wb") as fh:
                 fh.write(_MAGIC)
-                fh.write(struct.pack("<I", len(header)))
+                fh.write(_PREFIX.pack(len(header), crc))
                 fh.write(header)
-                for payload in payloads:
-                    fh.write(payload)
-                fh.write(cfg_blob)
+                for arr in arrays:
+                    fh.write(arr)
         except OSError:
             return  # a read-only or full store degrades to no caching
         self.stores += 1
+
+
+# ---------------------------------------------------------------------------
+# Record codec
+# ---------------------------------------------------------------------------
+
+
+def _encode_cfg(cfg: ControlFlowGraph) -> list[array]:
+    """The CFG as typed arrays in :data:`_CFG_ARRAYS` order.
+
+    Blocks keep ``cfg.blocks`` iteration order, so a decoded CFG iterates
+    exactly like the one that was stored.
+    """
+    *scalars, indirect = zip(*map(_BLOCK_FIELDS, cfg.blocks.values()))
+    pairs = list(chain.from_iterable(indirect))
+    functions = cfg.functions
+    columns = [
+        *scalars,
+        accumulate(map(len, indirect), initial=0),
+        map(itemgetter(0), pairs),
+        map(itemgetter(1), pairs),
+        [f.func_id for f in functions],
+        [f.entry for f in functions],
+        [f.layer for f in functions],
+        accumulate((f.n_blocks for f in functions), initial=0),
+        chain.from_iterable(f.block_starts for f in functions),
+    ]
+    return [array(tc, column) for (_, tc), column in zip(_CFG_ARRAYS, columns)]
+
+
+def _check_offsets(offsets: array, n_owners: int, n_items: int, what: str) -> None:
+    _check(len(offsets) == n_owners + 1, f"{what} count")
+    _check(
+        offsets[0] == 0
+        and offsets[-1] == n_items
+        and all(map(le, offsets, offsets[1:])),
+        f"{what} range",
+    )
+
+
+def _decode_record(
+    blob: bytes, digest: str, length: int
+) -> tuple[ControlFlowGraph, Trace]:
+    """Decode one record; raises :class:`CorruptRecord` naming the failed check."""
+    _check(blob.startswith(_MAGIC), "magic")
+    offset = len(_MAGIC) + _PREFIX.size
+    _check(len(blob) >= offset, "record prefix")
+    header_len, crc = _PREFIX.unpack_from(blob, len(_MAGIC))
+    view = memoryview(blob)  # zero-copy slices for the bulk payloads
+    _check(zlib.crc32(view[offset:]) == crc, "checksum")
+    try:
+        header = json.loads(view[offset : offset + header_len].tobytes())
+    except ValueError:
+        header = None
+    _check(isinstance(header, dict), "header JSON")
+    _check(
+        all(isinstance(header.get(k), t) for k, t in _HEADER_TYPES.items()),
+        "header fields",
+    )
+    _check(header["schema"] == TRACE_SCHEMA_TAG, "schema")
+    _check(header["profile_digest"] == digest, "profile digest")
+    _check(header["length"] == length, "trace length")
+    offset += header_len
+    entries = header["arrays"]
+    _check(len(entries) == len(_ARRAYS), "array count")
+    arrays: list[array] = []
+    for (name, typecode), entry in zip(_ARRAYS, entries):
+        _check(
+            isinstance(entry, list)
+            and len(entry) == 3
+            and entry[:2] == [name, typecode],
+            f"{name} typecode",
+        )
+        arr = array(typecode)
+        nbytes = entry[2]
+        _check(
+            isinstance(nbytes, int) and 0 <= nbytes <= len(blob) - offset
+            and nbytes % arr.itemsize == 0,
+            f"{name} nbytes",
+        )
+        arr.frombytes(view[offset : offset + nbytes])
+        offset += nbytes
+        arrays.append(arr)
+    _check(offset == len(blob), "record length")
+    columns = arrays[: len(COLUMN_SPECS)]
+    _check(len({len(col) for col in columns}) == 1, "trace column lengths")
+    cfg = _decode_cfg(
+        arrays[len(COLUMN_SPECS) :],
+        header["cfg_name"],
+        header["cfg_entry"],
+        header["function_names"],
+    )
+    trace = Trace(
+        cfg=cfg,
+        columns=tuple(columns),
+        seed=header["trace_seed"],
+        n_instrs=header["n_instrs"],
+    )
+    return cfg, trace
+
+
+def _blocks_from_columns(
+    n: int, columns: dict[str, Iterable[object]]
+) -> list[StaticBlock]:
+    """``n`` StaticBlocks, each field read from ``columns[field name]``.
+
+    The frozen ``__init__`` runs one ``object.__setattr__`` per field in a
+    Python frame; writing each slot through its member descriptor, one
+    whole column per ``map``, makes the same stores in C and builds a
+    large CFG about 2.5x faster.
+    """
+    blocks = list(map(StaticBlock.__new__, repeat(StaticBlock, n)))
+    for f in fields(StaticBlock):
+        setter = getattr(StaticBlock, f.name).__set__
+        deque(map(setter, blocks, columns[f.name]), maxlen=0)
+    return blocks
+
+
+def _decode_cfg(
+    arrays: list[array], name: str, entry: int, function_names: list
+) -> ControlFlowGraph:
+    """Inverse of :func:`_encode_cfg`; raises :class:`CorruptRecord`."""
+    (starts, n_instrs, kinds, targets, func_ids, biases, loop_means,
+     corr_srcs, corr_inverts, ind_offsets, ind_target, ind_weight,
+     f_ids, f_entries, f_layers, block_offsets, block_starts) = arrays
+    n_blocks = len(starts)
+    _check(
+        all(len(a) == n_blocks for a in arrays[1:_N_BLOCK_SCALARS]),
+        "block array lengths",
+    )
+    _check(set(kinds) <= _KIND_BY_VALUE.keys(), "block kinds")
+    _check(len(ind_target) == len(ind_weight), "indirect array lengths")
+    _check_offsets(ind_offsets, n_blocks, len(ind_target), "indirect offsets")
+    n_funcs = len(function_names)
+    _check(
+        len(f_ids) == len(f_entries) == len(f_layers) == n_funcs
+        and all(isinstance(f, str) for f in function_names),
+        "function array lengths",
+    )
+    _check_offsets(block_offsets, n_funcs, len(block_starts), "function block offsets")
+
+    indirect: list[tuple[tuple[int, float], ...]] = [()] * n_blocks
+    pairs = list(zip(ind_target, ind_weight))
+    for i in compress(range(n_blocks), map(sub, ind_offsets[1:], ind_offsets)):
+        indirect[i] = tuple(pairs[ind_offsets[i] : ind_offsets[i + 1]])
+    block_list = _blocks_from_columns(n_blocks, {
+        "start": starts,
+        "n_instrs": n_instrs,
+        "kind": map(_KIND_BY_VALUE.__getitem__, kinds),
+        "target": targets,
+        "func_id": func_ids,
+        "bias": biases,
+        "loop_mean": loop_means,
+        "indirect_targets": indirect,
+        "corr_src": corr_srcs,
+        "corr_invert": map(bool, corr_inverts),
+    })
+    blocks = dict(zip(starts, block_list))
+    _check(len(blocks) == n_blocks, "block starts unique")
+    flat_starts = block_starts.tolist()
+    functions = [
+        Function(fid, fname, fentry, layer, tuple(flat_starts[lo:hi]))
+        for fid, fname, fentry, layer, lo, hi in zip(
+            f_ids, function_names, f_entries, f_layers,
+            block_offsets, block_offsets[1:],
+        )
+    ]
+    return ControlFlowGraph(blocks=blocks, functions=functions, entry=entry, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import pytest
 from repro.workloads import ControlFlowGraph, Trace, WorkloadProfile, workload_set
 from repro.workloads.builder import build_cfg
 from repro.workloads.trace import generate_trace
-from repro.workloads.tracestore import trace_seed
+from repro.workloads.tracestore import TraceStore, trace_seed
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_build_digests.json"
 
@@ -80,10 +80,15 @@ def build_cases() -> dict[str, WorkloadProfile]:
     return cases
 
 
-def build_digests(profile: WorkloadProfile) -> dict[str, str]:
-    """Build ``profile`` from scratch (no memo, no store) and digest it."""
+def build(profile: WorkloadProfile) -> tuple[ControlFlowGraph, Trace]:
+    """Build ``profile`` from scratch (no memo, no store)."""
     cfg = build_cfg(profile)
     trace = generate_trace(cfg, profile.default_trace_instrs, seed=trace_seed(profile))
+    return cfg, trace
+
+
+def build_digests(profile: WorkloadProfile) -> dict[str, str]:
+    cfg, trace = build(profile)
     return {"cfg": cfg_digest(cfg), "trace": trace_digest(trace)}
 
 
@@ -102,11 +107,19 @@ def test_fixture_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_build_bytes_pinned(golden, case):
-    got = build_digests(CASES[case])
+def test_build_bytes_pinned(golden, case, tmp_path):
+    """Each build matches its digests, both fresh and after a trace-store
+    put -> get (the store must hand back exactly the bytes it was given)."""
+    profile = CASES[case]
+    cfg, trace = build(profile)
     want = golden["builds"][case]
-    assert got["cfg"] == want["cfg"], f"{case}: CFG bytes diverged"
-    assert got["trace"] == want["trace"], f"{case}: trace bytes diverged"
+    assert cfg_digest(cfg) == want["cfg"], f"{case}: CFG bytes diverged"
+    assert trace_digest(trace) == want["trace"], f"{case}: trace bytes diverged"
+    store = TraceStore(tmp_path)
+    store.put(profile, profile.default_trace_instrs, cfg, trace)
+    loaded_cfg, loaded_trace = store.get(profile, profile.default_trace_instrs)
+    assert cfg_digest(loaded_cfg) == want["cfg"], f"{case}: stored CFG diverged"
+    assert trace_digest(loaded_trace) == want["trace"], f"{case}: stored trace diverged"
 
 
 def _regenerate() -> None:

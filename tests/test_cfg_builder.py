@@ -38,6 +38,11 @@ class TestStaticBlock:
                           target=0x40, func_id=0, loop_mean=5.0)
         assert not blk.is_loop
 
+    def test_blocks_and_functions_carry_no_instance_dict(self, cfg):
+        """Slotted: a resident CFG pays no per-block ``__dict__``."""
+        assert not any(hasattr(blk, "__dict__") for blk in cfg.blocks.values())
+        assert not any(hasattr(func, "__dict__") for func in cfg.functions)
+
 
 class TestBuilderStructure:
     def test_deterministic(self):

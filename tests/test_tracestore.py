@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads import (
     TRACE_SCHEMA_TAG,
@@ -20,8 +22,10 @@ from repro.workloads import (
     scan_trace_store,
 )
 from repro.workloads.builder import build_cfg
+from repro.workloads.isa import block_of
 from repro.workloads.trace import generate_trace
 from repro.workloads.tracestore import trace_seed
+from test_build_digests import cfg_digest, trace_digest
 
 SCALE = 0.05
 
@@ -79,7 +83,24 @@ class TestStoreRoundTrip:
         assert cfg2.blocks == cfg.blocks
         assert cfg2.entry == cfg.entry
         assert cfg2.functions == cfg.functions
-        assert store.misses == 1 and store.hits == 1 and store.stores == 1
+        assert (store.hits, store.misses, store.corrupt, store.stores) == (1, 1, 0, 1)
+
+    def test_full_scale_apache_keeps_digests(self, tmp_path):
+        """The largest stock CFG (apache at scale 1.0) survives put -> get."""
+        profile = get_profile("apache")
+        length = profile.default_trace_instrs
+        cfg = build_cfg(profile)
+        trace = generate_trace(cfg, length, seed=trace_seed(profile))
+        store = TraceStore(tmp_path)
+        store.put(profile, length, cfg, trace)
+        loaded_cfg, loaded_trace = store.get(profile, length)
+        assert cfg_digest(loaded_cfg) == cfg_digest(cfg)
+        assert trace_digest(loaded_trace) == trace_digest(trace)
+        assert list(loaded_cfg.blocks) == list(cfg.blocks)
+        assert all(
+            loaded_cfg.branches_in_cache_block(b) == cfg.branches_in_cache_block(b)
+            for b in {block_of(blk.branch_pc) for blk in cfg.blocks.values()}
+        )
 
     def test_other_length_is_a_miss(self, tmp_path, small_build):
         profile, length, cfg, trace = small_build
@@ -109,8 +130,67 @@ class TestStoreRoundTrip:
         elif corruption == "garbage":
             record.write_bytes(b"\x00" * 128)
         else:
-            record.write_bytes(b"XWKLD1\n" + blob[7:])
+            record.write_bytes(b"X" + blob[1:])
         assert store.get(profile, length) is None
+        assert (store.hits, store.misses, store.corrupt) == (0, 0, 1)
+
+    def test_absent_record_is_a_plain_miss(self, tmp_path, small_build):
+        profile, length, _, _ = small_build
+        store = TraceStore(tmp_path)
+        assert store.get(profile, length) is None
+        assert (store.hits, store.misses, store.corrupt) == (0, 1, 0)
+
+
+#: Leading bytes of a record that hold its magic, prefix and header start.
+_HEAD_BYTES = 512
+
+
+@pytest.fixture(scope="module")
+def stored_record(tmp_path_factory, small_build):
+    """A real record's bytes, and where its store expects to find them."""
+    profile, length, cfg, trace = small_build
+    store = TraceStore(tmp_path_factory.mktemp("record"))
+    store.put(profile, length, cfg, trace)
+    (path,) = store.root.glob("*.wkld")
+    return path, path.read_bytes()
+
+
+class TestDamagedRecords:
+    """A damaged record must end as a counted corrupt miss, never as a build."""
+
+    def _assert_corrupt(self, stored_record, small_build, blob):
+        profile, length, _, _ = small_build
+        path, original = stored_record
+        path.write_bytes(blob)
+        try:
+            store = TraceStore(path.parents[1])
+            assert store.get(profile, length) is None
+            assert (store.hits, store.misses, store.corrupt) == (0, 0, 1)
+        finally:
+            path.write_bytes(original)
+
+    @staticmethod
+    def _offsets(size: int) -> st.SearchStrategy[int]:
+        """Anywhere in the record, or (as often) in its first bytes: the
+        magic, the prefix and the JSON header are a small share of it."""
+        return st.one_of(st.integers(0, _HEAD_BYTES), st.integers(0, size - 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte(self, stored_record, small_build, data):
+        _, original = stored_record
+        index = data.draw(self._offsets(len(original)), label="index")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        blob = bytearray(original)
+        blob[index] ^= mask
+        self._assert_corrupt(stored_record, small_build, bytes(blob))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncated(self, stored_record, small_build, data):
+        _, original = stored_record
+        keep = data.draw(self._offsets(len(original)), label="keep")
+        self._assert_corrupt(stored_record, small_build, original[:keep])
 
 
 class TestLoadWorkloadIntegration:
