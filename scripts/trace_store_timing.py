@@ -15,10 +15,13 @@ directory a sweep is about to use doubles as a warm-up. CI runs it after
 the experiment smoke runs and appends the table to the step summary next
 to the result-cache hit counts.
 
-Each row also shows the record's size on disk, and each pass prints the
-store's hit/miss/corrupt counts. The exit status is 1 when the warm
-loads were not faster in total, or when any warm load missed or found a
-corrupt record (a stored build that cannot be read back).
+Each row also shows the record's size on disk and the live bytes per
+basic block that the loaded CFG keeps resident (``tracemalloc``, a
+separate uncounted load after the timed passes), and each pass prints
+the store's hit/miss/corrupt counts. The exit status is 1 when the warm
+loads were not faster in total, when any warm load missed or found a
+corrupt record (a stored build that cannot be read back), or when a
+loaded CFG keeps more than :data:`MAX_CFG_BYTES_PER_BLOCK` per block.
 
 Usage::
 
@@ -29,8 +32,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -39,10 +44,15 @@ from repro.workloads import (  # noqa: E402  (path bootstrap above)
     TraceStore,
     clear_workload_cache,
     configure_trace_store,
+    get_profile,
     get_trace_store,
     load_workload,
     workload_set,
 )
+
+#: Live bytes per basic block a loaded CFG may keep; the same bound as
+#: ``tests/test_cfg_builder.py::MAX_BYTES_PER_BLOCK`` for a fresh build.
+MAX_CFG_BYTES_PER_BLOCK = 120
 
 
 def timed_load(name: str, scale: float) -> float:
@@ -51,6 +61,25 @@ def timed_load(name: str, scale: float) -> float:
     t0 = time.perf_counter()
     load_workload(name, scale=scale)
     return time.perf_counter() - t0
+
+
+def cfg_bytes_per_block(cache_dir: str, name: str, scale: float) -> float:
+    """Live bytes per block of one CFG read from the store, trace dropped."""
+    store = TraceStore(cache_dir)  # its own counters: not a timed lookup
+    profile = get_profile(name).scaled(scale)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = store.get(profile, profile.default_trace_instrs)
+        if built is None:
+            return float("nan")
+        cfg = built[0]
+        del built
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return live / cfg.n_blocks
 
 
 def lookups(store: TraceStore) -> tuple[int, int, int]:
@@ -100,26 +129,34 @@ def main(argv: list[str] | None = None) -> int:
         timed_load(name, args.scale) if was_hit else seconds
         for name, seconds, was_hit in zip(names, first, first_hit)
     ]
+    per_block = [cfg_bytes_per_block(args.cache_dir, name, args.scale) for name in names]
 
     print(f"trace store at {args.cache_dir} (scale {args.scale}, set {args.set})")
     print(f"{'workload':<14s} {'cold build':>12s} {'warm load':>12s} {'speedup':>8s} "
-          f"{'record':>10s}")
-    for name, cold_s, warm_s, size in zip(names, cold, warm, record_bytes):
+          f"{'record':>10s} {'cfg live':>11s}")
+    for name, cold_s, warm_s, size, live in zip(names, cold, warm, record_bytes, per_block):
         speedup = cold_s / warm_s if warm_s > 0 else float("inf")
         print(f"{name:<14s} {cold_s * 1e3:>10.1f}ms {warm_s * 1e3:>10.1f}ms "
-              f"{speedup:>7.1f}x {size / 1024:>8.1f}KB")
+              f"{speedup:>7.1f}x {size / 1024:>8.1f}KB {live:>7.1f}B/bb")
     total_cold, total_warm = sum(cold), sum(warm)
     speedup = total_cold / total_warm if total_warm > 0 else float("inf")
     print(f"{'total':<14s} {total_cold * 1e3:>10.1f}ms {total_warm * 1e3:>10.1f}ms "
           f"{speedup:>7.1f}x {sum(record_bytes) / 1024:>8.1f}KB")
     print(f"first pass: {describe(start, after_first)}")
     print(f"warm pass: {describe(after_first, after_warm)}")
+    worst = max(per_block)
+    print(f"cfg live bytes: max {worst:.1f} B per block "
+          f"(bound {MAX_CFG_BYTES_PER_BLOCK})")
     status = 0
     if total_warm >= total_cold:
         print("WARNING: warm loads were not faster than cold builds", file=sys.stderr)
         status = 1
     if after_warm[0] - after_first[0] != len(names):
         print("ERROR: a warm load missed or found a corrupt record", file=sys.stderr)
+        status = 1
+    if not worst <= MAX_CFG_BYTES_PER_BLOCK:
+        print("ERROR: a loaded CFG keeps more live bytes per block than the bound",
+              file=sys.stderr)
         status = 1
     return status
 

@@ -5,7 +5,7 @@ Mirrors the exact result cache's layout — one JSON record per cell under
 **disjoint schema tag** so the two populations can never mix::
 
     analytic-v1-<fingerprint12>     (this store)
-    engine-v2-<fingerprint12>       (repro.runtime.cache, exact results)
+    engine-v3-<fingerprint12>       (repro.runtime.cache, exact results)
 
 The fingerprint hashes the analytic package's own source *plus* the
 exact engine's :data:`~repro.runtime.cache.SCHEMA_TAG`: changing the

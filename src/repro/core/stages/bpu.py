@@ -17,8 +17,6 @@ genuinely fill (or pollute) the prefetch buffer.
 
 from __future__ import annotations
 
-import bisect
-
 from ...branch.btb import BTBEntry
 from ...branch.predictors.base import OraclePredictor
 from ...errors import SimulationError
@@ -60,8 +58,12 @@ class BPUStage:
         "col_taken",
         "col_next",
         "n_records",
-        "cfg_blocks",
-        "_starts_sorted",
+        "cfg",
+        "code_base",
+        "row_by_slot",
+        "cfg_start",
+        "cfg_n_instrs",
+        "cfg_target",
         "btb",
         "predictor",
         "ras",
@@ -86,8 +88,15 @@ class BPUStage:
         self.col_taken = columns[REC_TAKEN]
         self.col_next = columns[REC_NEXT]
         self.n_records = len(wl.trace)
-        self.cfg_blocks = wl.cfg.blocks
-        self._starts_sorted = sorted(wl.cfg.blocks)
+        # Static block facts by row; a block start's row is
+        # ``row_by_slot[(start - code_base) >> 2]``.
+        cfg = wl.cfg
+        self.cfg = cfg
+        self.code_base = cfg.code_base
+        self.row_by_slot = cfg.row_by_slot
+        self.cfg_start = cfg.block_start
+        self.cfg_n_instrs = cfg.block_n_instrs
+        self.cfg_target = cfg.block_target
         self.btb = ctx.btb
         self.predictor = ctx.predictor
         self.ras = ctx.ras
@@ -139,7 +148,6 @@ class BPUStage:
         kind = self.col_kind[idx]
         taken = self.col_taken[idx]
         actual_next = self.col_next[idx]
-        blk = self.cfg_blocks[start]
         branch_pc = start + (n_instrs - 1) * 4
 
         if self.perfect_btb:
@@ -163,7 +171,11 @@ class BPUStage:
             predictor.update(branch_pc, bool(taken))
             if pred != bool(taken):
                 cause = CAUSE_COND
-                mispredicted_next = blk.target if pred else start + n_instrs * 4
+                if pred:
+                    row = self.row_by_slot[(start - self.code_base) >> 2]
+                    mispredicted_next = self.cfg_target[row]
+                else:
+                    mispredicted_next = start + n_instrs * 4
         elif kind == CALL:
             ras.push(start + n_instrs * 4)
         elif kind == RET:
@@ -210,9 +222,12 @@ class BPUStage:
     def _walk_wrong_path(self, state: PipelineState, cycle: int) -> None:
         # Speculative walk over the static CFG.
         wp_pc = state.wp_pc
-        blk = self.cfg_blocks.get(wp_pc)
-        if blk is None:
-            nxt = self._next_block_start(wp_pc)
+        # cfg.row_of, inlined: this runs once per wrong-path block.
+        slot = (wp_pc - self.code_base) >> 2
+        row_by_slot = self.row_by_slot
+        row = row_by_slot[slot] if 0 <= slot < len(row_by_slot) else -1
+        if row < 0 or self.cfg_start[row] != wp_pc:
+            nxt = self.cfg.next_block_start(wp_pc)
             if nxt is None or nxt - wp_pc > 64:
                 n_i = 4
             else:
@@ -220,10 +235,10 @@ class BPUStage:
             self.ftq.push((wp_pc, n_i, -1, True, CAUSE_NONE, False))
             state.wp_pc = wp_pc + n_i * 4
             return
-        start = blk.start
-        n_i = blk.n_instrs
+        start = wp_pc
+        n_i = self.cfg_n_instrs[row]
         if self.perfect_btb:
-            entry = BTBEntry(n_i, int(blk.kind), blk.target)
+            entry = BTBEntry(n_i, self.cfg.block_kind[row], self.cfg_target[row])
         else:
             entry = self._lookup(start)
         if entry is None:
@@ -291,14 +306,6 @@ class BPUStage:
 
     # -------------------------------------------------------------- helpers
 
-    def _next_block_start(self, pc: int) -> int | None:
-        """Smallest basic-block start strictly greater than ``pc``."""
-        starts = self._starts_sorted
-        idx = bisect.bisect_right(starts, pc)
-        if idx < len(starts):
-            return starts[idx]
-        return None
-
     def counters(self) -> dict[str, int]:
         return {
             "btb_miss_lookups": self.btb_miss_lookups,
@@ -315,7 +322,6 @@ class MissProbeBPU(BPUStage):
     __slots__ = (
         "mem",
         "btb_buf",
-        "cfg",
         "predecode_latency",
         "throttle_blocks",
         "_fill",
@@ -325,7 +331,6 @@ class MissProbeBPU(BPUStage):
         super().__init__(ctx)
         self.mem = ctx.mem
         self.btb_buf = ctx.btb_buf
-        self.cfg = ctx.workload.cfg
         self.predecode_latency = ctx.config.core.predecode_latency
         self.throttle_blocks = ctx.config.prefetch.throttle_blocks
         # Predecode entry point; a pure function of (cfg, block, miss_pc),

@@ -48,7 +48,9 @@ class FetchUnit:
         "col_entry",
         "col_kind",
         "col_next",
-        "cfg_blocks",
+        "code_base",
+        "row_by_slot",
+        "cfg_target",
         "stall_seq",
         "stall_cond",
         "stall_uncond",
@@ -69,7 +71,10 @@ class FetchUnit:
         self.col_entry = columns[REC_ENTRY]
         self.col_kind = columns[REC_KIND]
         self.col_next = columns[REC_NEXT]
-        self.cfg_blocks = ctx.workload.cfg.blocks
+        cfg = ctx.workload.cfg
+        self.code_base = cfg.code_base
+        self.row_by_slot = cfg.row_by_slot
+        self.cfg_target = cfg.block_target
         self.stall_seq = 0
         self.stall_cond = 0
         self.stall_uncond = 0
@@ -141,7 +146,8 @@ class FetchUnit:
                     elif kind == RET:
                         tgt = 0
                     else:
-                        tgt = self.cfg_blocks[start].target
+                        row = self.row_by_slot[(start - self.code_base) >> 2]
+                        tgt = self.cfg_target[row]
                     self.btb.insert(start, BTBEntry(n_instrs, kind, tgt))
                 if cause != CAUSE_NONE:
                     state.squash_at = cycle + self.resolve_latency

@@ -12,10 +12,11 @@ misreads (or silently orphans) old records.
 
 This module extracts those *format facts* straight from the AST:
 
-* literal constants (``_MAGIC``, ``_NAME_DIGEST_CHARS``, the trace
-  store's ``_CFG_ARRAYS`` layout),
-* filename-grammar and encoder functions (``_job_filename`` /
-  ``_parse_job_name`` / ``_path`` / ``manifest_path`` / ``_encode_cfg``),
+* literal constants (``_MAGIC``, ``_NAME_DIGEST_CHARS``, and the CFG
+  column layout ``CFG_ARRAYS`` that trace-store records hold as-is,
+  read from ``workloads/cfg.py``),
+* filename-grammar functions (``_job_filename`` / ``_parse_job_name`` /
+  ``_path`` / ``manifest_path``),
   fingerprinted by a docstring-stripped
   ``ast.dump`` so comments and formatting never count as drift,
 * the string keys of every record dict a writer builds,
@@ -51,6 +52,9 @@ class GroupSpec:
     tag_const: str
     #: Literal module constants recorded verbatim.
     consts: tuple[str, ...] = ()
+    #: (package-relative module, name) of literal constants that define
+    #: the format from another module, recorded verbatim too.
+    other_consts: tuple[tuple[str, str], ...] = ()
     #: ``NAME = re.compile(...)`` assignments, fingerprinted by pattern AST.
     regexes: tuple[str, ...] = ()
     #: Functions whose bodies *are* the format (filename grammars, parsers).
@@ -94,9 +98,10 @@ GROUPS: tuple[GroupSpec, ...] = (
         group="trace-store",
         file="workloads/tracestore.py",
         tag_const="_SCHEMA_MAJOR",
-        consts=("_MAGIC", "_NAME_DIGEST_CHARS", "_PREFIX", "_CFG_ARRAYS"),
+        consts=("_MAGIC", "_NAME_DIGEST_CHARS", "_PREFIX"),
+        other_consts=(("workloads/cfg.py", "CFG_ARRAYS"),),
         regexes=("_TAG_DIR_RE",),
-        funcs=("_path", "_encode_cfg"),
+        funcs=("_path",),
         dict_key_funcs=("put",),
     ),
     GroupSpec(
@@ -242,6 +247,11 @@ def _collect_group(ctx: LintContext, spec: GroupSpec) -> GroupFacts | None:
     for name in spec.consts:
         if name in assigns:
             facts[f"const:{name}"] = _const_repr(assigns[name])
+    for file, name in spec.other_consts:
+        other = ctx.get(file)
+        value = _assignments(other.tree).get(name) if other is not None else None
+        if value is not None:
+            facts[f"const:{file}:{name}"] = _const_repr(value)
     for name in spec.regexes:
         if name in assigns:
             fact = _regex_fact(assigns[name])

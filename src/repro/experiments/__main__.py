@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     runtime = get_runtime()
     if runtime.disk is not None:
         print(
-            f"[cache: {runtime.disk.hits} disk hits, "
+            f"[cache: {runtime.disk.hits} disk hits, {runtime.disk.corrupt} corrupt, "
             f"{runtime.executed} simulated, jobs={runtime.jobs}, "
             f"{backend_summary(runtime)}]"
         )

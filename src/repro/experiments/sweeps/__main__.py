@@ -61,6 +61,12 @@ from . import SWEEPS, get_sweep
 from .manifest import load_manifest, missing_cells, verify_matches_spec, write_manifest
 
 
+def _disk_counts(runtime) -> tuple[int, int]:
+    """Result-cache (hits, corrupt records) of ``runtime``, 0s without a cache."""
+    disk = runtime.disk
+    return (disk.hits, disk.corrupt) if disk is not None else (0, 0)
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     print(f"named sweeps (job counts at scale={scale.name}):")
@@ -287,7 +293,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if profiler is not None:
         print(profiler.table())
     runtime = get_runtime()
-    hits = runtime.disk.hits if runtime.disk is not None else 0
+    hits, corrupt = _disk_counts(runtime)
     # The exact-fidelity line keeps its historical shape (CI smoke greps
     # it); non-exact runs add the analytic-cell count.
     estimated = (
@@ -298,7 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"[sweep {spec.name}: {unique_jobs} "
         f"unique jobs, {runtime.executed} simulated, {estimated}{hits} disk hits, "
-        f"{elapsed:.1f}s, {backend_summary(runtime)}]"
+        f"{corrupt} corrupt, {elapsed:.1f}s, {backend_summary(runtime)}]"
     )
     _maybe_refresh_warehouse(args)
     return 0
@@ -370,7 +376,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         print(result.to_table())
     if profiler is not None:
         print(profiler.table())
-    hits = runtime.disk.hits if runtime.disk is not None else 0
+    hits, corrupt = _disk_counts(runtime)
     estimated = (
         f"{runtime.estimated} estimated ({runtime.fidelity}), "
         if runtime.fidelity != "exact"
@@ -379,7 +385,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     print(
         f"[sweep {manifest.sweep}: resumed {len(missing)} of "
         f"{len(manifest.cells)} unique jobs, {runtime.executed} simulated, "
-        f"{estimated}{hits} disk hits, {elapsed:.1f}s, {backend_summary(runtime)}]"
+        f"{estimated}{hits} disk hits, {corrupt} corrupt, {elapsed:.1f}s, "
+        f"{backend_summary(runtime)}]"
     )
     _maybe_refresh_warehouse(args)
     return 0

@@ -22,11 +22,14 @@ from ..config import INSTR_BYTES
 from ..workloads.cfg import ControlFlowGraph, StaticBlock
 from ..workloads.isa import BranchKind
 
+_RET = int(BranchKind.RET)
 
-def _entry_for(block: StaticBlock) -> BTBEntry:
-    """Natural BTB entry of a static basic block."""
-    target = 0 if block.kind == BranchKind.RET else block.target
-    return BTBEntry(n_instrs=block.n_instrs, kind=int(block.kind), target=target)
+
+def _entry_for(cfg: ControlFlowGraph, row: int) -> BTBEntry:
+    """Natural BTB entry of the static basic block in ``row``."""
+    kind = cfg.block_kind[row]
+    target = 0 if kind == _RET else cfg.block_target[row]
+    return BTBEntry(cfg.block_n_instrs[row], kind, target)
 
 
 def predecode_block(cfg: ControlFlowGraph, cache_block: int) -> list[tuple[int, BTBEntry]]:
@@ -34,7 +37,17 @@ def predecode_block(cfg: ControlFlowGraph, cache_block: int) -> list[tuple[int, 
 
     This is Confluence's bulk-fill view of one block.
     """
-    return [(blk.start, _entry_for(blk)) for blk in cfg.branches_in_cache_block(cache_block)]
+    starts = cfg.block_start
+    return [(starts[row], _entry_for(cfg, row)) for row in cfg.branch_rows(cache_block)]
+
+
+def _terminating_row(cfg: ControlFlowGraph, rows, from_pc: int) -> int:
+    """First of ``rows`` whose branch lies at/after ``from_pc``, else -1."""
+    branch_pc = cfg.branch_pc
+    for row in rows:
+        if branch_pc(row) >= from_pc:
+            return row
+    return -1
 
 
 def find_terminating_branch(
@@ -45,10 +58,8 @@ def find_terminating_branch(
     ``None`` tells Boomerang's miss state machine to probe the next
     sequential block (paper step 3b).
     """
-    for blk in cfg.branches_in_cache_block(cache_block):
-        if blk.branch_pc >= from_pc:
-            return blk
-    return None
+    row = _terminating_row(cfg, cfg.branch_rows(cache_block), from_pc)
+    return cfg.block(row) if row >= 0 else None
 
 
 def boomerang_fill(
@@ -62,20 +73,18 @@ def boomerang_fill(
     branch at/after ``miss_pc``; ``others`` are the block's remaining
     branch entries, destined for the BTB prefetch buffer.
     """
-    branches = cfg.branches_in_cache_block(cache_block)
-    terminator: StaticBlock | None = None
-    for blk in branches:
-        if blk.branch_pc >= miss_pc:
-            terminator = blk
-            break
+    rows = cfg.branch_rows(cache_block)
+    term = _terminating_row(cfg, rows, miss_pc)
+    starts = cfg.block_start
+    if term < 0:
+        return None, [(starts[row], _entry_for(cfg, row)) for row in rows]
+    term_pc = cfg.branch_pc(term)
     others = [
-        (blk.start, _entry_for(blk))
-        for blk in branches
-        if terminator is None or blk.branch_pc != terminator.branch_pc
+        (starts[row], _entry_for(cfg, row))
+        for row in rows
+        if cfg.branch_pc(row) != term_pc
     ]
-    if terminator is None:
-        return None, others
-    n_instrs = (terminator.branch_pc - miss_pc) // INSTR_BYTES + 1
-    target = 0 if terminator.kind == BranchKind.RET else terminator.target
-    entry = BTBEntry(n_instrs=n_instrs, kind=int(terminator.kind), target=target)
+    kind = cfg.block_kind[term]
+    target = 0 if kind == _RET else cfg.block_target[term]
+    entry = BTBEntry((term_pc - miss_pc) // INSTR_BYTES + 1, kind, target)
     return (miss_pc, entry), others

@@ -3,7 +3,7 @@
 Layout (all JSON)::
 
     <cache_dir>/
-      <SCHEMA_TAG>/                 # e.g. "engine-v2" — bumped on any change
+      <SCHEMA_TAG>/                 # e.g. "engine-v3" — bumped on any change
         <workload>/                 #     to engine semantics or counters
           s<scale>__<hash16>.json   # one record: scale token + digest prefix
 
@@ -12,11 +12,13 @@ and :meth:`ResultCache.get` reads it. Any other file under a tag directory
 (a temp file, clutter) is never read as a record.
 
 Each record stores the *full* config digest, so a (vanishingly unlikely)
-filename-prefix collision is detected and treated as a miss rather than
-returning a wrong result. Records are written atomically (temp file +
+filename-prefix collision is detected rather than returning a wrong
+result, and a ``crc32`` of its canonical JSON, so a flipped byte cannot
+read back as different counters. Records are written atomically (temp file +
 ``os.replace``) so parallel writers and interrupted runs can never leave a
-truncated record behind; a corrupt or unreadable record is a miss, never an
-error.
+truncated record behind. An absent or unreadable record file is a miss; a
+record file that fails a check is counted as ``corrupt`` and also answers
+``None``, never an error.
 
 :data:`SCHEMA_TAG` versions every record and is derived automatically: a
 manual major tag plus a fingerprint of the simulator-side source tree
@@ -38,6 +40,7 @@ import json
 import os
 import re
 import shutil
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +48,7 @@ from ..core.results import SimulationResult
 from .atomicio import atomic_write_json
 
 #: Bump on cache *record format* changes; semantic changes are fingerprinted.
-_SCHEMA_MAJOR = "engine-v2"
+_SCHEMA_MAJOR = "engine-v3"
 
 #: Subpackages that cannot change simulation results (consumers of them).
 #: ``analytic`` estimates results but never produces exact ones; its
@@ -91,13 +94,27 @@ SCHEMA_TAG = f"{_SCHEMA_MAJOR}-{_source_fingerprint()}"
 _NAME_DIGEST_CHARS = 16
 
 
+def _record_crc(record: dict) -> int:
+    """crc32 of ``record``'s canonical JSON, leaving out its ``crc32`` key."""
+    body = {key: value for key, value in record.items() if key != "crc32"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(text.encode())
+
+
 class ResultCache:
-    """Directory-backed store of :class:`SimulationResult` records."""
+    """Directory-backed store of :class:`SimulationResult` records.
+
+    Every :meth:`get` counts as exactly one of ``hits``, ``misses`` (no
+    readable record file) or ``corrupt`` (a record file that exists but
+    fails a check), as :class:`~repro.workloads.tracestore.TraceStore`
+    counts its lookups.
+    """
 
     def __init__(self, cache_dir: str | os.PathLike):
         self.root = Path(cache_dir) / SCHEMA_TAG
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
         self.stores = 0
 
     def _path(self, workload: str, scale_tok: str, digest: str) -> Path:
@@ -107,23 +124,33 @@ class ResultCache:
     def get(
         self, workload: str, scale_tok: str, digest: str
     ) -> SimulationResult | None:
-        """Return the cached result, or ``None`` on miss/corruption."""
+        """Return the cached result, or ``None`` on a miss or a corrupt record.
+
+        A record is corrupt when its bytes are not a JSON object, its
+        ``crc32`` does not match its content, or its schema, config
+        digest, workload, scale or ``raw`` payload does not match the
+        lookup. Neither case raises.
+        """
         path = self._path(workload, scale_tok, digest)
         try:
-            record = json.loads(path.read_text())
-        except (OSError, ValueError):
+            blob = path.read_bytes()
+        except OSError:
+            self.misses += 1
+            return None
+        try:
+            record = json.loads(blob)
+        except ValueError:
             record = None
-        # Valid JSON that is not an object (e.g. a bare list) is just as
-        # corrupt as unparseable bytes: a miss, never an error.
         if (
             not isinstance(record, dict)
+            or record.get("crc32") != _record_crc(record)
             or record.get("schema") != SCHEMA_TAG
             or record.get("config_digest") != digest
             or record.get("workload") != workload
             or record.get("scale") != scale_tok
             or not isinstance(record.get("raw"), dict)
         ):
-            self.misses += 1
+            self.corrupt += 1
             return None
         self.hits += 1
         return SimulationResult(
@@ -141,7 +168,7 @@ class ResultCache:
     ) -> None:
         """Atomically persist one result record."""
         path = self._path(workload, scale_tok, digest)
-        record = {
+        body = {
             "schema": SCHEMA_TAG,
             "workload": workload,
             "scale": scale_tok,
@@ -150,7 +177,7 @@ class ResultCache:
             "raw": result.raw,
         }
         try:
-            atomic_write_json(path, record)
+            atomic_write_json(path, {**body, "crc32": _record_crc(body)})
         except OSError:
             return  # a read-only or full cache dir degrades to no caching
         self.stores += 1

@@ -27,7 +27,7 @@ from typing import TypeVar
 
 from ..config import INSTR_BYTES
 from ..errors import WorkloadError
-from .cfg import ControlFlowGraph, Function, StaticBlock
+from .cfg import ControlFlowGraph, Function, cfg_arrays
 from .isa import BranchKind, block_of
 from .profiles import WorkloadProfile
 
@@ -323,9 +323,9 @@ def _resolve_function(
     rng: random.Random,
     plan: _FunctionPlan,
     entries: dict[int, int],
-    blocks: dict[int, StaticBlock],
+    rows: list[tuple],
 ) -> None:
-    """Create the StaticBlocks of one planned function."""
+    """Append the block rows (StaticBlock field order) of one planned function."""
     last = len(plan.bb_starts) - 1
     callee_entries = [entries[fid] for fid in plan.callees]
     loop_indexes: set[int] = set()
@@ -395,18 +395,10 @@ def _resolve_function(
         else:  # pragma: no cover - builder never plans other kinds
             raise WorkloadError(f"builder planned unexpected kind {kind}")
 
-        blocks[start] = StaticBlock(
-            start=start,
-            n_instrs=size,
-            kind=kind,
-            target=target,
-            func_id=plan.func_id,
-            bias=bias,
-            loop_mean=loop_mean,
-            indirect_targets=indirect,
-            corr_src=corr_src,
-            corr_invert=corr_invert,
-        )
+        rows.append((
+            start, size, kind, target, plan.func_id,
+            bias, loop_mean, indirect, corr_src, corr_invert,
+        ))
 
 
 def _build_driver(
@@ -414,27 +406,22 @@ def _build_driver(
     rng: random.Random,
     handler_entries: list[int],
     driver_plan: _FunctionPlan,
-    blocks: dict[int, StaticBlock],
+    rows: list[tuple],
 ) -> None:
     """The dispatch loop: IND_CALL to a handler, then jump back."""
     dispatch_start, loop_tail_start = driver_plan.bb_starts
     weights = _zipf_weights(len(handler_entries), s=0.25)
     targets = tuple(zip(handler_entries, weights))
-    blocks[dispatch_start] = StaticBlock(
-        start=dispatch_start,
-        n_instrs=driver_plan.bb_sizes[0],
-        kind=BranchKind.IND_CALL,
-        target=targets[0][0],
-        func_id=driver_plan.func_id,
-        indirect_targets=targets,
-    )
-    blocks[loop_tail_start] = StaticBlock(
-        start=loop_tail_start,
-        n_instrs=driver_plan.bb_sizes[1],
-        kind=BranchKind.JUMP,
-        target=dispatch_start,
-        func_id=driver_plan.func_id,
-    )
+    # Rows in StaticBlock field order: start, n_instrs, kind, target,
+    # func_id, bias, loop_mean, indirect_targets, corr_src, corr_invert.
+    rows.append((
+        dispatch_start, driver_plan.bb_sizes[0], BranchKind.IND_CALL,
+        targets[0][0], driver_plan.func_id, 0.5, 0.0, targets, 0, False,
+    ))
+    rows.append((
+        loop_tail_start, driver_plan.bb_sizes[1], BranchKind.JUMP,
+        dispatch_start, driver_plan.func_id, 0.5, 0.0, (), 0, False,
+    ))
 
 
 def build_cfg(profile: WorkloadProfile, base_addr: int = 0x40_0000) -> ControlFlowGraph:
@@ -465,11 +452,11 @@ def build_cfg(profile: WorkloadProfile, base_addr: int = 0x40_0000) -> ControlFl
     _layout(plans, rng, base_addr)
 
     entries = {plan.func_id: plan.bb_starts[0] for plan in plans}
-    blocks: dict[int, StaticBlock] = {}
+    rows: list[tuple] = []
     handler_entries = [entries[p.func_id] for p in plans if p.layer == 1]
-    _build_driver(profile, rng, handler_entries, driver_plan, blocks)
+    _build_driver(profile, rng, handler_entries, driver_plan, rows)
     for plan in plans[1:]:
-        _resolve_function(profile, tables, rng, plan, entries, blocks)
+        _resolve_function(profile, tables, rng, plan, entries, rows)
 
     functions = [
         Function(
@@ -481,9 +468,9 @@ def build_cfg(profile: WorkloadProfile, base_addr: int = 0x40_0000) -> ControlFl
         )
         for plan in plans
     ]
-    cfg = ControlFlowGraph(
-        blocks=blocks,
-        functions=functions,
+    cfg = ControlFlowGraph.from_arrays(
+        cfg_arrays(rows, functions),
+        [f.name for f in functions],
         entry=driver_plan.bb_starts[0],
         name=profile.name,
     )

@@ -29,7 +29,7 @@ import random
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from ..config import INSTR_BYTES
 from ..errors import WorkloadError
@@ -108,7 +108,7 @@ class Trace:
 
     def block(self, record: TraceRecord) -> StaticBlock:
         """The static block behind a record."""
-        return self.cfg.blocks[record[REC_START]]
+        return self.cfg.block_at(record[REC_START])
 
     def summary(self) -> "TraceSummary":
         return summarize(self)
@@ -233,36 +233,35 @@ def _draw_trips(rng: random.Random, mean: float) -> int:
 #:  corr_invert, indirect_target_pcs, indirect_weights).
 _WalkInfo = tuple
 
-#: Reads the walk-relevant StaticBlock fields in one C call
-#: (``fallthrough`` is a property, so it is derived below).
-_WALK_FIELDS = attrgetter(
-    "kind", "n_instrs", "target", "bias", "loop_mean",
-    "corr_src", "corr_invert", "indirect_targets",
-)
-
-_NO_TARGETS: tuple[list, list] = ([], [])
+_NO_TARGETS: list = []
 
 
 def _compile_walk_info(cfg: ControlFlowGraph) -> dict[int, _WalkInfo]:
-    """Flatten every StaticBlock into a plain tuple for the walk loop.
+    """One plain tuple per block, keyed by start, for the walk loop.
 
     The walker touches several fields of the current block per record;
-    a tuple unpack is cheaper than that many slot reads, so one upfront
-    O(blocks) pass, one ``attrgetter`` call per block, pays for itself
-    within the first few thousand records. Indirect target pools (rare)
-    are pre-split into parallel (targets, weights) lists so each draw
-    skips two list comprehensions.
+    one dict lookup and a tuple unpack are cheaper than that many column
+    reads, so one upfront O(blocks) pass over the CFG's columns pays for
+    itself within the first few thousand records. Indirect target pools
+    (rare) are pre-split into parallel (targets, weights) lists so each
+    draw skips two list comprehensions.
     """
+    offsets = cfg.indirect_offsets
+    pool_targets = cfg.indirect_target
+    pool_weights = cfg.indirect_weight
     info: dict[int, _WalkInfo] = {}
-    for pc, blk in cfg.blocks.items():
-        (kind, n_instrs, target, bias, loop_mean,
-         corr_src, corr_invert, ind) = _WALK_FIELDS(blk)
-        if ind:
-            targets_weights = ([t for t, _ in ind], [w for _, w in ind])
+    for pc, n_instrs, kind, target, bias, loop_mean, corr_src, corr_invert, lo, hi in zip(
+        cfg.block_start, cfg.block_n_instrs, cfg.block_kind, cfg.block_target,
+        cfg.block_bias, cfg.block_loop_mean, cfg.block_corr_src,
+        cfg.block_corr_invert, offsets, offsets[1:],
+    ):
+        if lo == hi:
+            targets = weights = _NO_TARGETS
         else:
-            targets_weights = _NO_TARGETS
+            targets = pool_targets[lo:hi].tolist()
+            weights = pool_weights[lo:hi].tolist()
         info[pc] = (
-            int(kind),
+            kind,
             n_instrs,
             target,
             pc + n_instrs * INSTR_BYTES,  # == StaticBlock.fallthrough
@@ -270,8 +269,8 @@ def _compile_walk_info(cfg: ControlFlowGraph) -> dict[int, _WalkInfo]:
             loop_mean,
             corr_src,
             corr_invert,
-            targets_weights[0],
-            targets_weights[1],
+            targets,
+            weights,
         )
     return info
 
@@ -396,16 +395,15 @@ def taken_conditional_distances(trace: Trace) -> dict[int, int]:
     its target's cache block.
     """
     histogram: dict[int, int] = {}
-    blocks = trace.cfg.blocks
     cond_kind = int(BranchKind.COND)
-    starts = trace.columns[REC_START]
-    kinds = trace.columns[REC_KIND]
-    takens = trace.columns[REC_TAKEN]
-    nexts = trace.columns[REC_NEXT]
-    for start, kind, taken, next_pc in zip(starts, kinds, takens, nexts):
+    columns = trace.columns
+    for start, n_instrs, kind, taken, next_pc in zip(
+        columns[REC_START], columns[REC_NINSTR], columns[REC_KIND],
+        columns[REC_TAKEN], columns[REC_NEXT],
+    ):
         if kind != cond_kind or not taken:
             continue
-        branch_pc = blocks[start].branch_pc
+        branch_pc = start + (n_instrs - 1) * INSTR_BYTES
         distance = abs(block_of(next_pc) - block_of(branch_pc))
         histogram[distance] = histogram.get(distance, 0) + 1
     return histogram

@@ -6,7 +6,7 @@ profile, and before this store existed every pool worker (and every cold
 process) paid it again. The store persists one record per built workload::
 
     <cache_dir>/
-      <TRACE_SCHEMA_TAG>/                  # e.g. "trace-v2-<fingerprint>"
+      <TRACE_SCHEMA_TAG>/                  # e.g. "trace-v3-<fingerprint>"
         <profile>__<digest16>__L<len>.wkld
 
 keyed by an **exhaustive content digest of the frozen WorkloadProfile
@@ -26,19 +26,21 @@ carries the schema tag, the full profile digest, the requested length,
 the derived trace seed, the CFG's name, entry and function names, and
 one (name, typecode, nbytes) triple per array, so a record is
 self-describing. The arrays are ``array`` buffers written as-is, in
-:data:`_ARRAYS` order: the six trace columns; one array per scalar
-:class:`~repro.workloads.cfg.StaticBlock` field, in the order
-``tests/test_build_digests.py`` hashes them; the indirect-target pools as
-per-block offsets into parallel target and weight arrays; and the
-functions' id, entry and layer, with their ``block_starts`` as offsets
-into one flat array. A record holds only numbers and strings: no object
-is rebuilt by class name, so a load cannot run code.
+:data:`_ARRAYS` order: the six trace columns, then the CFG's own columns
+(:data:`~repro.workloads.cfg.CFG_ARRAYS`: one array per scalar
+:class:`~repro.workloads.cfg.StaticBlock` field, the indirect-target
+pools and the functions as offset-indexed flat arrays). A
+:class:`~repro.workloads.cfg.ControlFlowGraph` holds its blocks as those
+columns, so ``put`` writes ``cfg.arrays`` and a load hands the arrays it
+read to :meth:`~repro.workloads.cfg.ControlFlowGraph.from_arrays`, which
+only builds the graph's indexes. A record holds only numbers and
+strings: no object is rebuilt by class name, so a load cannot run code.
 
 Records are written atomically (temp file + ``os.replace``). A missing
 or unreadable record is a miss; a record that exists but fails a check
 (magic, checksum, header JSON, schema/digest/length, per-array
-typecode/nbytes, array consistency) is counted as ``corrupt`` and also
-returned as a miss, never raised.
+typecode/nbytes, array consistency, unique and aligned block starts) is
+counted as ``corrupt`` and also returned as a miss, never raised.
 
 :data:`TRACE_SCHEMA_TAG` mirrors :data:`repro.runtime.cache.SCHEMA_TAG`:
 a manual major tag plus a fingerprint of the workload-semantics sources
@@ -58,20 +60,18 @@ import shutil
 import struct
 import zlib
 from array import array
-from collections import deque
-from collections.abc import Iterable
-from dataclasses import dataclass, fields
-from itertools import accumulate, chain, compress, repeat
-from operator import attrgetter, itemgetter, le, sub
+from dataclasses import dataclass
+from operator import le
 from pathlib import Path
 
-from .cfg import ControlFlowGraph, Function, StaticBlock
+from ..errors import WorkloadError
+from .cfg import CFG_ARRAYS, ControlFlowGraph
 from .isa import BranchKind
 from .profiles import WorkloadProfile
 from .trace import COLUMN_SPECS, Trace
 
 #: Bump on record *format* changes; semantic changes are fingerprinted.
-_SCHEMA_MAJOR = "trace-v2"
+_SCHEMA_MAJOR = "trace-v3"
 
 #: First bytes of every record file.
 _MAGIC = b"BWKLD2\n"
@@ -82,41 +82,8 @@ _NAME_DIGEST_CHARS = 16
 #: After the magic: JSON header length, then crc32 of header + arrays.
 _PREFIX = struct.Struct("<II")
 
-#: (name, typecode) of every CFG array, in record order. The ``block.*``
-#: arrays hold the scalar StaticBlock fields in the order
-#: ``tests/test_build_digests.py::cfg_digest`` hashes them; the
-#: ``*offsets`` arrays have one more entry than their owners, and owner
-#: ``i``'s items are ``[offsets[i], offsets[i + 1])`` of the next arrays.
-_CFG_ARRAYS = (
-    ("block.start", "q"),
-    ("block.n_instrs", "i"),
-    ("block.kind", "b"),
-    ("block.target", "q"),
-    ("block.func_id", "i"),
-    ("block.bias", "d"),
-    ("block.loop_mean", "d"),
-    ("block.corr_src", "q"),
-    ("block.corr_invert", "b"),
-    ("indirect.offsets", "i"),
-    ("indirect.target", "q"),
-    ("indirect.weight", "d"),
-    ("func.id", "i"),
-    ("func.entry", "q"),
-    ("func.layer", "i"),
-    ("func.block_offsets", "i"),
-    ("func.block_starts", "q"),
-)
-
-#: Every array of a record, in record order: trace columns, then the CFG.
-_ARRAYS = tuple((f"trace.{name}", tc) for name, tc in COLUMN_SPECS) + _CFG_ARRAYS
-
-#: The ``block.*`` arrays, then ``indirect_targets`` (the ``indirect.*``
-#: arrays), read off a StaticBlock in one call.
-_N_BLOCK_SCALARS = 9
-_BLOCK_FIELDS = attrgetter(
-    *(name.removeprefix("block.") for name, _ in _CFG_ARRAYS[:_N_BLOCK_SCALARS]),
-    "indirect_targets",
-)
+#: Every array of a record, in record order: trace columns, then the CFG's.
+_ARRAYS = tuple((f"trace.{name}", tc) for name, tc in COLUMN_SPECS) + CFG_ARRAYS
 
 #: Header keys a reader relies on, with their JSON types.
 _HEADER_TYPES = {
@@ -132,6 +99,9 @@ _HEADER_TYPES = {
 }
 
 _KIND_BY_VALUE = {int(kind): kind for kind in BranchKind}
+
+#: How many leading CFG arrays hold one entry per block.
+_N_BLOCK_ARRAYS = sum(name.startswith("block.") for name, _ in CFG_ARRAYS)
 
 #: The ``repro`` package directory whose sources are fingerprinted.
 _PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -255,7 +225,7 @@ class TraceStore:
 
         if digest is None:
             digest = profile_digest(profile)
-        arrays = [*trace.columns, *_encode_cfg(cfg)]
+        arrays = [*trace.columns, *cfg.arrays]
         header = json.dumps(
             {
                 "schema": TRACE_SCHEMA_TAG,
@@ -266,7 +236,7 @@ class TraceStore:
                 "n_instrs": trace.n_instrs,
                 "cfg_name": cfg.name,
                 "cfg_entry": cfg.entry,
-                "function_names": [f.name for f in cfg.functions],
+                "function_names": cfg.function_names,
                 "arrays": [
                     [name, arr.typecode, len(arr) * arr.itemsize]
                     for (name, _), arr in zip(_ARRAYS, arrays)
@@ -293,29 +263,6 @@ class TraceStore:
 # ---------------------------------------------------------------------------
 # Record codec
 # ---------------------------------------------------------------------------
-
-
-def _encode_cfg(cfg: ControlFlowGraph) -> list[array]:
-    """The CFG as typed arrays in :data:`_CFG_ARRAYS` order.
-
-    Blocks keep ``cfg.blocks`` iteration order, so a decoded CFG iterates
-    exactly like the one that was stored.
-    """
-    *scalars, indirect = zip(*map(_BLOCK_FIELDS, cfg.blocks.values()))
-    pairs = list(chain.from_iterable(indirect))
-    functions = cfg.functions
-    columns = [
-        *scalars,
-        accumulate(map(len, indirect), initial=0),
-        map(itemgetter(0), pairs),
-        map(itemgetter(1), pairs),
-        [f.func_id for f in functions],
-        [f.entry for f in functions],
-        [f.layer for f in functions],
-        accumulate((f.n_blocks for f in functions), initial=0),
-        chain.from_iterable(f.block_starts for f in functions),
-    ]
-    return [array(tc, column) for (_, tc), column in zip(_CFG_ARRAYS, columns)]
 
 
 def _check_offsets(offsets: array, n_owners: int, n_items: int, what: str) -> None:
@@ -389,33 +336,16 @@ def _decode_record(
     return cfg, trace
 
 
-def _blocks_from_columns(
-    n: int, columns: dict[str, Iterable[object]]
-) -> list[StaticBlock]:
-    """``n`` StaticBlocks, each field read from ``columns[field name]``.
-
-    The frozen ``__init__`` runs one ``object.__setattr__`` per field in a
-    Python frame; writing each slot through its member descriptor, one
-    whole column per ``map``, makes the same stores in C and builds a
-    large CFG about 2.5x faster.
-    """
-    blocks = list(map(StaticBlock.__new__, repeat(StaticBlock, n)))
-    for f in fields(StaticBlock):
-        setter = getattr(StaticBlock, f.name).__set__
-        deque(map(setter, blocks, columns[f.name]), maxlen=0)
-    return blocks
-
-
 def _decode_cfg(
     arrays: list[array], name: str, entry: int, function_names: list
 ) -> ControlFlowGraph:
-    """Inverse of :func:`_encode_cfg`; raises :class:`CorruptRecord`."""
-    (starts, n_instrs, kinds, targets, func_ids, biases, loop_means,
-     corr_srcs, corr_inverts, ind_offsets, ind_target, ind_weight,
-     f_ids, f_entries, f_layers, block_offsets, block_starts) = arrays
+    """The CFG over ``arrays``, used as-is; raises :class:`CorruptRecord`."""
+    starts, kinds = arrays[0], arrays[2]
+    (ind_offsets, ind_target, ind_weight, f_ids, f_entries, f_layers,
+     block_offsets, block_starts) = arrays[_N_BLOCK_ARRAYS:]
     n_blocks = len(starts)
     _check(
-        all(len(a) == n_blocks for a in arrays[1:_N_BLOCK_SCALARS]),
+        all(len(a) == n_blocks for a in arrays[1:_N_BLOCK_ARRAYS]),
         "block array lengths",
     )
     _check(set(kinds) <= _KIND_BY_VALUE.keys(), "block kinds")
@@ -428,34 +358,10 @@ def _decode_cfg(
         "function array lengths",
     )
     _check_offsets(block_offsets, n_funcs, len(block_starts), "function block offsets")
-
-    indirect: list[tuple[tuple[int, float], ...]] = [()] * n_blocks
-    pairs = list(zip(ind_target, ind_weight))
-    for i in compress(range(n_blocks), map(sub, ind_offsets[1:], ind_offsets)):
-        indirect[i] = tuple(pairs[ind_offsets[i] : ind_offsets[i + 1]])
-    block_list = _blocks_from_columns(n_blocks, {
-        "start": starts,
-        "n_instrs": n_instrs,
-        "kind": map(_KIND_BY_VALUE.__getitem__, kinds),
-        "target": targets,
-        "func_id": func_ids,
-        "bias": biases,
-        "loop_mean": loop_means,
-        "indirect_targets": indirect,
-        "corr_src": corr_srcs,
-        "corr_invert": map(bool, corr_inverts),
-    })
-    blocks = dict(zip(starts, block_list))
-    _check(len(blocks) == n_blocks, "block starts unique")
-    flat_starts = block_starts.tolist()
-    functions = [
-        Function(fid, fname, fentry, layer, tuple(flat_starts[lo:hi]))
-        for fid, fname, fentry, layer, lo, hi in zip(
-            f_ids, function_names, f_entries, f_layers,
-            block_offsets, block_offsets[1:],
-        )
-    ]
-    return ControlFlowGraph(blocks=blocks, functions=functions, entry=entry, name=name)
+    try:
+        return ControlFlowGraph.from_arrays(arrays, function_names, entry, name)
+    except WorkloadError as exc:
+        raise CorruptRecord(f"block starts: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

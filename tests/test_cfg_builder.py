@@ -1,9 +1,14 @@
 """Tests for the static CFG model and the synthetic program builder."""
 
+import bisect
+import gc
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.builder import _cum_weights, _weighted_pick, build_cfg, reachable_blocks
@@ -39,7 +44,7 @@ class TestStaticBlock:
         assert not blk.is_loop
 
     def test_blocks_and_functions_carry_no_instance_dict(self, cfg):
-        """Slotted: a resident CFG pays no per-block ``__dict__``."""
+        """Slotted: a block or function view allocates no ``__dict__``."""
         assert not any(hasattr(blk, "__dict__") for blk in cfg.blocks.values())
         assert not any(hasattr(func, "__dict__") for func in cfg.functions)
 
@@ -141,6 +146,163 @@ class TestBuilderStructure:
     def test_block_at_raises_for_unknown(self, cfg):
         with pytest.raises(WorkloadError):
             cfg.block_at(1)
+
+
+class TestColumnarViews:
+    """The CFG holds columns; its views must give back exactly what it was
+    built from."""
+
+    def test_views_return_the_builders_blocks(self, monkeypatch):
+        import repro.workloads.builder as builder
+
+        seen = {}
+
+        def recording(rows, functions):
+            seen["rows"], seen["functions"] = list(rows), list(functions)
+            return builder_cfg_arrays(seen["rows"], seen["functions"])
+
+        builder_cfg_arrays = builder.cfg_arrays
+        monkeypatch.setattr(builder, "cfg_arrays", recording)
+        cfg = build_cfg(APACHE.scaled(0.05))
+        want = [StaticBlock(*row) for row in seen["rows"]]
+        assert list(cfg.blocks) == [blk.start for blk in want]
+        assert list(cfg.blocks.values()) == want
+        assert [cfg.block_at(blk.start) for blk in want] == want
+        assert [cfg.block(row) for row in range(cfg.n_blocks)] == want
+        assert cfg.functions == seen["functions"]
+        assert all(type(blk.kind) is BranchKind for blk in cfg.blocks.values())
+
+    def test_round_trip_through_static_blocks(self, cfg):
+        again = ControlFlowGraph(cfg.blocks, cfg.functions, cfg.entry, cfg.name)
+        assert again.arrays == cfg.arrays
+        assert again.blocks == cfg.blocks
+
+    def test_blocks_view_is_read_only(self, cfg):
+        with pytest.raises(TypeError):
+            cfg.blocks[cfg.entry] = cfg.block_at(cfg.entry)
+
+    def test_duplicate_start_rejected(self):
+        blk = StaticBlock(0x100, 2, BranchKind.RET, 0, 0)
+        with pytest.raises(WorkloadError, match="two blocks start at 0x100"):
+            ControlFlowGraph([blk, blk], [], 0x100)
+
+    def test_misaligned_start_rejected(self):
+        blocks = [
+            StaticBlock(0x100, 2, BranchKind.RET, 0, 0),
+            StaticBlock(0x10A, 2, BranchKind.RET, 0, 0),
+        ]
+        with pytest.raises(WorkloadError, match="0x10a is not instruction-aligned"):
+            ControlFlowGraph(blocks, [], 0x100)
+
+    def test_huge_code_span_rejected_before_indexing(self):
+        blocks = [
+            StaticBlock(0, 2, BranchKind.RET, 0, 0),
+            StaticBlock(1 << 40, 2, BranchKind.RET, 0, 0),
+        ]
+        with pytest.raises(WorkloadError, match="code span"):
+            ControlFlowGraph(blocks, [], 0)
+
+    def test_empty_graph(self):
+        empty = ControlFlowGraph({}, [], 0)
+        assert (empty.n_blocks, empty.code_bytes, len(empty.blocks)) == (0, 0, 0)
+        assert empty.row_of(0) == -1 and empty.next_block_start(0) is None
+        assert len(empty.branch_rows(0)) == 0
+
+
+#: Aligned, distinct block starts with sizes: dense runs and sparse gaps.
+_layouts = st.lists(
+    st.tuples(st.integers(0, 4096), st.integers(1, 24)),
+    min_size=1,
+    max_size=60,
+    unique_by=lambda item: item[0],
+)
+
+
+def _layout_cfg(layout) -> ControlFlowGraph:
+    base = 0x40_0000
+    blocks = [
+        StaticBlock(base + 4 * slot, n_instrs, BranchKind.RET, 0, 0)
+        for slot, n_instrs in layout
+    ]
+    return ControlFlowGraph(blocks, [], blocks[0].start)
+
+
+def _probe_pcs(cfg: ControlFlowGraph):
+    """Every int worth asking about: each start and its misaligned and
+    neighbouring pcs, both ends of the span and beyond, and 0."""
+    starts = list(cfg.block_start)
+    lo, hi = min(starts), max(starts)
+    near = {s + d for s in starts for d in (-5, -4, -3, -1, 1, 2, 4, 63, 64)}
+    return sorted(near | {0, -4, lo - (1 << 20), hi + (1 << 20), hi + 4, lo - 4})
+
+
+class TestColumnarIndexes:
+    """``row_of``, ``next_block_start`` and ``branch_rows`` against plain
+    dict / sorted-list reference answers, on generated layouts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout=_layouts, extra=st.integers(-(1 << 40), 1 << 40))
+    def test_row_of_answers_like_dict_get(self, layout, extra):
+        cfg = _layout_cfg(layout)
+        ref = {start: row for row, start in enumerate(cfg.block_start)}
+        for pc in [*_probe_pcs(cfg), extra]:
+            assert cfg.row_of(pc) == ref.get(pc, -1), hex(pc)
+            assert (pc in cfg.blocks) == (pc in ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layout=_layouts)
+    def test_next_block_start_matches_bisect(self, layout):
+        cfg = _layout_cfg(layout)
+        starts = sorted(cfg.block_start)
+        for pc in _probe_pcs(cfg):
+            idx = bisect.bisect_right(starts, pc)
+            want = starts[idx] if idx < len(starts) else None
+            assert cfg.next_block_start(pc) == want, hex(pc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layout=_layouts)
+    def test_branch_rows_match_a_filtered_sort(self, layout):
+        cfg = _layout_cfg(layout)
+        rows = range(cfg.n_blocks)
+        blocks = {block_of(cfg.branch_pc(row)) for row in rows}
+        for cb in sorted(blocks | {min(blocks) - 1, max(blocks) + 1, 0}):
+            want = sorted(
+                (row for row in rows if block_of(cfg.branch_pc(row)) == cb),
+                key=cfg.branch_pc,
+            )
+            assert list(cfg.branch_rows(cb)) == want
+
+
+    def test_row_numbers_past_two_bytes(self):
+        # 2**15 rows and more switch the indexes from 'h' to 'i' entries.
+        layout = [(3 * i, 2) for i in range((1 << 15) + 5)]
+        cfg = _layout_cfg(layout)
+        last = cfg.n_blocks - 1
+        assert cfg.row_of(cfg.block_start[last]) == last
+        assert cfg.row_of(cfg.block_start[last] + 4) == -1
+        cb = block_of(cfg.branch_pc(last))
+        want = [row for row in range(last - 8, last + 1) if block_of(cfg.branch_pc(row)) == cb]
+        assert list(cfg.branch_rows(cb)) == want
+        assert cfg.next_block_start(cfg.block_start[last - 1]) == cfg.block_start[last]
+
+
+#: Live bytes a resident CFG may keep per block (tracemalloc). Slotted
+#: StaticBlock objects in a dict kept ~265 B; the columns and both
+#: indexes keep ~80 B.
+MAX_BYTES_PER_BLOCK = 120
+
+
+def test_quick_build_retains_few_bytes_per_block():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cfg = build_cfg(get_profile("oracle").scaled(0.25))
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_block = live / cfg.n_blocks
+    assert per_block <= MAX_BYTES_PER_BLOCK, f"{per_block:.1f} B per block"
 
 
 class TestReachability:

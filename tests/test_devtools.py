@@ -298,6 +298,28 @@ class TestRPL004:
         )
         assert "RPL004" not in codes_of(findings)
 
+    def test_cfg_layout_change_is_trace_store_drift(self, tmp_path):
+        # Trace-store records hold the CFG's columns as-is, so the layout
+        # constant in workloads/cfg.py is a trace-store format fact.
+        store = '_SCHEMA_MAJOR = "trace-v1"\n_MAGIC = b"X"\n'
+        layout = 'CFG_ARRAYS = (("block.start", "q"),)\n'
+
+        def tree(root, cfg_src):
+            return make_tree(
+                root, {"workloads/tracestore.py": store, "workloads/cfg.py": cfg_src}
+            )
+
+        baseline = tmp_path / "schema_baseline.json"
+        base_ctx = load_context(tree(tmp_path / "base", layout), schema_baseline=baseline)
+        write_baseline(baseline, format_facts(base_ctx))
+        same = run_lint(tree(tmp_path / "same", layout), schema_baseline=baseline)
+        assert "RPL004" not in codes_of(same)
+        changed = tree(tmp_path / "changed", layout.replace('"q"', '"i"'))
+        [finding] = [
+            f for f in run_lint(changed, schema_baseline=baseline) if f.code == "RPL004"
+        ]
+        assert "'trace-store'" in finding.message and "bump the tag" in finding.message
+
     def test_live_baseline_matches_tree(self):
         # The committed schema_baseline.json must track the committed
         # formats — this is the check CI leans on.

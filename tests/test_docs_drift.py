@@ -69,3 +69,24 @@ def test_docstring_markdown_references_exist():
         if not (REPO_ROOT / name).exists() and not (REPO_ROOT / "docs" / name).exists()
     }
     assert missing == set()
+
+
+def _experiments_md_tables():
+    """Exhibit name -> the table in its ``**Measured:**`` fence."""
+    text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+    return dict(
+        re.findall(r"^## (\S+)\n.*?\n```\n(.*?)\n```$", text, flags=re.MULTILINE | re.DOTALL)
+    )
+
+
+def test_experiments_md_tables_match_benchmark_results():
+    """EXPERIMENTS.md and ``benchmarks/results/`` are both at quick scale
+    (the generator's default), so every exhibit's table is the same text."""
+    tables = _experiments_md_tables()
+    results = {
+        path.stem: path.read_text().rstrip("\n")
+        for path in (REPO_ROOT / "benchmarks" / "results").glob("*.txt")
+    }
+    assert sorted(tables) == sorted(results)
+    stale = [name for name in sorted(results) if tables[name] != results[name]]
+    assert stale == [], f"EXPERIMENTS.md tables differ from benchmarks/results: {stale}"

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invariants import digest_blind_leaves
 from repro.config import SimConfig
@@ -129,6 +132,23 @@ class TestDiskCache:
         path.write_text(path.read_text().replace(SCHEMA_TAG, "engine-v0"))
         fresh = ResultCache(tmp_path)
         assert fresh.get(WL, scale_token(SCALE), config_digest(cfg)) is None
+        assert (fresh.hits, fresh.misses, fresh.corrupt) == (0, 0, 1)
+
+    def test_mismatch_under_a_matching_checksum_is_corrupt(self, tmp_path):
+        # A record rewritten whole (checksum included) for another schema
+        # passes the crc32 but still fails the schema check.
+        from repro.runtime.cache import _record_crc
+
+        cfg = make_config("none")
+        ExperimentRuntime(cache_dir=tmp_path).run_one(WL, cfg, SCALE)
+        path = next((tmp_path / SCHEMA_TAG).rglob("*.json"))
+        record = json.loads(path.read_text())
+        record["schema"] = "engine-v0"
+        record["crc32"] = _record_crc(record)
+        path.write_text(json.dumps(record))
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(WL, scale_token(SCALE), config_digest(cfg)) is None
+        assert (fresh.hits, fresh.misses, fresh.corrupt) == (0, 0, 1)
 
     def test_corrupt_record_is_a_miss(self, tmp_path):
         cfg = make_config("none")
@@ -138,6 +158,13 @@ class TestDiskCache:
         path.write_text("{ truncated")
         fresh = ResultCache(tmp_path)
         assert fresh.get(WL, scale_token(SCALE), config_digest(cfg)) is None
+        assert (fresh.hits, fresh.misses, fresh.corrupt) == (0, 0, 1)
+
+    def test_absent_record_is_a_plain_miss(self, tmp_path):
+        fresh = ResultCache(tmp_path)
+        cfg = make_config("none")
+        assert fresh.get(WL, scale_token(SCALE), config_digest(cfg)) is None
+        assert (fresh.hits, fresh.misses, fresh.corrupt) == (0, 1, 0)
 
     def test_valid_json_non_dict_record_is_a_miss(self, tmp_path):
         # A bare JSON array parses fine but is not a record; it used to
@@ -149,12 +176,60 @@ class TestDiskCache:
         path.write_text('["not", "a", "record"]')
         fresh = ResultCache(tmp_path)
         assert fresh.get(WL, scale_token(SCALE), config_digest(cfg)) is None
+        assert (fresh.hits, fresh.misses, fresh.corrupt) == (0, 0, 1)
 
     def test_parallel_batch_populates_disk(self, tmp_path):
         configs = [make_config("none"), make_config("next_line")]
         rt = ExperimentRuntime(jobs=2, cache_dir=tmp_path)
         rt.run_many(_jobs(*configs))
         assert len(list((tmp_path / SCHEMA_TAG).rglob("*.json"))) == 2
+
+
+class TestDamagedResultRecords:
+    """A damaged record must end as a counted corrupt miss, never as a
+    different result. The only other outcome is a damage that leaves the
+    JSON meaning the same (``1e-05`` read as ``1E-05``): then the record
+    is served, unchanged."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("results")
+        key = (WL, scale_token(SCALE), config_digest(make_config("none")))
+        rt = ExperimentRuntime(cache_dir=cache_dir)
+        result = rt.run_one(WL, make_config("none"), SCALE)
+        path = next((cache_dir / SCHEMA_TAG).rglob("*.json"))
+        return cache_dir, key, path, path.read_bytes(), result
+
+    def _check(self, stored, blob):
+        cache_dir, key, path, original, result = stored
+        path.write_bytes(blob)
+        try:
+            cache = ResultCache(cache_dir)
+            got = cache.get(*key)
+            if got is None:
+                assert (cache.hits, cache.misses, cache.corrupt) == (0, 0, 1)
+            else:
+                assert (cache.hits, cache.misses, cache.corrupt) == (1, 0, 0)
+                assert (got.mechanism, got.raw) == (result.mechanism, result.raw)
+        finally:
+            path.write_bytes(original)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte(self, stored, data):
+        original = stored[3]
+        index = data.draw(st.integers(0, len(original) - 1), label="index")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        blob = bytearray(original)
+        blob[index] ^= mask
+        self._check(stored, bytes(blob))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncated(self, stored, data):
+        original = stored[3]
+        keep = data.draw(st.integers(0, len(original) - 1), label="keep")
+        self._check(stored, original[:keep])
 
 
 class TestOptionPrecedence:

@@ -24,7 +24,9 @@ from repro.workloads.trace import _draw_trips, _INDIRECT_STICKINESS, _MAX_CALL_D
 def tuple_walk(cfg, n_instrs, seed):
     """The seed tuple-list walker (pre-columnar ``generate_trace`` body)."""
     rng = random.Random(seed)
-    blocks = cfg.blocks
+    # The seed's CFG was a dict of blocks; ``cfg.blocks`` is now a view
+    # that builds a block per read, so materialize the dict once.
+    blocks = dict(cfg.blocks)
     records = []
     append = records.append
     stack = []
