@@ -144,9 +144,9 @@ def run_profiled_single(
     engine.stages = [  # type: ignore[assignment]
         _TimedStage(stage, profiler) for stage in engine.stages
     ]
-    raw = engine.run()
-    profiler.cycles[0] += int(raw["total_cycles"])
+    counters = engine.run()
+    profiler.cycles[0] += int(counters["total_cycles"])
     profiler.cycles[1] += engine.visited_cycles
     return SimulationResult(
-        workload=workload.name, mechanism=config.mechanism, raw=raw
+        workload=workload.name, mechanism=config.mechanism, raw=counters
     )

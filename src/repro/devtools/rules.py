@@ -32,13 +32,35 @@ from .sources import Finding, LintContext, SourceFile
 _ENV_ACCESSOR = "envopts.py"
 
 
-def rule_env_reads(ctx: LintContext) -> list[Finding]:
-    """``os.environ`` / ``os.getenv`` anywhere but the registered accessor.
+def _is_read_env(node: ast.AST, bound: set[str]) -> bool:
+    """``read_env(...)``, a name bound to one, or an ``or`` chain of either."""
+    if isinstance(node, ast.BoolOp):
+        return any(_is_read_env(value, bound) for value in node.values)
+    if isinstance(node, ast.Name):
+        return node.id in bound
+    return isinstance(node, ast.Call) and _call_name(node) == "read_env"
 
-    Option precedence (flag > env > default) is asserted in exactly one
-    resolver per option; a raw environment read anywhere else creates a
-    second resolution point that silently diverges — the bug class PR 4
-    fixed. All reads go through :mod:`repro.envopts`.
+
+def _read_env_names(tree: ast.AST) -> set[str]:
+    """Names the module binds to a ``read_env`` result, in any scope."""
+    bound: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if _is_read_env(node.value, set()):
+                bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return bound
+
+
+def rule_env_reads(ctx: LintContext) -> list[Finding]:
+    """Environment reads or option parsing anywhere but :mod:`repro.envopts`.
+
+    Option precedence (flag > env > default) and each option's type and
+    bounds live in one place, :func:`repro.envopts.resolve`; a raw
+    environment read, or an ``int(...)`` / ``float(...)`` of a
+    ``read_env`` result, anywhere else is a second resolution point that
+    silently diverges (a malformed value then raises whatever that copy
+    raises, not the ``ConfigError`` every CLI reports).
     """
     findings: list[Finding] = []
 
@@ -47,8 +69,8 @@ def rule_env_reads(ctx: LintContext) -> list[Finding]:
             src,
             node.lineno,
             "RPL001",
-            f"{what} outside repro.envopts: route REPRO_* reads through "
-            f"repro.envopts.read_env/env_str (the registered accessor)",
+            f"{what} outside repro.envopts: declare the option in "
+            f"REPRO_ENV_OPTIONS and read it with repro.envopts.resolve",
         )
         if finding is not None:
             findings.append(finding)
@@ -56,8 +78,17 @@ def rule_env_reads(ctx: LintContext) -> list[Finding]:
     for src in ctx.sources:
         if src.modrel == _ENV_ACCESSOR:
             continue
+        bound = _read_env_names(src.tree)
         for node in ast.walk(src.tree):
-            if isinstance(node, ast.Attribute):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("int", "float")
+                and node.args
+                and _is_read_env(node.args[0], bound)
+            ):
+                flag(src, node, f"{node.func.id}() of a read_env result")
+            elif isinstance(node, ast.Attribute):
                 if (
                     isinstance(node.value, ast.Name)
                     and node.value.id == "os"
@@ -243,7 +274,7 @@ RULES: dict[str, Rule] = {
         Rule(
             "RPL001",
             "env-precedence",
-            "REPRO_* environment reads must go through repro.envopts",
+            "REPRO_* options are read and parsed only by repro.envopts",
             rule_env_reads,
         ),
         Rule(

@@ -39,6 +39,7 @@ from __future__ import annotations
 import sys
 import time
 
+from ..envopts import resolve
 from ..errors import ConfigError
 from ..runtime import backend_summary, configure_runtime, get_runtime
 from . import EXPERIMENTS
@@ -65,32 +66,26 @@ def _parse_flag(args: list[str], name: str) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
     try:
-        jobs_arg = _parse_flag(args, "--jobs")
-        cache_dir = _parse_flag(args, "--cache-dir")
-        backend = _parse_flag(args, "--backend")
-        jobs = int(jobs_arg) if jobs_arg is not None else None
-    except ValueError:
-        print("--jobs expects an integer", file=sys.stderr)
-        return 2
-    if jobs is not None and jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    if jobs is not None or cache_dir is not None or backend is not None:
-        try:
-            configure_runtime(jobs=jobs, cache_dir=cache_dir, backend=backend)
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    scale = None
-    if args and args[0] in SCALES:
-        scale = args.pop(0)
-    try:
-        get_scale(scale)  # an unknown REPRO_SCALE fails here, before any run
+        return _run(list(sys.argv[1:] if argv is None else argv))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+
+
+def _run(args: list[str]) -> int:
+    jobs = _parse_flag(args, "--jobs")
+    cache_dir = _parse_flag(args, "--cache-dir")
+    backend = _parse_flag(args, "--backend")
+    if jobs is not None or cache_dir is not None or backend is not None:
+        # The --jobs string is parsed and checked like REPRO_JOBS.
+        configure_runtime(
+            jobs=resolve("REPRO_JOBS", jobs), cache_dir=cache_dir, backend=backend
+        )
+    scale = None
+    if args and args[0] in SCALES:
+        scale = args.pop(0)
+    get_scale(scale)  # an unknown REPRO_SCALE fails here, before any run
     chosen = args or list(EXPERIMENTS)
     unknown = [name for name in chosen if name not in EXPERIMENTS]
     if unknown:

@@ -41,8 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.tables import format_table
-from ..envopts import env_str
-from ..errors import ConfigError
+from ..envopts import resolve
 from ..workloads.profiles import workload_set
 
 
@@ -103,12 +102,7 @@ SCALES: dict[str, ExperimentScale] = {
 
 def get_scale(name: str | None = None) -> ExperimentScale:
     """Resolve a scale by argument, ``REPRO_SCALE`` env var, or default."""
-    chosen = name or env_str("REPRO_SCALE", "default")
-    try:
-        return SCALES[chosen]
-    except KeyError:
-        known = ", ".join(sorted(SCALES))
-        raise ConfigError(f"unknown scale {chosen!r}; known scales: {known}") from None
+    return SCALES[resolve("REPRO_SCALE", name)]
 
 
 # ---------------------------------------------------------------------------

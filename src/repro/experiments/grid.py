@@ -31,10 +31,10 @@ from typing import Any
 from ..config import SimConfig
 from ..core.mechanisms import MECHANISMS, make_config
 from ..core.results import SimulationResult
+from ..envopts import resolve
 from ..errors import ConfigError
 from ..runtime import SimJob, get_runtime
 from ..stats import geometric_mean
-from ..workloads.profiles import PROFILE_SETS
 from .common import ExperimentResult, ExperimentScale, get_scale, workload_names
 
 # ---------------------------------------------------------------------------
@@ -309,11 +309,8 @@ class SweepSpec:
                 f"sweep {self.name!r}: axis values {bad_scale} name no scale "
                 f"field; known: {', '.join(SCALE_AXES)}"
             )
-        if self.workload_set is not None and self.workload_set not in PROFILE_SETS:
-            raise ConfigError(
-                f"sweep {self.name!r}: unknown workload set "
-                f"{self.workload_set!r}; known: {', '.join(sorted(PROFILE_SETS))}"
-            )
+        if self.workload_set is not None:
+            resolve("REPRO_WORKLOAD_SET", self.workload_set)
 
     # ------------------------------------------------------------ geometry
 

@@ -52,7 +52,7 @@ import time
 from pathlib import Path
 
 from ...core import profiling
-from ...envopts import env_flag, env_str, read_env
+from ...envopts import require_cache_dir, resolve
 from ...errors import ConfigError
 from ...runtime import backend_summary, configure_runtime, get_runtime
 from ...runtime.cache import SCHEMA_TAG
@@ -164,12 +164,7 @@ def _maybe_refresh_warehouse(args: argparse.Namespace) -> None:
 
     Needs a disk cache (there is nothing to consolidate otherwise).
     """
-    wanted = (
-        args.refresh_warehouse
-        if args.refresh_warehouse is not None
-        else env_flag("REPRO_WAREHOUSE_AUTOREFRESH", False)
-    )
-    if not wanted:
+    if not resolve("REPRO_WAREHOUSE_AUTOREFRESH", args.refresh_warehouse):
         return
     runtime = get_runtime()
     if runtime.cache_dir is None:
@@ -214,14 +209,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    cache_dir = args.cache_dir or env_str("REPRO_CACHE_DIR")
-    if not cache_dir:
-        print(
-            "--serve needs a cache directory: pass --cache-dir or set "
-            "REPRO_CACHE_DIR",
-            file=sys.stderr,
-        )
-        return 2
+    cache_dir = require_cache_dir(args.cache_dir)
     extra: list[str] = []
     if args.jobs is not None:
         extra += ["--jobs", str(args.jobs)]
@@ -322,8 +310,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     spec = get_sweep(manifest.sweep)
     verify_matches_spec(manifest, spec)
     profiler = _start_profiling(args)
-    cache_dir = args.cache_dir
-    if cache_dir is None and not read_env("REPRO_CACHE_DIR"):
+    cache_dir = resolve("REPRO_CACHE_DIR", args.cache_dir)
+    if cache_dir is None:
         # The manifest lives inside the cache it belongs to — infer it.
         parent = Path(args.resume).resolve().parent
         if parent.name == "manifests":

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 
 from ...analytic.store import AnalyticStore
 from ...config import SimConfig
-from ...envopts import env_str
+from ...envopts import resolve
 from ...errors import ConfigError
 from ...runtime import SimJob, canonicalize, config_digest
 from ...runtime.atomicio import atomic_write_json
@@ -160,12 +160,8 @@ def effective_workload_set(spec: SweepSpec, workload_set: str | None) -> str:
     manifest freezes the *resolved* name — a resume in a shell without the
     variable must re-run the same grid, not silently a different one.
     """
-    return (
-        workload_set
-        or spec.workload_set
-        or env_str("REPRO_WORKLOAD_SET")
-        or "paper"
-    )
+    chosen: str = resolve("REPRO_WORKLOAD_SET", workload_set or spec.workload_set)
+    return chosen
 
 
 def write_manifest(

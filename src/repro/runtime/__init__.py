@@ -28,7 +28,6 @@ from .executors import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
-    resolve_backend_name,
 )
 from .runner import (
     ExperimentRuntime,
@@ -79,7 +78,6 @@ __all__ = [
     "make_backend",
     "prune_cache",
     "render_status",
-    "resolve_backend_name",
     "resolve_options",
     "run_worker",
     "scale_token",

@@ -45,7 +45,8 @@ stops the fleet when the coordinator exits. Results are bit-identical
 to hand-started workers.
 
 The cache directory comes from ``--cache-dir`` or the ``REPRO_CACHE_DIR``
-environment variable — the same resolution the experiment runner uses.
+environment variable (:func:`repro.envopts.require_cache_dir`). A missing
+directory or a bad option value prints one line and exits 2.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import argparse
 import json
 import sys
 
-from ..envopts import env_str
+from ..envopts import require_cache_dir
 from ..errors import ConfigError
 from .broker import BrokerQueue, run_worker
 from .cache import SCHEMA_TAG, prune_cache, scan_cache
@@ -68,19 +69,10 @@ def _fmt_size(n: int) -> str:
     return f"{n:.1f} GiB"
 
 
-def _resolve_cache_dir(arg: str | None) -> str:
-    cache_dir = arg or env_str("REPRO_CACHE_DIR", "")
-    if not cache_dir:
-        raise SystemExit(
-            "no cache directory: pass --cache-dir or set REPRO_CACHE_DIR"
-        )
-    return cache_dir
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     from ..analytic.store import scan_analytic
 
-    cache_dir = _resolve_cache_dir(args.cache_dir)
+    cache_dir = require_cache_dir(args.cache_dir)
     infos = scan_cache(cache_dir) + scan_analytic(cache_dir)
     print(f"result cache at {cache_dir} (current tag: {SCHEMA_TAG})")
     if not infos:
@@ -106,7 +98,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_prune(args: argparse.Namespace) -> int:
     from ..analytic.store import prune_analytic
 
-    cache_dir = _resolve_cache_dir(args.cache_dir)
+    cache_dir = require_cache_dir(args.cache_dir)
     targets = prune_cache(
         cache_dir, schema_tag=args.schema_tag, dry_run=True
     ) + prune_analytic(cache_dir, schema_tag=args.schema_tag, dry_run=True)
@@ -133,7 +125,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
+    cache_dir = require_cache_dir(args.cache_dir)
     run_worker(
         cache_dir,
         worker_id=args.worker_id,
@@ -145,7 +137,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
+    cache_dir = require_cache_dir(args.cache_dir)
     queue = BrokerQueue(cache_dir)
     counts = queue.counts()
     print(f"broker queue at {queue.root}")
@@ -157,7 +149,7 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 def _cmd_status(args: argparse.Namespace) -> int:
     from .supervisor import build_status, render_status, watch_status
 
-    cache_dir = _resolve_cache_dir(args.cache_dir)
+    cache_dir = require_cache_dir(args.cache_dir)
     if args.watch:
         return watch_status(cache_dir, args.manifest, interval=args.interval)
     status = build_status(cache_dir, args.manifest)
@@ -171,19 +163,13 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .supervisor import serve_sweep, supervisor_options
 
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    try:
-        options = supervisor_options(max_workers=args.max_workers)
-        return serve_sweep(
-            args.sweep,
-            cache_dir,
-            scale=args.scale,
-            workload_set=args.workload_set,
-            options=options,
-        )
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    return serve_sweep(
+        args.sweep,
+        require_cache_dir(args.cache_dir),
+        scale=args.scale,
+        workload_set=args.workload_set,
+        options=supervisor_options(max_workers=args.max_workers),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,7 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.set_defaults(func=_cmd_serve)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

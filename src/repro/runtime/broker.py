@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import socket
 import threading
@@ -69,7 +68,7 @@ from typing import TYPE_CHECKING
 from .. import config as config_module
 from ..config import SimConfig
 from ..core.results import SimulationResult
-from ..envopts import env_flag, read_env
+from ..envopts import REPRO_ENV_OPTIONS, read_env, resolve
 from ..errors import BrokerError
 from .atomicio import atomic_write_json
 from .cache import SCHEMA_TAG, ResultCache
@@ -93,8 +92,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
 BROKER_SCHEMA = "broker-v4"
 
 #: Defaults, overridable via REPRO_BROKER_* (see :func:`broker_env_options`).
-DEFAULT_LEASE_SECONDS = 300.0
-DEFAULT_MAX_ATTEMPTS = 3
+DEFAULT_LEASE_SECONDS: float = REPRO_ENV_OPTIONS["REPRO_BROKER_LEASE"].default
+DEFAULT_MAX_ATTEMPTS: int = REPRO_ENV_OPTIONS["REPRO_BROKER_MAX_ATTEMPTS"].default
 DEFAULT_POLL_SECONDS = 0.2
 
 #: The claim order: the most expensive pending job first.
@@ -269,15 +268,15 @@ class BrokerQueue:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ):
-        _check_lease(lease_seconds)
-        _check_max_attempts(max_attempts)
         self.root = Path(cache_dir) / "queue"
         self.pending = self.root / "pending"
         self.claimed = self.root / "claimed"
         self.done = self.root / "done"
         self.failed = self.root / "failed"
-        self.lease_seconds = lease_seconds
-        self.max_attempts = max_attempts
+        #: A NaN lease would never expire, so a dead worker's claim would
+        #: be held forever: resolve rejects any non-finite value.
+        self.lease_seconds: float = resolve("REPRO_BROKER_LEASE", lease_seconds)
+        self.max_attempts: int = resolve("REPRO_BROKER_MAX_ATTEMPTS", max_attempts)
 
     def _ensure_dirs(self) -> None:
         for directory in (self.pending, self.claimed, self.done, self.failed):
@@ -682,76 +681,13 @@ def execute_claimed(
 # ---------------------------------------------------------------------------
 
 
-def _env_float(name: str, default: float | None) -> float | None:
-    raw = read_env(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise BrokerError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _check_timeout(timeout: float | None) -> float | None:
-    """``None`` (wait forever) or a positive, finite deadline in seconds."""
-    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
-        raise BrokerError(
-            f"broker timeout (REPRO_BROKER_TIMEOUT) must be a positive, finite "
-            f"number of seconds, got {timeout:g}; unset it to wait without a "
-            f"deadline"
-        )
-    return timeout
-
-
-def _check_lease(lease_seconds: float) -> float:
-    """A positive, finite lease duration in seconds.
-
-    A NaN lease would never expire (``now - mtime > nan`` is always
-    false), so a dead worker's claim would be held forever.
-    """
-    if not (math.isfinite(lease_seconds) and lease_seconds > 0):
-        raise BrokerError(
-            f"broker lease (REPRO_BROKER_LEASE) must be a positive, finite "
-            f"number of seconds, got {lease_seconds:g}; unset it for the default "
-            f"{DEFAULT_LEASE_SECONDS:g}"
-        )
-    return lease_seconds
-
-
-def _check_max_attempts(max_attempts: int) -> int:
-    """At least one execution attempt per job."""
-    if max_attempts < 1:
-        raise BrokerError(
-            f"broker attempt cap (REPRO_BROKER_MAX_ATTEMPTS) must be an "
-            f"integer >= 1, got {max_attempts}; unset it for the default "
-            f"{DEFAULT_MAX_ATTEMPTS}"
-        )
-    return max_attempts
-
-
 def broker_env_options() -> dict:
-    """Broker tunables from ``REPRO_BROKER_*`` environment variables.
-
-    Out-of-range values are rejected here, with an error naming the
-    variable and the value.
-    """
-    max_attempts_raw = read_env("REPRO_BROKER_MAX_ATTEMPTS")
-    try:
-        max_attempts = (
-            int(max_attempts_raw) if max_attempts_raw else DEFAULT_MAX_ATTEMPTS
-        )
-    except ValueError:
-        raise BrokerError(
-            f"REPRO_BROKER_MAX_ATTEMPTS must be an integer, got {max_attempts_raw!r}"
-        ) from None
-    lease_seconds = _env_float("REPRO_BROKER_LEASE", None)
+    """Broker tunables from the ``REPRO_BROKER_*`` variables (or defaults)."""
     return {
-        "lease_seconds": (
-            DEFAULT_LEASE_SECONDS if lease_seconds is None else _check_lease(lease_seconds)
-        ),
-        "max_attempts": _check_max_attempts(max_attempts),
-        "timeout": _check_timeout(_env_float("REPRO_BROKER_TIMEOUT", None)),
-        "steal": env_flag("REPRO_BROKER_STEAL"),
+        "lease_seconds": resolve("REPRO_BROKER_LEASE"),
+        "max_attempts": resolve("REPRO_BROKER_MAX_ATTEMPTS"),
+        "timeout": resolve("REPRO_BROKER_TIMEOUT"),
+        "steal": resolve("REPRO_BROKER_STEAL"),
     }
 
 
@@ -780,7 +716,10 @@ class BrokerBackend:
         self.queue = BrokerQueue(cache_dir, lease_seconds, max_attempts)
         self.cache = ResultCache(cache_dir)
         self.steal = steal
-        self.timeout = _check_timeout(timeout)
+        #: ``None`` waits forever; a given deadline is checked like the env's.
+        self.timeout: float | None = (
+            None if timeout is None else resolve("REPRO_BROKER_TIMEOUT", timeout)
+        )
         self.poll_seconds = poll_seconds
         self.worker_id = worker_id or default_worker_id()
         self._job_records: list[dict] = []
@@ -912,11 +851,10 @@ def run_worker(
     """
     from ..workloads.workload import configure_trace_store
 
-    env = broker_env_options()
     queue = BrokerQueue(
         cache_dir,
-        lease_seconds if lease_seconds is not None else env["lease_seconds"],
-        max_attempts if max_attempts is not None else env["max_attempts"],
+        resolve("REPRO_BROKER_LEASE", lease_seconds),
+        resolve("REPRO_BROKER_MAX_ATTEMPTS", max_attempts),
     )
     cache = ResultCache(cache_dir)
     # Share workload builds with everyone else using this cache dir

@@ -75,12 +75,18 @@ def _source_fingerprint(pkg_root: Path = _PKG_ROOT) -> str:
     """Hash every simulator-side source file under the ``repro`` package.
 
     Command-line entry points (``__main__.py``) are skipped wherever they
-    live: they parse flags and print, and never feed a simulation.
+    live: they parse flags and print, and never feed a simulation. So is
+    ``envopts.py``: every option that selects work reaches a job's config
+    digest or workload name, so no option default can change a result.
     """
     digest = hashlib.sha256()
     for path in sorted(pkg_root.rglob("*.py")):
         rel = path.relative_to(pkg_root)
-        if rel.parts[0] in _NON_SEMANTIC_DIRS or path.name == "__main__.py":
+        if (
+            rel.parts[0] in _NON_SEMANTIC_DIRS
+            or path.name == "__main__.py"
+            or str(rel) == "envopts.py"
+        ):
             continue
         digest.update(str(rel).encode())
         digest.update(path.read_bytes())

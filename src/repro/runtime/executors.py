@@ -31,9 +31,9 @@ Three backends ship:
 ``auto`` (the default) picks ``pool`` when ``jobs > 1`` and ``serial``
 otherwise — exactly the pre-backend behaviour.
 
-Backend selection is by name via ``--backend`` /``REPRO_BACKEND``;
-:func:`resolve_backend_name` is the single validation point and its error
-lists every valid name.
+Backend selection is by name via ``--backend`` / ``REPRO_BACKEND``,
+resolved and checked by :func:`repro.envopts.resolve`, whose error lists
+every valid name.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from ..envopts import exported
+from ..envopts import REPRO_ENV_OPTIONS, exported, resolve
 from ..errors import ConfigError
 from ..workloads.workload import load_workload, trace_store_env_value
 
@@ -52,24 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
     from .runner import SimJob
 
 #: Every name ``--backend`` / ``REPRO_BACKEND`` accepts.
-BACKEND_NAMES: tuple[str, ...] = ("auto", "serial", "pool", "broker")
-
-
-def resolve_backend_name(name: str | None) -> str:
-    """Validate a backend name (``None`` → ``auto``).
-
-    The only place backend names are checked: the runtime constructor, the
-    CLI flags and the ``REPRO_BACKEND`` environment variable all funnel
-    through here, so a stale value always produces the same helpful error.
-    """
-    chosen = name or "auto"
-    if chosen not in BACKEND_NAMES:
-        valid = ", ".join(BACKEND_NAMES)
-        raise ConfigError(
-            f"unknown executor backend {chosen!r}; valid backends: {valid} "
-            f"(pass --backend or set REPRO_BACKEND)"
-        )
-    return chosen
+BACKEND_NAMES: tuple[str, ...] = REPRO_ENV_OPTIONS["REPRO_BACKEND"].choices
 
 
 @runtime_checkable
@@ -172,7 +155,7 @@ def make_backend(
     The broker needs a shared directory to host its queue, so selecting it
     without a cache dir is a configuration error.
     """
-    chosen = resolve_backend_name(name)
+    chosen = resolve("REPRO_BACKEND", name)
     if chosen == "auto":
         chosen = "pool" if jobs > 1 else "serial"
     if chosen == "serial":

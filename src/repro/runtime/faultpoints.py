@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import signal
 
-from ..envopts import read_env
+from ..envopts import resolve
 from ..errors import ConfigError
 
 #: Every point a ``maybe_fault`` call site passes.
@@ -70,7 +70,7 @@ def maybe_fault(point: str) -> None:
     SIGKILL — not ``sys.exit`` — because the entire contract under test is
     that *nothing* gets a chance to clean up.
     """
-    spec = read_env("REPRO_FAULTPOINTS")
+    spec = resolve("REPRO_FAULTPOINTS")
     if not spec:
         return
     targets = _parse(spec)

@@ -26,11 +26,12 @@ order. Results are therefore deterministic and bit-identical regardless of
 ``jobs`` or backend: the engine itself is deterministic, and the executor
 only changes *where* a run executes, never its inputs.
 
-**Option precedence** is asserted in exactly one place,
-:func:`resolve_options`: an explicit keyword argument (or CLI flag, which
-forwards as one) always beats the corresponding ``REPRO_*`` environment
-variable, and the environment variable beats the built-in default
-(``jobs=1``, no cache dir, ``backend="auto"``). The process-wide default
+**Option precedence** is decided by :func:`repro.envopts.resolve`, which
+:func:`resolve_options` calls once per option: an explicit keyword
+argument (or CLI flag, which forwards as one) always beats the
+corresponding ``REPRO_*`` environment variable, and the environment
+variable beats the registry default (``jobs=1``, no cache dir,
+``backend="auto"``). The process-wide default
 runtime is configured from ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` /
 ``REPRO_BACKEND`` or via :func:`configure_runtime` (the
 ``python -m repro.experiments --jobs/--cache-dir/--backend`` flags).
@@ -46,12 +47,12 @@ from ..config import SimConfig
 from ..core import profiling
 from ..core.results import SimulationResult
 from ..core.simulator import Simulator
-from ..envopts import env_str, read_env
+from ..envopts import REPRO_ENV_OPTIONS, read_env, resolve
 from ..errors import ConfigError
 from ..workloads.workload import configure_trace_store, load_workload
 from .cache import ResultCache
 from .confighash import config_digest, scale_token
-from .executors import make_backend, resolve_backend_name
+from .executors import make_backend
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (analytic imports us)
     from ..analytic.store import AnalyticStore
@@ -60,12 +61,12 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (analytic imports us)
 RunKey = tuple[str, str, str]
 
 #: Default fidelity tier (``REPRO_FIDELITY``): every cell exact.
-DEFAULT_FIDELITY = "exact"
+DEFAULT_FIDELITY: str = REPRO_ENV_OPTIONS["REPRO_FIDELITY"].default
 
 #: Default hybrid escalation threshold (``REPRO_ANALYTIC_MAX_ERR``): a
 #: series whose self-reported relative error bound exceeds this is
 #: re-dispatched to the exact engine under ``--fidelity hybrid``.
-DEFAULT_MAX_REL_ERR = 0.10
+DEFAULT_MAX_REL_ERR: float = REPRO_ENV_OPTIONS["REPRO_ANALYTIC_MAX_ERR"].default
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def estimate_job_cost(job: SimJob) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Option resolution (the single precedence point)
+# Option resolution (one aggregator over repro.envopts.resolve)
 # ---------------------------------------------------------------------------
 
 
@@ -148,43 +149,21 @@ def resolve_options(
     anchors: str | None = None,
     max_rel_err: float | None = None,
 ) -> RuntimeOptions:
-    """Resolve runtime options with the documented precedence.
+    """Resolve every runtime option with :func:`repro.envopts.resolve`.
 
-    For each option independently: an explicit (non-``None``) argument
-    wins outright — the corresponding environment variable is not even
-    read, so a stale or malformed ``REPRO_*`` value can never override or
-    break an explicit choice. Otherwise the environment variable applies
-    (``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ``REPRO_BACKEND``,
-    ``REPRO_FIDELITY``, ``REPRO_ANALYTIC_ANCHORS``,
-    ``REPRO_ANALYTIC_MAX_ERR``), and finally the default (``1``, no
-    cache, ``auto``, ``exact`` fidelity, ``3x2`` anchors, 0.10 escalation
-    bound).
-    Validation happens here for every entry path — constructor,
-    :func:`configure_runtime`, CLI flags.
+    Each option independently: an explicit (non-``None``) argument wins
+    and its variable (``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
+    ``REPRO_BACKEND``, ``REPRO_FIDELITY``, ``REPRO_ANALYTIC_ANCHORS``,
+    ``REPRO_ANALYTIC_MAX_ERR``) is not read; else the variable; else the
+    registry default. Beyond the per-option checks, this rejects the
+    broker backend without a cache directory and a malformed anchor grid.
     """
     # Imported lazily: repro.analytic's planner imports this module.
-    from ..analytic import FIDELITY_NAMES
-    from ..analytic.planner import DEFAULT_ANCHOR_SPEC, parse_anchor_spec
+    from ..analytic.planner import parse_anchor_spec
 
-    if jobs is None:
-        raw = env_str("REPRO_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer >= 1, got {raw!r}"
-            ) from None
-        if jobs < 1:
-            raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
-    elif jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if cache_dir is None:
-        cache_dir = env_str("REPRO_CACHE_DIR")
-    else:
-        cache_dir = os.fspath(cache_dir)
-    backend = resolve_backend_name(
-        backend if backend is not None else env_str("REPRO_BACKEND")
-    )
+    jobs = resolve("REPRO_JOBS", jobs)
+    cache_dir = resolve("REPRO_CACHE_DIR", cache_dir)
+    backend = resolve("REPRO_BACKEND", backend)
     if backend == "broker" and cache_dir is None:
         # Fail at configuration time, not minutes later at the first
         # cache-miss batch (make_backend keeps the same check as a
@@ -193,42 +172,16 @@ def resolve_options(
             "the broker backend needs a shared cache directory for its job "
             "queue: pass --cache-dir or set REPRO_CACHE_DIR"
         )
-    if fidelity is None:
-        fidelity = env_str("REPRO_FIDELITY", DEFAULT_FIDELITY)
-    if fidelity not in FIDELITY_NAMES:
-        raise ConfigError(
-            f"unknown fidelity {fidelity!r}: choose one of "
-            f"{', '.join(FIDELITY_NAMES)}"
-        )
-    if anchors is None:
-        anchors = env_str("REPRO_ANALYTIC_ANCHORS", DEFAULT_ANCHOR_SPEC)
+    fidelity = resolve("REPRO_FIDELITY", fidelity)
+    anchors = resolve("REPRO_ANALYTIC_ANCHORS", anchors)
     parse_anchor_spec(anchors)  # validation only; stored as the spec string
-    if max_rel_err is None:
-        raw = env_str("REPRO_ANALYTIC_MAX_ERR")
-        if raw is None:
-            max_rel_err = DEFAULT_MAX_REL_ERR
-        else:
-            try:
-                max_rel_err = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_ANALYTIC_MAX_ERR must be a float in (0, 1], "
-                    f"got {raw!r}"
-                ) from None
-            if not 0.0 < max_rel_err <= 1.0:
-                raise ValueError(
-                    f"REPRO_ANALYTIC_MAX_ERR must be a float in (0, 1], "
-                    f"got {raw!r}"
-                )
-    elif not 0.0 < max_rel_err <= 1.0:
-        raise ValueError("max_rel_err must lie in (0, 1]")
     return RuntimeOptions(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
         fidelity=fidelity,
         anchors=anchors,
-        max_rel_err=max_rel_err,
+        max_rel_err=resolve("REPRO_ANALYTIC_MAX_ERR", max_rel_err),
     )
 
 
@@ -244,13 +197,14 @@ class ExperimentRuntime:
         anchors: str = "3x2",
         max_rel_err: float = DEFAULT_MAX_REL_ERR,
     ):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self.backend = resolve_backend_name(backend)
-        self.fidelity = fidelity
-        self.anchors = anchors
-        self.max_rel_err = max_rel_err
+        from ..analytic.planner import parse_anchor_spec
+
+        self.jobs: int = resolve("REPRO_JOBS", jobs)
+        self.backend: str = resolve("REPRO_BACKEND", backend)
+        self.fidelity: str = resolve("REPRO_FIDELITY", fidelity)
+        self.anchors: str = resolve("REPRO_ANALYTIC_ANCHORS", anchors)
+        parse_anchor_spec(self.anchors)
+        self.max_rel_err: float = resolve("REPRO_ANALYTIC_MAX_ERR", max_rel_err)
         self.cache_dir: str | None = os.fspath(cache_dir) if cache_dir else None
         self.disk: ResultCache | None = (
             ResultCache(cache_dir) if cache_dir else None

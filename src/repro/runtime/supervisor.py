@@ -65,10 +65,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from ..envopts import exported, read_env
+from ..envopts import REPRO_ENV_OPTIONS, exported, read_env, resolve
 from ..errors import ConfigError
 from .atomicio import atomic_write_json
-from .broker import BrokerQueue, _parse_job_name, _read_json, broker_env_options
+from .broker import BrokerQueue, _parse_job_name, _read_json
 from .cache import SCHEMA_TAG, ResultCache, scan_cache
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (sweeps import runtime)
@@ -99,7 +99,7 @@ CELL_STATES: tuple[str, ...] = (
 )
 
 #: Fleet ceiling default, overridable via REPRO_SUPERVISOR_MAX.
-DEFAULT_MAX_WORKERS = 4
+DEFAULT_MAX_WORKERS: int = REPRO_ENV_OPTIONS["REPRO_SUPERVISOR_MAX"].default
 
 #: ``--max-idle`` handed to every spawned worker: how long an idle
 #: worker waits before retiring.
@@ -121,30 +121,18 @@ TIMELINE_CAP = 200
 
 @dataclass(frozen=True)
 class SupervisorOptions:
-    """Resolved fleet options (build via :func:`supervisor_options`)."""
+    """Fleet options; ``max_workers`` is checked like ``REPRO_SUPERVISOR_MAX``."""
 
     #: Fleet ceiling, whatever the backlog demands.
     max_workers: int = DEFAULT_MAX_WORKERS
 
+    def __post_init__(self) -> None:
+        REPRO_ENV_OPTIONS["REPRO_SUPERVISOR_MAX"].parse(self.max_workers)
+
 
 def supervisor_options(max_workers: int | None = None) -> SupervisorOptions:
-    """Resolve and validate the fleet ceiling.
-
-    Standard precedence (the documented resolution point for
-    ``REPRO_SUPERVISOR_MAX``): an explicit argument beats the
-    environment variable beats the default.
-    """
-    if max_workers is None:
-        raw = read_env("REPRO_SUPERVISOR_MAX")
-        try:
-            max_workers = int(raw) if raw else DEFAULT_MAX_WORKERS
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_SUPERVISOR_MAX must be an integer, got {raw!r}"
-            ) from None
-    if max_workers < 1:
-        raise ConfigError(f"supervisor max_workers must be >= 1, got {max_workers}")
-    return SupervisorOptions(max_workers=max_workers)
+    """The fleet ceiling: explicit argument > ``REPRO_SUPERVISOR_MAX`` > 4."""
+    return SupervisorOptions(resolve("REPRO_SUPERVISOR_MAX", max_workers))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +223,10 @@ class Supervisor:
     ):
         self.cache_dir = Path(cache_dir)
         self.options = options or supervisor_options()
-        broker_env = broker_env_options()
         self.queue = BrokerQueue(
-            cache_dir, broker_env["lease_seconds"], broker_env["max_attempts"]
+            cache_dir,
+            resolve("REPRO_BROKER_LEASE"),
+            resolve("REPRO_BROKER_MAX_ATTEMPTS"),
         )
         self.worker_command = (
             list(worker_command) if worker_command is not None else None
@@ -951,7 +940,7 @@ def serve_sweep(
     if coordinator_args:
         cmd += list(coordinator_args)
     started = time.time()
-    steal = "0" if read_env("REPRO_BROKER_STEAL") is None else None
+    steal = None if read_env("REPRO_BROKER_STEAL") else "0"
     with exported("REPRO_BROKER_STEAL", steal):
         coordinator: subprocess.Popen[bytes] = subprocess.Popen(cmd, env=env)
     print(

@@ -12,8 +12,8 @@ directories, from every readable result record (exact and analytic) in
 one crash-safe transaction (see ``repro.warehouse.core``). The query
 subcommands print Markdown tables straight from that snapshot.
 
-The cache directory comes from ``--cache-dir`` or ``REPRO_CACHE_DIR`` —
-the same resolution every other CLI in this repo uses.
+The cache directory comes from ``--cache-dir`` or ``REPRO_CACHE_DIR``
+(:func:`repro.envopts.require_cache_dir`, shared with the runtime CLI).
 """
 
 from __future__ import annotations
@@ -21,30 +21,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..envopts import env_str
+from ..envopts import require_cache_dir
 from ..errors import ConfigError
 from .core import connect, db_path, read_status, refresh_warehouse
 from .queries import QUERIES
 
 
-def _resolve_cache_dir(arg: str | None) -> str:
-    cache_dir = arg or env_str("REPRO_CACHE_DIR", "")
-    if not cache_dir:
-        raise SystemExit(
-            "no cache directory: pass --cache-dir or set REPRO_CACHE_DIR"
-        )
-    return cache_dir
-
-
 def _cmd_refresh(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
+    cache_dir = require_cache_dir(args.cache_dir)
     stats = refresh_warehouse(cache_dir)
     print(f"[warehouse: {stats.summary()}]")
     return 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
+    cache_dir = require_cache_dir(args.cache_dir)
     path = db_path(cache_dir)
     if not path.is_file():
         print(f"no warehouse at {path} (run `python -m repro.warehouse refresh`)")
@@ -62,7 +53,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
+    cache_dir = require_cache_dir(args.cache_dir)
     if not db_path(cache_dir).is_file():
         print(
             f"no warehouse under {cache_dir} "
@@ -137,7 +128,11 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    result: int = args.func(args)
+    try:
+        result: int = args.func(args)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     return result
 
 

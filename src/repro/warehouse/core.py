@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..runtime.cache import _record_crc
 from ..runtime.faultpoints import maybe_fault
 
 #: Bump on warehouse *database* format changes (tables, key shape).
@@ -171,27 +172,44 @@ def _record_cell(record: object, tag: str, fidelity: str) -> SourceCell | None:
     )
 
 
-def _scan_tag_dir(tag_dir: Path, fidelity: str) -> dict[CellKey, SourceCell]:
-    """Every readable ``*.json`` record under one schema-tag directory."""
+def _scan_tag_dir(
+    tag_dir: Path, fidelity: str, cells: dict[CellKey, SourceCell]
+) -> int:
+    """Add every readable ``*.json`` record under one schema-tag directory
+    to ``cells``; returns how many exact records failed their ``crc32``."""
     tag = tag_dir.name
-    cells: dict[CellKey, SourceCell] = {}
+    corrupt = 0
     for workload_dir in sorted(p for p in tag_dir.iterdir() if p.is_dir()):
         for path in sorted(workload_dir.glob("*.json")):
             try:
                 record = json.loads(path.read_text())
             except (OSError, ValueError):
                 continue  # torn or foreign file: not a record
+            # Exact records carry the checksum ResultCache.get verifies.
+            # Analytic records, and exact ones under tags older than the
+            # checksum, carry none.
+            if (
+                fidelity == "exact"
+                and isinstance(record, dict)
+                and "crc32" in record
+                and record["crc32"] != _record_crc(record)
+            ):
+                corrupt += 1
+                continue
             cell = _record_cell(record, tag, fidelity)
             if cell is not None:
                 cells[cell.key] = cell
-    return cells
+    return corrupt
 
 
-def scan_sources(cache_dir: str | os.PathLike[str]) -> dict[CellKey, SourceCell]:
-    """Every readable result record in a cache directory, both tiers.
+def scan_sources(
+    cache_dir: str | os.PathLike[str],
+) -> tuple[dict[CellKey, SourceCell], int]:
+    """Every readable result record in a cache directory, both tiers, and
+    the number of exact records that failed their checksum.
 
     Engine tags (``engine-v*``) contribute exact cells; analytic tags
-    (``analytic-v*``) contribute estimated cells. Unreadable or
+    (``analytic-v*``) contribute estimated cells. Unreadable, damaged or
     wrongly-shaped records are skipped, never raised — the warehouse
     consolidates what is readable, exactly like the caches themselves.
     """
@@ -200,14 +218,15 @@ def scan_sources(cache_dir: str | os.PathLike[str]) -> dict[CellKey, SourceCell]
 
     root = Path(cache_dir)
     cells: dict[CellKey, SourceCell] = {}
+    corrupt = 0
     if not root.is_dir():
-        return cells
+        return cells, corrupt
     for tag_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         if ENGINE_TAG_RE.match(tag_dir.name):
-            cells.update(_scan_tag_dir(tag_dir, "exact"))
+            corrupt += _scan_tag_dir(tag_dir, "exact", cells)
         elif ANALYTIC_TAG_RE.match(tag_dir.name):
-            cells.update(_scan_tag_dir(tag_dir, "analytic"))
-    return cells
+            _scan_tag_dir(tag_dir, "analytic", cells)
+    return cells, corrupt
 
 
 def _cell_metrics(
@@ -242,15 +261,18 @@ class RefreshStats:
     updated: int = 0
     unchanged: int = 0
     removed: int = 0
+    #: Exact records left out because their ``crc32`` did not match.
+    corrupt: int = 0
 
     @property
     def changes(self) -> int:
         return self.inserted + self.updated + self.removed
 
     def summary(self) -> str:
+        corrupt = f", {self.corrupt} corrupt" if self.corrupt else ""
         return (
             f"+{self.inserted} inserted, ~{self.updated} updated, "
-            f"-{self.removed} removed, {self.unchanged} unchanged"
+            f"-{self.removed} removed, {self.unchanged} unchanged{corrupt}"
         )
 
 
@@ -270,7 +292,7 @@ def refresh_warehouse(cache_dir: str | os.PathLike[str]) -> RefreshStats:
     snapshot intact, and a re-run against unchanged stores reports zero
     changes.
     """
-    source = scan_sources(cache_dir)
+    source, corrupt = scan_sources(cache_dir)
     conn = connect(cache_dir)
     try:
         conn.execute("BEGIN IMMEDIATE")
@@ -303,6 +325,7 @@ def refresh_warehouse(cache_dir: str | os.PathLike[str]) -> RefreshStats:
         updated=kept.count(False),
         unchanged=kept.count(True),
         removed=len(old.keys() - source.keys()),
+        corrupt=corrupt,
     )
 
 

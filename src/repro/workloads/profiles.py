@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ..envopts import env_str
+from ..envopts import resolve
 from ..errors import ConfigError
 
 #: Taken-conditional target distance distribution, in cache blocks.
@@ -415,14 +415,7 @@ def workload_set(name: str | None = None) -> tuple[WorkloadProfile, ...]:
     The default is the paper set, so figure grids only change when a run
     explicitly opts in (mirrors how ``REPRO_SCALE`` selects sweep density).
     """
-    chosen = name or env_str("REPRO_WORKLOAD_SET", "paper")
-    try:
-        return PROFILE_SETS[chosen]
-    except KeyError:
-        known = ", ".join(sorted(PROFILE_SETS))
-        raise ConfigError(
-            f"unknown workload set {chosen!r}; known sets: {known}"
-        ) from None
+    return PROFILE_SETS[resolve("REPRO_WORKLOAD_SET", name)]
 
 
 def get_profile(name: str) -> WorkloadProfile:

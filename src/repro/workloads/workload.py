@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..envopts import env_str, read_env
+from ..envopts import read_env, resolve
 from .builder import build_cfg
 from .cfg import ControlFlowGraph
 from .profiles import WorkloadProfile, get_profile
@@ -108,7 +108,8 @@ def trace_store_dir() -> str | None:
         env = read_env("REPRO_TRACE_STORE")
         if env is not None:
             return env or None
-        return env_str("REPRO_CACHE_DIR")
+        cache_dir: str | None = resolve("REPRO_CACHE_DIR")
+        return cache_dir
     return _STORE_DIR
 
 

@@ -9,10 +9,14 @@ treated as read-only by tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Simulator, load_workload, make_config
 from repro.core.results import SimulationResult
+from repro.envopts import REPRO_ENV_OPTIONS
+from repro.experiments.common import SCALES
 from repro.workloads import Workload
 
 #: Scale for functional tests (fast; structures not under pressure).
@@ -45,6 +49,21 @@ def medium_oltp_workload() -> Workload:
 @pytest.fixture(scope="session")
 def medium_streaming_workload() -> Workload:
     return load_workload("streaming", scale=MEDIUM_SCALE)
+
+
+@pytest.fixture
+def register_scale(monkeypatch):
+    """Add a test-only ``ExperimentScale`` for one test: to ``SCALES``, and
+    to the ``REPRO_SCALE`` choices every scale name is checked against."""
+
+    def register(scale):
+        monkeypatch.setitem(SCALES, scale.name, scale)
+        option = REPRO_ENV_OPTIONS["REPRO_SCALE"]
+        choices = (*option.choices, scale.name)
+        monkeypatch.setitem(REPRO_ENV_OPTIONS, option.name, replace(option, choices=choices))
+        return scale
+
+    return register
 
 
 class _RunCache:

@@ -17,7 +17,7 @@ import pytest
 from engine_reference import check_equivalent
 from repro.core import profiling
 from repro.core.mechanisms import MECHANISMS, make_config
-from repro.experiments.common import SCALES, ExperimentScale
+from repro.experiments.common import ExperimentScale
 from repro.experiments.sweeps import SWEEPS, SweepSpec
 from repro.experiments.sweeps.__main__ import main
 from repro.experiments.sweeps.manifest import (
@@ -154,8 +154,8 @@ BSPEC = SweepSpec(
 
 class TestResumeWithBatchedFill:
     @pytest.fixture(autouse=True)
-    def _registered(self, monkeypatch):
-        monkeypatch.setitem(SCALES, "btiny", TINY)
+    def _registered(self, monkeypatch, register_scale):
+        register_scale(TINY)
         monkeypatch.setitem(SWEEPS, "btest", BSPEC)
 
     def test_missing_cells_filled_by_batched_run(self, tmp_path, capsys):
@@ -252,8 +252,10 @@ class TestProfiling:
         profiler = profiling.StageProfiler()
         assert "nothing executed" in profiler.table()
 
-    def test_cli_flag_forces_serial_backend(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(SCALES, "btiny", TINY)
+    def test_cli_flag_forces_serial_backend(
+        self, tmp_path, capsys, monkeypatch, register_scale
+    ):
+        register_scale(TINY)
         monkeypatch.setitem(SWEEPS, "btest", BSPEC)
         assert main(
             ["run", "btest", "--scale", "btiny", "--profile-stages",

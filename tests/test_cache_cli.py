@@ -171,10 +171,10 @@ class TestCli:
         assert main(["list"]) == 0
         assert SCHEMA_TAG in capsys.readouterr().out
 
-    def test_no_cache_dir_is_an_error(self, monkeypatch):
+    def test_no_cache_dir_is_an_error(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        with pytest.raises(SystemExit):
-            main(["list"])
+        assert main(["list"]) == 2
+        assert "cache directory" in capsys.readouterr().err
 
 
 class TestTagScope:
@@ -208,7 +208,9 @@ class TestTagScope:
             tracestore.TRACE_SCHEMA_TAG.rsplit("-", 1)[1],
         )
 
-    @pytest.mark.parametrize("rel", ["devtools/rules.py", "workloads/__main__.py"])
+    @pytest.mark.parametrize(
+        "rel", ["devtools/rules.py", "workloads/__main__.py", "envopts.py"]
+    )
     def test_tooling_edit_keeps_both_tags(self, tree, rel):
         before = self._tags(tree)
         self._append_comment(tree / rel)

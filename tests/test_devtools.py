@@ -106,7 +106,41 @@ class TestRPL001:
     def test_routed_read_clean(self, tmp_path):
         package = make_tree(
             tmp_path,
-            {"good.py": "from .envopts import env_str\nX = env_str('REPRO_JOBS')\n"},
+            {"good.py": "from .envopts import resolve\nX = resolve('REPRO_JOBS')\n"},
+        )
+        assert "RPL001" not in codes_of(lint(package, tmp_path))
+
+    def test_parsing_a_read_env_result_flagged(self, tmp_path):
+        package = make_tree(
+            tmp_path,
+            {
+                "bad.py": """
+                from .envopts import read_env
+
+                def jobs():
+                    raw = read_env("REPRO_JOBS")
+                    return int(raw) if raw else 1
+
+                LEASE = float(read_env("REPRO_BROKER_LEASE") or "300")
+                """,
+            },
+        )
+        findings = [f for f in lint(package, tmp_path) if f.code == "RPL001"]
+        assert [(f.rel, f.line) for f in findings] == [("bad.py", 6), ("bad.py", 8)]
+        assert all("resolve" in f.message for f in findings)
+
+    def test_parsing_other_values_clean(self, tmp_path):
+        package = make_tree(
+            tmp_path,
+            {
+                "good.py": """
+                from .envopts import read_env, resolve
+
+                STORE = read_env("REPRO_TRACE_STORE")
+                JOBS = int(resolve("REPRO_JOBS"))
+                WIDTH = int("4")
+                """,
+            },
         )
         assert "RPL001" not in codes_of(lint(package, tmp_path))
 

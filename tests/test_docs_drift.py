@@ -39,12 +39,29 @@ UNDOCUMENTED_ENV_OPTIONS = {"REPRO_FAULTPOINTS"}  # test harness only
 
 def test_readme_env_table_matches_the_registry():
     readme = (REPO_ROOT / "README.md").read_text()
-    rows = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", readme, flags=re.MULTILINE))
+    # | `NAME` | values | default | what it selects |  (values may hold `\|`)
+    cells = [
+        [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        for line in readme.splitlines()
+        if line.startswith("| `REPRO_")
+    ]
+    defaults = {row[0].strip("`"): row[2] for row in cells}
     registered = set(REPRO_ENV_OPTIONS)
-    assert rows - registered == set(), "README documents unregistered variables"
-    assert registered - UNDOCUMENTED_ENV_OPTIONS - rows == set(), (
+    assert set(defaults) - registered == set(), "README documents unregistered variables"
+    assert registered - UNDOCUMENTED_ENV_OPTIONS - set(defaults) == set(), (
         "registered variables missing from README's table"
     )
+    for name, cell in defaults.items():
+        option = REPRO_ENV_OPTIONS[name]
+        literal = re.fullmatch(r"`([^`]*)`", cell)
+        if option.default is None:
+            assert literal is None, f"{name}: README gives a default, the registry none"
+        else:
+            assert literal is not None, f"{name}: README default {cell!r} is no literal"
+            assert option.parse(literal.group(1)) == option.default, (
+                f"{name}: README default {cell} disagrees with the registry's "
+                f"{option.default!r}"
+            )
 
 
 def test_devtools_doc_is_complete_and_linked():

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.core.mechanisms import MECHANISMS, make_config
-from repro.envopts import env_flag
+from repro.envopts import resolve
 from repro.errors import BrokerError, ConfigError
 from repro.runtime import (
     BACKEND_NAMES,
@@ -20,7 +20,6 @@ from repro.runtime import (
     SimJob,
     canonicalize,
     make_backend,
-    resolve_backend_name,
     run_worker,
 )
 from repro.runtime.broker import (
@@ -63,16 +62,17 @@ def _backdate(path, seconds: float) -> None:
 
 
 class TestBackendResolution:
-    def test_none_means_auto(self):
-        assert resolve_backend_name(None) == "auto"
+    def test_none_means_auto(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert resolve("REPRO_BACKEND", None) == "auto"
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_every_registered_name_resolves(self, name):
-        assert resolve_backend_name(name) == name
+        assert resolve("REPRO_BACKEND", name) == name
 
     def test_stale_name_lists_valid_backends(self):
         with pytest.raises(ConfigError) as err:
-            resolve_backend_name("slurm")
+            resolve("REPRO_BACKEND", "slurm")
         message = str(err.value)
         for name in BACKEND_NAMES:
             assert name in message
@@ -374,13 +374,13 @@ class TestCoordinatorTimeout:
     def test_non_positive_env_timeout_rejected(self, monkeypatch, raw):
         # 0 used to mean "no deadline" and -1 "time out at once".
         monkeypatch.setenv("REPRO_BROKER_TIMEOUT", raw)
-        with pytest.raises(BrokerError) as err:
+        with pytest.raises(ConfigError) as err:
             broker_env_options()
         assert "REPRO_BROKER_TIMEOUT" in str(err.value)
 
     @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, math.nan, math.inf])
     def test_non_positive_explicit_timeout_rejected(self, tmp_path, timeout):
-        with pytest.raises(BrokerError) as err:
+        with pytest.raises(ConfigError) as err:
             BrokerBackend(tmp_path, timeout=timeout)
         assert "REPRO_BROKER_TIMEOUT" in str(err.value)
 
@@ -575,29 +575,29 @@ class TestBrokerEnvValidation:
     @pytest.mark.parametrize("raw", ["0", "-5", "-0.5", "nan", "inf"])
     def test_non_positive_env_lease_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_BROKER_LEASE", raw)
-        with pytest.raises(BrokerError) as err:
+        with pytest.raises(ConfigError) as err:
             broker_env_options()
         assert "REPRO_BROKER_LEASE" in str(err.value)
         assert f"got {float(raw):g}" in str(err.value)
 
     @pytest.mark.parametrize("lease", [0, 0.0, -5.0, math.nan, math.inf])
     def test_non_positive_explicit_lease_rejected(self, tmp_path, lease):
-        with pytest.raises(BrokerError, match="REPRO_BROKER_LEASE"):
+        with pytest.raises(ConfigError, match="REPRO_BROKER_LEASE"):
             BrokerQueue(tmp_path, lease_seconds=lease)
-        with pytest.raises(BrokerError, match="REPRO_BROKER_LEASE"):
+        with pytest.raises(ConfigError, match="REPRO_BROKER_LEASE"):
             BrokerBackend(tmp_path, lease_seconds=lease)
 
     @pytest.mark.parametrize("raw", ["0", "-1"])
     def test_env_max_attempts_below_one_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_BROKER_MAX_ATTEMPTS", raw)
-        with pytest.raises(BrokerError) as err:
+        with pytest.raises(ConfigError) as err:
             broker_env_options()
         assert "REPRO_BROKER_MAX_ATTEMPTS" in str(err.value)
         assert f"got {raw}" in str(err.value)
 
     @pytest.mark.parametrize("attempts", [0, -3])
     def test_explicit_max_attempts_below_one_rejected(self, tmp_path, attempts):
-        with pytest.raises(BrokerError, match="REPRO_BROKER_MAX_ATTEMPTS"):
+        with pytest.raises(ConfigError, match="REPRO_BROKER_MAX_ATTEMPTS"):
             BrokerQueue(tmp_path, max_attempts=attempts)
 
     def test_valid_and_unset_values_accepted(self, monkeypatch):
@@ -643,15 +643,15 @@ class TestEnvFlag:
             monkeypatch.setenv(name, raw)
         default = _FLAG_DEFAULTS[name]
         if name == "REPRO_BROKER_STEAL":
-            resolve = lambda: broker_env_options()["steal"]
+            resolve_flag = lambda: broker_env_options()["steal"]
         else:
-            resolve = lambda: env_flag(name, default)
+            resolve_flag = lambda: resolve(name)
         if expected is ConfigError:
             with pytest.raises(ConfigError) as err:
-                resolve()
+                resolve_flag()
             assert name in str(err.value) and repr(raw) in str(err.value)
         else:
-            assert resolve() is (default if expected == "default" else expected)
+            assert resolve_flag() is (default if expected == "default" else expected)
 
 
 # ---------------------------------------------------------------------------

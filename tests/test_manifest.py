@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.results import SimulationResult
 from repro.errors import ConfigError
-from repro.experiments.common import SCALES, ExperimentScale
+from repro.experiments.common import ExperimentScale
 from repro.experiments.sweeps import SWEEPS, SweepSpec, get_sweep
 from repro.experiments.sweeps.__main__ import main
 from repro.experiments.sweeps.manifest import (
@@ -42,9 +42,9 @@ RSPEC = SweepSpec(
 
 
 @pytest.fixture(autouse=True)
-def _registered(monkeypatch):
+def _registered(monkeypatch, register_scale):
     """Register the test grid/scale and isolate the process-wide runtime."""
-    monkeypatch.setitem(SCALES, "mtiny", TINY)
+    register_scale(TINY)
     monkeypatch.setitem(SWEEPS, "rtest", RSPEC)
     monkeypatch.setattr(runner_mod, "_RUNTIME", None)
     yield

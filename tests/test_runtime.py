@@ -294,10 +294,11 @@ class TestOptionPrecedence:
             assert name in str(err.value)
 
     def test_invalid_env_jobs_still_rejected_when_consulted(self, monkeypatch):
+        from repro.errors import ConfigError
         from repro.runtime import resolve_options
 
         monkeypatch.setenv("REPRO_JOBS", "zero point five")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
+        with pytest.raises(ConfigError, match="REPRO_JOBS"):
             resolve_options()
 
     def test_fidelity_defaults(self, monkeypatch):
@@ -373,13 +374,14 @@ class TestOptionPrecedence:
             resolve_options()
 
     def test_invalid_env_max_err_rejected_when_consulted(self, monkeypatch):
+        from repro.errors import ConfigError
         from repro.runtime import resolve_options
 
         monkeypatch.setenv("REPRO_ANALYTIC_MAX_ERR", "many")
-        with pytest.raises(ValueError, match="REPRO_ANALYTIC_MAX_ERR"):
+        with pytest.raises(ConfigError, match="REPRO_ANALYTIC_MAX_ERR"):
             resolve_options()
         monkeypatch.setenv("REPRO_ANALYTIC_MAX_ERR", "1.5")
-        with pytest.raises(ValueError, match="REPRO_ANALYTIC_MAX_ERR"):
+        with pytest.raises(ConfigError, match="REPRO_ANALYTIC_MAX_ERR"):
             resolve_options()
 
 

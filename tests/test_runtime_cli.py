@@ -98,10 +98,9 @@ class TestWorkerCli:
         assert record is not None
         assert record["worker"] == "cli-test-worker"
 
-    def test_missing_cache_dir_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            main(["worker", "--drain"])
-        assert "cache directory" in str(err.value)
+    def test_missing_cache_dir_is_a_usage_error(self, capsys):
+        assert main(["worker", "--drain"]) == 2
+        assert "cache directory" in capsys.readouterr().err
 
 
 class TestQueueCli:
@@ -147,9 +146,9 @@ class TestStatusCli:
         assert "repro service status" in out
         assert "queue" in out
 
-    def test_missing_cache_dir_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["status", "--json"])
+    def test_missing_cache_dir_is_a_usage_error(self, capsys):
+        assert main(["status", "--json"]) == 2
+        assert "cache directory" in capsys.readouterr().err
 
 
 class TestServeCli:

@@ -30,6 +30,7 @@ from repro.runtime.supervisor import (
     STATUS_SCHEMA,
     SUPERVISOR_SCHEMA,
     Supervisor,
+    SupervisorOptions,
     WorkerProcess,
     _spearman,
     build_status,
@@ -126,6 +127,15 @@ class TestSupervisorOptions:
         with pytest.raises(ConfigError) as err:
             supervisor_options()
         assert "REPRO_SUPERVISOR_MAX" in str(err.value)
+
+    @pytest.mark.parametrize("max_workers", [0, -2, 2.5, None])
+    def test_direct_construction_checks_the_ceiling(self, max_workers):
+        """Building the dataclass directly, as a benchmark harness does,
+        must not bypass the bound: a ceiling of -2 would make
+        desired_workers return -2 and the fleet never spawn."""
+        with pytest.raises(ConfigError, match="max_workers"):
+            SupervisorOptions(max_workers=max_workers)
+        assert SupervisorOptions(max_workers=1).max_workers == 1
 
 
 # ---------------------------------------------------------------------------

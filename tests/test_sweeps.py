@@ -10,7 +10,7 @@ from repro.config import SimConfig
 from repro.core.mechanisms import MECHANISMS, make_config
 from repro.errors import ConfigError
 from repro.experiments import EXPERIMENTS
-from repro.experiments.common import SCALES, ExperimentScale, get_scale
+from repro.experiments.common import ExperimentScale, get_scale
 from repro.experiments.sweeps import KNOBS, SWEEPS, Grid, SweepSpec, get_sweep
 from repro.experiments.sweeps.__main__ import main
 from repro.runtime import SimJob
@@ -26,9 +26,8 @@ TINY = ExperimentScale(
 
 
 @pytest.fixture
-def tiny_scale(monkeypatch):
-    monkeypatch.setitem(SCALES, "tiny", TINY)
-    return TINY
+def tiny_scale(register_scale):
+    return register_scale(TINY)
 
 
 class TestRegistryIntegrity:
@@ -269,7 +268,7 @@ class TestSweepCLI:
 
     def test_unknown_scale_flag_fails_cleanly(self, capsys):
         assert main(["show", "smoke", "--scale", "bogus"]) == 2
-        assert "known scales" in capsys.readouterr().err
+        assert "valid scales" in capsys.readouterr().err
 
     def test_run_stale_backend_fails_cleanly(self, capsys, monkeypatch):
         from repro.runtime import runner

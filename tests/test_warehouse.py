@@ -236,6 +236,35 @@ class TestConsolidationStateMachine:
         finally:
             conn.close()
 
+    def test_damaged_record_is_counted_corrupt_not_consolidated(self, tmp_path):
+        """A record whose crc32 no longer matches its content — here one
+        digit of ``raw.cycles`` changed — is what ResultCache.get refuses;
+        the warehouse must refuse it too, and say so."""
+        cache = ResultCache(tmp_path)
+        good, bad = "1" * 64, "2" * 64
+        cache.put("wl", SCALE_TOK, good, _result("wl", 1000.0))
+        cache.put("wl", SCALE_TOK, bad, _result("wl", 2000.0))
+        path = tmp_path / SCHEMA_TAG / "wl" / f"s{SCALE_TOK}__{bad[:16]}.json"
+        record = json.loads(path.read_text())
+        record["raw"]["cycles"] = 2001.0
+        path.write_text(json.dumps(record))
+        stats = refresh_warehouse(tmp_path)
+        assert (stats.inserted, stats.corrupt) == (1, 1)
+        assert stats.summary().endswith(", 1 corrupt")
+        conn = connect(tmp_path)
+        try:
+            assert lookup_cell(conn, "wl", SCALE_TOK, bad) is None
+            assert lookup_cell(conn, "wl", SCALE_TOK, good) is not None
+        finally:
+            conn.close()
+        assert cache.get("wl", SCALE_TOK, bad) is None and cache.corrupt == 1
+
+    def test_summary_omits_a_zero_corrupt_count(self, tmp_path):
+        ResultCache(tmp_path).put("wl", SCALE_TOK, "1" * 64, _result("wl", 1000.0))
+        refresh_warehouse(tmp_path)
+        stats = refresh_warehouse(tmp_path)
+        assert stats.summary() == "+0 inserted, ~0 updated, -0 removed, 1 unchanged"
+
 
 # ---------------------------------------------------------------------------
 # Layout independence (the acceptance criterion) and golden queries
