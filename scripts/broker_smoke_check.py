@@ -24,7 +24,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -61,7 +60,10 @@ def main(argv: list[str] | None = None) -> int:
     per_worker: dict[str, dict[str, float]] = {}
     retried: list[str] = []
     for path in sorted(queue.done.glob("*.json")):
-        record = json.loads(path.read_text())
+        record = queue.read_done(path.stem)
+        if record is None:
+            failures.append(f"{path.name}: damaged or stale done record")
+            continue
         if record.get("attempts") != 1:
             retried.append(f"{record.get('job_id')} took {record.get('attempts')} attempts")
         stats = per_worker.setdefault(

@@ -24,13 +24,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.runtime import BrokerQueue  # noqa: E402
+from repro.runtime.supervisor import read_supervisor_state  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,11 +43,12 @@ def main(argv: list[str] | None = None) -> int:
     queue = BrokerQueue(args.cache_dir)
     failures: list[str] = []
 
-    state_path = queue.root / "supervisor.json"
-    try:
-        state = json.loads(state_path.read_text())
-    except (OSError, ValueError):
-        print(f"FAIL: no readable supervisor state at {state_path}", file=sys.stderr)
+    state = read_supervisor_state(queue)
+    if state is None:
+        print(
+            f"FAIL: no readable supervisor state at {queue.root / 'supervisor.json'}",
+            file=sys.stderr,
+        )
         return 1
 
     if state.get("peak_live", 0) < args.min_peak:
@@ -66,9 +67,11 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"{counts[bad]} job(s) left in {bad}/")
     unsupervised = set()
     for path in queue.done.glob("*.json"):
-        worker = json.loads(path.read_text())["worker"]
-        if not worker.startswith("sv"):
-            unsupervised.add(worker)
+        record = queue.read_done(path.stem)
+        if record is None:
+            failures.append(f"{path.name}: damaged or stale done record")
+        elif not record["worker"].startswith("sv"):
+            unsupervised.add(record["worker"])
     unsupervised = sorted(unsupervised)
     if unsupervised:
         failures.append(

@@ -4,8 +4,9 @@ The exact engine answers one cell in seconds; a dense latency × BTB
 grid has hundreds per workload and the ROADMAP's north star wants
 millions. This package adds the second tier: a per-series closed-form
 model (:mod:`.model`) calibrated from a small anchor set of exact cells
-(:mod:`.planner`), whose synthesized records live under their own schema
-tag (:mod:`.store`) so they can never shadow exact results.
+(:mod:`.planner`), whose synthesized records live in the result cache
+under their own tag (:data:`~repro.runtime.cache.ANALYTIC_SCHEMA_TAG`)
+so they can never shadow exact results.
 
 Three fidelity tiers (``--fidelity`` / ``REPRO_FIDELITY``, resolved with
 the usual flag > env > default precedence in
@@ -45,19 +46,11 @@ from .planner import (  # noqa: E402
     plan_summary,
     series_key,
 )
-from .store import (  # noqa: E402
-    ANALYTIC_SCHEMA_TAG,
-    AnalyticStore,
-    prune_analytic,
-    scan_analytic,
-)
 
 __all__ = [
-    "ANALYTIC_SCHEMA_TAG",
     "DEFAULT_ANCHOR_SPEC",
     "FIDELITY_NAMES",
     "AnalyticFitError",
-    "AnalyticStore",
     "AnchorPoint",
     "SeriesFit",
     "SeriesPlan",
@@ -69,8 +62,6 @@ __all__ = [
     "parse_anchor_spec",
     "plan_series",
     "plan_summary",
-    "prune_analytic",
     "reported_bound",
-    "scan_analytic",
     "series_key",
 ]

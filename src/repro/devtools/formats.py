@@ -19,7 +19,9 @@ This module extracts those *format facts* straight from the AST:
   ``_path`` / ``manifest_path``),
   fingerprinted by a docstring-stripped
   ``ast.dump`` so comments and formatting never count as drift,
-* the string keys of every record dict a writer builds,
+* the string keys of every record dict a writer builds, plus the
+  ``crc32`` that :func:`~repro.runtime.atomicio.atomic_write_json`
+  stamps on each JSON record,
 * the lifecycle directory-name regexes.
 
 Each fact group hashes to a 12-hex fingerprint that is committed next to
@@ -61,6 +63,13 @@ class GroupSpec:
     funcs: tuple[str, ...] = ()
     #: Functions whose dict-literal keys are the record field sets.
     dict_key_funcs: tuple[str, ...] = ()
+    #: Records are JSON written by ``atomic_write_json``, which adds
+    #: :data:`STAMP_KEY` to every field set.
+    json_records: bool = False
+
+
+#: The key ``repro.runtime.atomicio.atomic_write_json`` stamps.
+STAMP_KEY = "crc32"
 
 
 GROUPS: tuple[GroupSpec, ...] = (
@@ -72,19 +81,22 @@ GROUPS: tuple[GroupSpec, ...] = (
         regexes=("_TAG_DIR_RE",),
         funcs=("_path",),
         dict_key_funcs=("put",),
+        json_records=True,
     ),
     GroupSpec(
         group="broker-queue",
         file="runtime/broker.py",
         tag_const="BROKER_SCHEMA",
-        funcs=("_job_filename", "_parse_job_name", "job_id"),
+        funcs=("_job_filename", "_parse_job_name", "job_id", "key_job_id"),
         dict_key_funcs=("job_spec", "complete", "_fail_terminal"),
+        json_records=True,
     ),
     GroupSpec(
         group="supervisor-state",
         file="runtime/supervisor.py",
         tag_const="SUPERVISOR_SCHEMA",
         dict_key_funcs=("_state_record",),
+        json_records=True,
     ),
     GroupSpec(
         group="status-snapshot",
@@ -110,15 +122,17 @@ GROUPS: tuple[GroupSpec, ...] = (
         tag_const="MANIFEST_SCHEMA",
         funcs=("manifest_path",),
         dict_key_funcs=("write_manifest",),
+        json_records=True,
     ),
     GroupSpec(
         group="analytic-store",
-        file="analytic/store.py",
-        tag_const="_SCHEMA_MAJOR",
+        file="runtime/cache.py",
+        tag_const="_ANALYTIC_MAJOR",
         consts=("_NAME_DIGEST_CHARS",),
-        regexes=("_TAG_DIR_RE",),
+        regexes=("_ANALYTIC_TAG_DIR_RE",),
         funcs=("_path",),
         dict_key_funcs=("put",),
+        json_records=True,
     ),
     GroupSpec(
         group="warehouse",
@@ -264,7 +278,10 @@ def _collect_group(ctx: LintContext, spec: GroupSpec) -> GroupFacts | None:
     for name in spec.dict_key_funcs:
         func = _find_function(src.tree, name)
         if func is not None:
-            facts[f"keys:{name}"] = _dict_keys(func)
+            keys = _dict_keys(func)
+            if spec.json_records:
+                keys = sorted({*keys, STAMP_KEY})
+            facts[f"keys:{name}"] = keys
     payload = json.dumps(facts, sort_keys=True, separators=(",", ":"))
     fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
     return GroupFacts(

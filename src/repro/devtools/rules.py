@@ -115,7 +115,6 @@ _DURABLE_MODULES = (
     "runtime/supervisor.py",
     "workloads/tracestore.py",
     "experiments/sweeps/manifest.py",
-    "analytic/store.py",
     "warehouse/core.py",
 )
 

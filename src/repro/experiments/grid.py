@@ -344,10 +344,12 @@ class SweepSpec:
         names = workloads if workloads is not None else self.workloads(workload_set)
         batch: list[SimJob] = []
         for point in self.points(scale):
+            # Each config is built once per point, not once per workload.
+            configs = [point.config()]
+            if self.include_baseline and point.mechanism != "none":
+                configs.insert(0, point.baseline())
             for name in names:
-                if self.include_baseline and point.mechanism != "none":
-                    batch.append(SimJob(name, point.baseline(), scale.workload_scale))
-                batch.append(SimJob(name, point.config(), scale.workload_scale))
+                batch.extend(SimJob(name, cfg, scale.workload_scale) for cfg in configs)
         return batch
 
     def job_count(self, scale: ExperimentScale, workload_set: str | None = None) -> int:

@@ -338,11 +338,10 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         )
     # Probe through throwaway store instances so the diff's reads do not
     # inflate the runtime's hit/miss telemetry in the summary line below.
-    from ...analytic.store import AnalyticStore
-    from ...runtime.cache import ResultCache
+    from ...runtime.cache import ANALYTIC_SCHEMA_TAG, ResultCache
 
     analytic = (
-        AnalyticStore(runtime.cache_dir)
+        ResultCache(runtime.cache_dir, ANALYTIC_SCHEMA_TAG)
         if manifest.fidelity != "exact"
         else None
     )

@@ -37,7 +37,6 @@ exactly what the schema change demands.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from collections.abc import Iterable
@@ -45,12 +44,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ...analytic.store import AnalyticStore
 from ...config import SimConfig
 from ...envopts import resolve
 from ...errors import ConfigError
 from ...runtime import SimJob, canonicalize, config_digest
-from ...runtime.atomicio import atomic_write_json
+from ...runtime.atomicio import CorruptRecord, atomic_write_json, read_json
 from ...runtime.broker import config_from_canonical
 from ...runtime.cache import SCHEMA_TAG, ResultCache
 from ..common import get_scale
@@ -60,8 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (__init__ is our parent)
 
 #: Manifest record format version. v2 added the ``fidelity`` key: a
 #: resumed sweep must finish at the fidelity it started at, or its merged
-#: table would silently mix tiers.
-MANIFEST_SCHEMA = "sweep-manifest-v2"
+#: table would silently mix tiers. v3: the record carries a ``crc32``,
+#: and a damaged manifest is refused by name.
+MANIFEST_SCHEMA = "sweep-manifest-v3"
 
 
 @dataclass(frozen=True)
@@ -218,11 +217,11 @@ def write_manifest(
 def load_manifest(path: str | os.PathLike) -> SweepManifest:
     path = Path(path)
     try:
-        record = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read sweep manifest {path}: {exc}") from None
-    if not isinstance(record, dict):
-        raise ConfigError(f"{path} is not a sweep manifest")
+        record = read_json(path)
+    except CorruptRecord as exc:
+        raise ConfigError(f"not a sweep manifest, or a damaged one ({exc})") from None
+    if record is None:
+        raise ConfigError(f"cannot read sweep manifest {path}")
     if record.get("schema") != MANIFEST_SCHEMA:
         raise ConfigError(
             f"{path} is not a sweep manifest (expected schema "
@@ -281,14 +280,14 @@ def verify_matches_spec(manifest: SweepManifest, spec: SweepSpec) -> None:
 def missing_cells(
     manifest: SweepManifest,
     cache: ResultCache,
-    analytic: AnalyticStore | None = None,
+    analytic: ResultCache | None = None,
 ) -> list[SimJob]:
     """The cells with no cached result — the only jobs a resume submits.
 
     Probes go through :class:`~repro.runtime.cache.ResultCache`, so a
     result is "present" exactly when a run would get a cache hit for
     it. For a manifest written at a non-exact fidelity the
-    caller passes the analytic store too: an estimate satisfies such a
+    caller passes the analytic tier's cache too: an estimate satisfies such a
     cell (that run would have synthesized it anyway), while an
     exact-fidelity manifest never consults the analytic tier. Each
     missing cell is rebuilt into a :class:`~repro.runtime.SimJob` with

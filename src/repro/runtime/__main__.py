@@ -17,10 +17,9 @@ its record count and size, marking the tag the running code would read
 (records under any other tag are unreachable — the engine fingerprint
 changed since they were written).
 Analytic-tier record tags (``analytic-v*`` — model-synthesized estimates,
-see ``repro.analytic.store``) are listed alongside the exact engine's.
+see ``repro.runtime.cache``) are listed alongside the exact engine's.
 ``prune`` deletes those stale tags; pass ``--schema-tag`` to delete one
-specific tag instead (including the current one, to force cold runs) —
-each tier only ever matches (and deletes) its own tag shape.
+specific tag instead (including a current one, to force cold runs).
 
 ``worker`` starts a work-stealing broker worker against the queue under
 ``<cache-dir>/queue/`` (see ``docs/runtime.md``): it claims pending jobs
@@ -70,10 +69,8 @@ def _fmt_size(n: int) -> str:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    from ..analytic.store import scan_analytic
-
     cache_dir = require_cache_dir(args.cache_dir)
-    infos = scan_cache(cache_dir) + scan_analytic(cache_dir)
+    infos = scan_cache(cache_dir)
     print(f"result cache at {cache_dir} (current tag: {SCHEMA_TAG})")
     if not infos:
         print("  empty")
@@ -96,12 +93,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    from ..analytic.store import prune_analytic
-
     cache_dir = require_cache_dir(args.cache_dir)
-    targets = prune_cache(
-        cache_dir, schema_tag=args.schema_tag, dry_run=True
-    ) + prune_analytic(cache_dir, schema_tag=args.schema_tag, dry_run=True)
+    targets = prune_cache(cache_dir, schema_tag=args.schema_tag, dry_run=True)
     if not targets:
         target = args.schema_tag or "stale tags"
         print(f"nothing to prune ({target}) in {cache_dir}")
@@ -109,9 +102,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     if args.dry_run:
         removed = targets
     else:
-        removed = prune_cache(
-            cache_dir, schema_tag=args.schema_tag
-        ) + prune_analytic(cache_dir, schema_tag=args.schema_tag)
+        removed = prune_cache(cache_dir, schema_tag=args.schema_tag)
     verb = "would remove" if args.dry_run else "removed"
     for info in removed:
         print(

@@ -56,7 +56,6 @@ faster. Results are deterministic regardless of who ran what.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import socket
 import threading
@@ -70,7 +69,7 @@ from ..config import SimConfig
 from ..core.results import SimulationResult
 from ..envopts import REPRO_ENV_OPTIONS, read_env, resolve
 from ..errors import BrokerError
-from .atomicio import atomic_write_json
+from .atomicio import CorruptRecord, atomic_write_json, read_json
 from .cache import SCHEMA_TAG, ResultCache
 from .confighash import canonicalize, config_digest
 from .faultpoints import maybe_fault
@@ -89,7 +88,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
 #: list-valued ``results`` done records are gone. A spec of any other
 #: queue schema is stale, like one of another engine schema
 #: (:func:`_stale_spec`).
-BROKER_SCHEMA = "broker-v4"
+#: v5: every spec, done and failed record carries a ``crc32``
+#: (:mod:`repro.runtime.atomicio`); a damaged one is never served.
+BROKER_SCHEMA = "broker-v5"
 
 #: Defaults, overridable via REPRO_BROKER_* (see :func:`broker_env_options`).
 DEFAULT_LEASE_SECONDS: float = REPRO_ENV_OPTIONS["REPRO_BROKER_LEASE"].default
@@ -104,13 +105,10 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _read_json(path: Path) -> dict | None:
-    """A missing, truncated or mid-rename record reads as absent."""
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return record if isinstance(record, dict) else None
+def key_job_id(key: tuple[str, str, str]) -> str:
+    """The queue id of the job with cache key ``(workload, scale, digest)``."""
+    workload, scale_tok, digest = key
+    return f"{workload}__s{scale_tok}__{digest[:16]}"
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +275,14 @@ class BrokerQueue:
         #: be held forever: resolve rejects any non-finite value.
         self.lease_seconds: float = resolve("REPRO_BROKER_LEASE", lease_seconds)
         self.max_attempts: int = resolve("REPRO_BROKER_MAX_ATTEMPTS", max_attempts)
+        #: Queue records this object found damaged (failed their crc32 or
+        #: were not JSON objects), each counted once however often it is
+        #: read; none of them is ever served.
+        self.damaged: set[Path] = set()
+
+    @property
+    def corrupt(self) -> int:
+        return len(self.damaged)
 
     def _ensure_dirs(self) -> None:
         for directory in (self.pending, self.claimed, self.done, self.failed):
@@ -284,8 +290,38 @@ class BrokerQueue:
 
     @staticmethod
     def job_id(job: SimJob) -> str:
-        workload, scale_tok, digest = job.key
-        return f"{workload}__s{scale_tok}__{digest[:16]}"
+        return key_job_id(job.key)
+
+    def read_record(self, path: Path) -> dict | None:
+        """The queue record at ``path``; ``None`` when absent.
+
+        Raises :class:`CorruptRecord` for a damaged record, after adding
+        it to :attr:`damaged`. None is ever served: a damaged spec is
+        purged by :meth:`_visible` or fails its job when claimed, and a
+        damaged done record's job runs again, its worker's record
+        replacing the damaged one. A record of an older queue schema may
+        carry no ``crc32``; :func:`_stale_spec` and :meth:`done_record`
+        refuse it by its schema.
+        """
+        try:
+            return read_json(path, current=(BROKER_SCHEMA,))
+        except CorruptRecord:
+            self.damaged.add(path)
+            raise
+
+    def _read_or_none(self, path: Path) -> dict | None:
+        """:meth:`read_record`, with a damaged record read as absent."""
+        try:
+            return self.read_record(path)
+        except CorruptRecord:
+            return None
+
+    def _dead_spec(self, path: Path) -> bool:
+        """Is the spec at ``path`` damaged, or stale (:func:`_stale_spec`)?"""
+        try:
+            return _stale_spec(self.read_record(path))
+        except CorruptRecord:
+            return True
 
     # ------------------------------------------------------------- enqueue
 
@@ -295,24 +331,37 @@ class BrokerQueue:
         Racing submitters are harmless: both write identical specs, and a
         same-name rename collapses them into one pending file.
         """
-        self._ensure_dirs()
         job_id = self.job_id(job)
-        if self.read_done(job_id) is not None or self._visible(job_id):
-            return job_id
-        # A leftover terminal failure from an earlier batch must not poison
-        # this (fresh) submission: clear it and start over at attempt 0.
+        if self.read_done(job_id) is None:
+            self.submit(job, job_id)
+        return job_id
+
+    def submit(self, job: SimJob, job_id: str) -> None:
+        """Queue a spec for a job with no current done record.
+
+        A no-op while a spec for it is pending or claimed, or once it is
+        done: :meth:`complete` writes the done record before it releases
+        the claim, so a job that finished since the caller looked has its
+        record in place by the time no spec is visible. A stale or
+        damaged done record is left for the job's worker to replace. A
+        leftover terminal failure from an earlier batch must not poison
+        this (fresh) submission: it is cleared and the job starts over
+        at attempt 0.
+        """
+        self._ensure_dirs()
+        if self._visible(job_id) or self.read_done(job_id) is not None:
+            return
         (self.failed / f"{job_id}.json").unlink(missing_ok=True)
         spec = job_spec(job)
         name = _job_filename(job_id, spec.get("cost"), 0)
         atomic_write_json(self.pending / name, spec)
-        return job_id
 
     def _visible(self, job_id: str) -> bool:
         """Is a runnable/leased spec for ``job_id`` already in the queue?
 
-        A *pending* spec written under another engine or queue schema (an
-        interrupted run that predates a source change, see
-        :func:`_stale_spec`) is dead weight — its claimer would only
+        A *pending* spec that is damaged or was written under another
+        engine or queue schema (an interrupted run that predates a source
+        change, see :func:`_stale_spec`) is dead weight — its claimer would only
         terminal-fail it on the schema check — so it is deleted here and
         reported not-visible, letting the caller enqueue a fresh
         current-schema spec instead. A *claimed* spec in the same
@@ -334,7 +383,7 @@ class BrokerQueue:
                 parsed = _parse_job_name(name)
                 if parsed is None or parsed[0] != job_id:
                     continue
-                if _stale_spec(_read_json(directory / name)):
+                if self._dead_spec(directory / name):
                     if directory is self.pending:
                         (directory / name).unlink(missing_ok=True)
                         continue
@@ -402,9 +451,9 @@ class BrokerQueue:
                 os.rename(src, dst)
             except OSError:
                 continue  # lost the race for this job; try the next one
-            spec = _read_json(dst)
+            spec = self._read_or_none(dst)
             if spec is None:
-                # Unreadable spec: nothing to execute, nothing to retry.
+                # Unreadable or damaged spec: nothing to execute or retry.
                 self._fail_terminal(job_id, attempts, "unreadable job spec")
                 dst.unlink(missing_ok=True)
                 continue
@@ -553,7 +602,7 @@ class BrokerQueue:
                 continue  # released or recovered concurrently
             if not expired:
                 continue
-            spec = _read_json(path)
+            spec = self._read_or_none(path)
             if _stale_spec(spec):
                 # Dead weight from a crashed old-schema worker: purge it
                 # (like a stale pending spec) so a current-schema spec
@@ -588,19 +637,35 @@ class BrokerQueue:
 
     # ------------------------------------------------------------- lookups
 
-    def read_done(self, job_id: str) -> dict | None:
-        """The done record for ``job_id``, if its engine schema is current.
+    def done_record(self, job_id: str) -> dict | None:
+        """The done record for ``job_id``, if its schemas are current.
 
         A record produced by a different engine version is stale — its
-        counters may not match this code — and reads as absent.
+        counters may not match this code — and reads as absent. Raises
+        :class:`CorruptRecord` for a damaged one (:meth:`read_record`).
         """
-        record = _read_json(self.done / f"{job_id}.json")
-        if record is None or record.get("engine_schema") != SCHEMA_TAG:
+        record = self.read_record(self.done / f"{job_id}.json")
+        if (
+            record is None
+            or record.get("schema") != BROKER_SCHEMA
+            or record.get("engine_schema") != SCHEMA_TAG
+        ):
             return None
         return record
 
+    def read_done(self, job_id: str) -> dict | None:
+        """:meth:`done_record`, with a damaged record read as absent."""
+        try:
+            return self.done_record(job_id)
+        except CorruptRecord:
+            return None
+
+    def failed_record(self, job_id: str) -> dict | None:
+        """The terminal failure of ``job_id``; raises like :meth:`read_record`."""
+        return self.read_record(self.failed / f"{job_id}.json")
+
     def read_failed(self, job_id: str) -> dict | None:
-        return _read_json(self.failed / f"{job_id}.json")
+        return self._read_or_none(self.failed / f"{job_id}.json")
 
     def counts(self) -> dict[str, int]:
         """Per-state queue sizes (for status displays and smoke checks)."""
@@ -734,7 +799,9 @@ class BrokerBackend:
     def run_batch(self, jobs: list[SimJob]) -> list[SimulationResult]:
         deadline = None if self.timeout is None else time.time() + self.timeout
         order: list[str] = []
+        by_id: dict[str, SimJob] = {}
         self.reused_results = 0
+        self.queue.damaged.clear()
         for job in jobs:
             job_id = self.queue.job_id(job)
             if self.queue.read_done(job_id) is not None:
@@ -742,20 +809,27 @@ class BrokerBackend:
                 # batch) is the answer — nothing is (re-)executed for it.
                 self.reused_results += 1
             else:
-                self.queue.enqueue(job)
+                self.queue.submit(job, job_id)
             order.append(job_id)
+            by_id[job_id] = job
         unresolved = dict.fromkeys(order)  # insertion-ordered job-id set
         results: dict[str, SimulationResult] = {}
         self._job_records = []
         while unresolved:
             for job_id in list(unresolved):
-                record = self.queue.read_done(job_id)
-                if record is not None:
-                    results[job_id] = SimulationResult(**record["result"])
-                    self._job_records.append(record)
-                    del unresolved[job_id]
+                try:
+                    record = self.queue.done_record(job_id)
+                    if record is not None:
+                        results[job_id] = SimulationResult(**record["result"])
+                        self._job_records.append(record)
+                        del unresolved[job_id]
+                        continue
+                    failure = self.queue.failed_record(job_id)
+                except CorruptRecord:
+                    # Never served: the job runs again, and its worker's
+                    # done record replaces a damaged one.
+                    self.queue.submit(by_id[job_id], job_id)
                     continue
-                failure = self.queue.read_failed(job_id)
                 if failure is not None:
                     raise BrokerError(
                         f"job {job_id} failed after {failure.get('attempts')} "
@@ -791,7 +865,9 @@ class BrokerBackend:
         per_worker: dict[str, int] = {}
         for record in records:
             per_worker[record["worker"]] = per_worker.get(record["worker"], 0) + 1
+        corrupt = {"broker_corrupt": self.queue.corrupt} if self.queue.corrupt else {}
         return {
+            **corrupt,
             "broker_reused": self.reused_results,
             "broker_jobs": len(records),
             "broker_workers": dict(sorted(per_worker.items())),

@@ -1,4 +1,4 @@
-"""Persistent on-disk cache of simulation results.
+"""Persistent on-disk cache of simulation results, exact and analytic.
 
 Layout (all JSON)::
 
@@ -9,16 +9,20 @@ Layout (all JSON)::
 
 One file per record is the only layout: :meth:`ResultCache.put` writes it
 and :meth:`ResultCache.get` reads it. Any other file under a tag directory
-(a temp file, clutter) is never read as a record.
+(a temp file, clutter) is never read as a record. The analytic tier's
+estimates are records of the same format under their own tag,
+:data:`ANALYTIC_SCHEMA_TAG`, in a ``ResultCache(cache_dir,
+ANALYTIC_SCHEMA_TAG)``; each record's tag is checked on read, so one
+tier can never serve the other.
 
 Each record stores the *full* config digest, so a (vanishingly unlikely)
 filename-prefix collision is detected rather than returning a wrong
-result, and a ``crc32`` of its canonical JSON, so a flipped byte cannot
-read back as different counters. Records are written atomically (temp file +
-``os.replace``) so parallel writers and interrupted runs can never leave a
-truncated record behind. An absent or unreadable record file is a miss; a
-record file that fails a check is counted as ``corrupt`` and also answers
-``None``, never an error.
+result. Records go through :mod:`repro.runtime.atomicio`: written
+atomically with a ``crc32`` of their canonical JSON, and read back with
+it checked, so a flipped byte cannot read back as different counters.
+An absent or unreadable record file is a miss; a record file that fails
+a check is counted as ``corrupt`` and also answers ``None``, never an
+error.
 
 :data:`SCHEMA_TAG` versions every record and is derived automatically: a
 manual major tag plus a fingerprint of the simulator-side source tree
@@ -31,30 +35,35 @@ defaults therefore orphans old records without anyone having to remember
 a version bump — the same no-hand-maintained-list principle as the
 config digest. Stale-tag records are simply never read (they live under
 the old tag's directory) and can be deleted at leisure.
+:data:`ANALYTIC_SCHEMA_TAG` fingerprints the analytic package and
+:data:`SCHEMA_TAG`: an estimate calibrated against a dead engine
+version is itself dead.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import shutil
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.results import SimulationResult
-from .atomicio import atomic_write_json
+from .atomicio import CorruptRecord, atomic_write_json, read_json
 
 #: Bump on cache *record format* changes; semantic changes are fingerprinted.
 _SCHEMA_MAJOR = "engine-v3"
 
+#: Bump on analytic record format changes; model/engine changes are
+#: fingerprinted. v2: records carry a ``crc32``.
+_ANALYTIC_MAJOR = "analytic-v2"
+
 #: Subpackages that cannot change simulation results (consumers of them).
 #: ``analytic`` estimates results but never produces exact ones; its
-#: records carry their own tag (fingerprinting this one) in
-#: :mod:`repro.analytic.store`, so a model change orphans estimates
-#: without orphaning the exact records they were calibrated from.
+#: records carry their own tag (:data:`ANALYTIC_SCHEMA_TAG`, which
+#: fingerprints this one), so a model change orphans estimates without
+#: orphaning the exact records they were calibrated from.
 #: ``warehouse`` only *reads* the stores into its SQLite snapshot — an
 #: edit there must never orphan the records it consolidates. ``devtools``
 #: only reads source text (the linter).
@@ -93,22 +102,29 @@ def _source_fingerprint(pkg_root: Path = _PKG_ROOT) -> str:
     return digest.hexdigest()[:12]
 
 
+def _analytic_fingerprint(pkg_root: Path = _PKG_ROOT) -> str:
+    """Hash the exact engine's tag and the analytic package's source."""
+    digest = hashlib.sha256()
+    digest.update(SCHEMA_TAG.encode())
+    for path in sorted((pkg_root / "analytic").glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:12]
+
+
 #: Versions every record; recomputed from source so it can never go stale.
 SCHEMA_TAG = f"{_SCHEMA_MAJOR}-{_source_fingerprint()}"
+
+#: Versions every analytic record; never equal to an engine tag.
+ANALYTIC_SCHEMA_TAG = f"{_ANALYTIC_MAJOR}-{_analytic_fingerprint()}"
 
 #: Digest prefix length used in filenames (full digest verified on read).
 _NAME_DIGEST_CHARS = 16
 
 
-def _record_crc(record: dict) -> int:
-    """crc32 of ``record``'s canonical JSON, leaving out its ``crc32`` key."""
-    body = {key: value for key, value in record.items() if key != "crc32"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(text.encode())
-
-
 class ResultCache:
-    """Directory-backed store of :class:`SimulationResult` records.
+    """Directory-backed store of :class:`SimulationResult` records, of the
+    tier ``tag`` names: exact (:data:`SCHEMA_TAG`) or analytic.
 
     Every :meth:`get` counts as exactly one of ``hits``, ``misses`` (no
     readable record file) or ``corrupt`` (a record file that exists but
@@ -116,8 +132,9 @@ class ResultCache:
     counts its lookups.
     """
 
-    def __init__(self, cache_dir: str | os.PathLike):
-        self.root = Path(cache_dir) / SCHEMA_TAG
+    def __init__(self, cache_dir: str | os.PathLike, tag: str = SCHEMA_TAG):
+        self.tag = tag
+        self.root = Path(cache_dir) / tag
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -137,20 +154,15 @@ class ResultCache:
         digest, workload, scale or ``raw`` payload does not match the
         lookup. Neither case raises.
         """
-        path = self._path(workload, scale_tok, digest)
         try:
-            blob = path.read_bytes()
-        except OSError:
+            record = read_json(self._path(workload, scale_tok, digest))
+        except CorruptRecord:
+            record = {}  # fails every check below
+        if record is None:
             self.misses += 1
             return None
-        try:
-            record = json.loads(blob)
-        except ValueError:
-            record = None
         if (
-            not isinstance(record, dict)
-            or record.get("crc32") != _record_crc(record)
-            or record.get("schema") != SCHEMA_TAG
+            record.get("schema") != self.tag
             or record.get("config_digest") != digest
             or record.get("workload") != workload
             or record.get("scale") != scale_tok
@@ -174,8 +186,8 @@ class ResultCache:
     ) -> None:
         """Atomically persist one result record."""
         path = self._path(workload, scale_tok, digest)
-        body = {
-            "schema": SCHEMA_TAG,
+        record = {
+            "schema": self.tag,
             "workload": workload,
             "scale": scale_tok,
             "config_digest": digest,
@@ -183,7 +195,7 @@ class ResultCache:
             "raw": result.raw,
         }
         try:
-            atomic_write_json(path, {**body, "crc32": _record_crc(body)})
+            atomic_write_json(path, record)
         except OSError:
             return  # a read-only or full cache dir degrades to no caching
         self.stores += 1
@@ -194,12 +206,23 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
-#: Shape of a directory name this cache could have written (any major tag
-#: followed by the 12-hex-digit source fingerprint). ``scan_cache`` and
-#: ``prune_cache`` only ever look at — and delete — matching directories,
-#: so pointing the CLI at a directory that merely *contains* a cache (or
-#: at something else entirely) can never touch foreign data.
+#: Shapes of a directory name this cache could have written (any major
+#: tag followed by the 12-hex-digit source fingerprint), one per tier.
+#: ``scan_cache`` and ``prune_cache`` only ever look at — and delete —
+#: matching directories, so pointing the CLI at a directory that merely
+#: *contains* a cache (or at something else entirely) can never touch
+#: foreign data.
 _TAG_DIR_RE = re.compile(r"^engine-v\d+-[0-9a-f]{12}$")
+_ANALYTIC_TAG_DIR_RE = re.compile(r"^analytic-v\d+-[0-9a-f]{12}$")
+
+
+def tag_tier(name: str) -> str | None:
+    """``"exact"`` or ``"analytic"`` for a tag directory name, else ``None``."""
+    if _TAG_DIR_RE.match(name):
+        return "exact"
+    if _ANALYTIC_TAG_DIR_RE.match(name):
+        return "analytic"
+    return None
 
 
 @dataclass(frozen=True)
@@ -211,16 +234,14 @@ class CacheTagInfo:
     records: int
     #: Bytes of every regular file under this tag — what ``prune`` frees.
     size_bytes: int
-    #: True when the tag matches the running code's :data:`SCHEMA_TAG`.
+    #: True when the tag is :data:`SCHEMA_TAG` or :data:`ANALYTIC_SCHEMA_TAG`.
     current: bool
 
 
-def scan_tag_dirs(
-    cache_dir: str | os.PathLike, tag_re: re.Pattern[str], current_tag: str
-) -> list[CacheTagInfo]:
-    """Record counts and sizes of every ``tag_re`` directory under ``cache_dir``.
+def scan_cache(cache_dir: str | os.PathLike) -> list[CacheTagInfo]:
+    """Record counts and sizes of every tag directory, both tiers.
 
-    Only directories whose name matches the tag shape are considered;
+    Only directories whose name has a tier's tag shape are considered;
     anything else living next to the cache is ignored. Tags sort
     current-first then by name, so a stale-tag listing reads off the top
     of the output. A missing directory is an empty cache. ``size_bytes``
@@ -232,7 +253,7 @@ def scan_tag_dirs(
     if not root.is_dir():
         return infos
     for tag_dir in sorted(
-        p for p in root.iterdir() if p.is_dir() and tag_re.match(p.name)
+        p for p in root.iterdir() if p.is_dir() and tag_tier(p.name) is not None
     ):
         records = 0
         size = 0
@@ -250,30 +271,32 @@ def scan_tag_dirs(
                 tag=tag_dir.name,
                 records=records,
                 size_bytes=size,
-                current=tag_dir.name == current_tag,
+                current=tag_dir.name in (SCHEMA_TAG, ANALYTIC_SCHEMA_TAG),
             )
         )
     infos.sort(key=lambda i: (not i.current, i.tag))
     return infos
 
 
-def prune_tag_dirs(
+def prune_cache(
     cache_dir: str | os.PathLike,
-    infos: list[CacheTagInfo],
-    schema_tag: str | None,
-    dry_run: bool,
+    schema_tag: str | None = None,
+    dry_run: bool = False,
 ) -> list[CacheTagInfo]:
-    """Delete the scanned tags ``prune`` selects; returns what was removed.
+    """Delete stale tag directories; returns what was (or would be) removed.
 
-    Without ``schema_tag`` every non-current tag is selected; with it,
-    exactly that tag (the current one included). ``dry_run`` only
-    reports. A tag whose directory survives the deletion attempt (e.g. a
-    read-only mount) is *not* reported as removed, so callers never claim
-    to have reclaimed space they did not.
+    Without ``schema_tag`` every tag except the running code's current
+    two (:data:`SCHEMA_TAG`, :data:`ANALYTIC_SCHEMA_TAG`) is removed —
+    the normal "collect garbage after a few engine changes" call. With
+    ``schema_tag`` only that tag is removed (including a current one, for
+    a forced cold run). ``dry_run`` only reports. A tag whose directory
+    survives the deletion attempt (e.g. a read-only mount) is *not*
+    reported as removed, so callers never claim to have reclaimed space
+    they did not.
     """
     root = Path(cache_dir)
     removed: list[CacheTagInfo] = []
-    for info in infos:
+    for info in scan_cache(cache_dir):
         if schema_tag is None:
             if info.current:
                 continue
@@ -287,23 +310,3 @@ def prune_tag_dirs(
         if not tag_dir.exists():
             removed.append(info)
     return removed
-
-
-def scan_cache(cache_dir: str | os.PathLike) -> list[CacheTagInfo]:
-    """Per-schema-tag record counts and sizes (see :func:`scan_tag_dirs`)."""
-    return scan_tag_dirs(cache_dir, _TAG_DIR_RE, SCHEMA_TAG)
-
-
-def prune_cache(
-    cache_dir: str | os.PathLike,
-    schema_tag: str | None = None,
-    dry_run: bool = False,
-) -> list[CacheTagInfo]:
-    """Delete stale schema-tag directories; returns what was (or would be) removed.
-
-    Without ``schema_tag`` every tag except the running code's current
-    :data:`SCHEMA_TAG` is removed — the normal "collect garbage after a
-    few engine changes" call. With ``schema_tag`` only that tag is removed
-    (including the current one, for a forced cold run).
-    """
-    return prune_tag_dirs(cache_dir, scan_cache(cache_dir), schema_tag, dry_run)

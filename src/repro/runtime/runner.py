@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 from ..config import SimConfig
 from ..core import profiling
@@ -50,12 +50,9 @@ from ..core.simulator import Simulator
 from ..envopts import REPRO_ENV_OPTIONS, read_env, resolve
 from ..errors import ConfigError
 from ..workloads.workload import configure_trace_store, load_workload
-from .cache import ResultCache
+from .cache import ANALYTIC_SCHEMA_TAG, ResultCache
 from .confighash import config_digest, scale_token
 from .executors import make_backend
-
-if TYPE_CHECKING:  # pragma: no cover - cycle guard (analytic imports us)
-    from ..analytic.store import AnalyticStore
 
 #: Keys are (workload name, scale token, config digest).
 RunKey = tuple[str, str, str]
@@ -77,8 +74,9 @@ class SimJob:
     config: SimConfig
     workload_scale: float = 1.0
 
-    @property
+    @cached_property
     def key(self) -> RunKey:
+        """Hashed once per job: the config is frozen, so the key is too."""
         return (
             self.workload,
             scale_token(self.workload_scale),
@@ -209,14 +207,12 @@ class ExperimentRuntime:
         self.disk: ResultCache | None = (
             ResultCache(cache_dir) if cache_dir else None
         )
-        #: The analytic tier's store, opened only when a non-exact
+        #: The analytic tier's cache, opened only when a non-exact
         #: fidelity can produce records — an exact-fidelity runtime never
         #: even looks at the analytic tag directory.
-        self.analytic: AnalyticStore | None = None
-        if cache_dir and fidelity != "exact":
-            from ..analytic.store import AnalyticStore
-
-            self.analytic = AnalyticStore(cache_dir)
+        self.analytic: ResultCache | None = None
+        if cache_dir and self.fidelity != "exact":
+            self.analytic = ResultCache(cache_dir, ANALYTIC_SCHEMA_TAG)
         self._memo: dict[RunKey, SimulationResult] = {}
         #: Model-synthesized results, memoized strictly apart from exact
         #: ones: nothing ever migrates between the two dicts.
@@ -287,7 +283,7 @@ class ExperimentRuntime:
         A single cell is never worth a calibration pass, so a miss runs
         exact whatever the fidelity — the analytic tiers only answer
         :meth:`run_many` batches (and prior estimates found in the
-        analytic store).
+        analytic tier of the cache).
         """
         job = SimJob(workload, config, workload_scale)
         key = job.key

@@ -67,21 +67,25 @@ from typing import TYPE_CHECKING, Any
 
 from ..envopts import REPRO_ENV_OPTIONS, exported, read_env, resolve
 from ..errors import ConfigError
-from .atomicio import atomic_write_json
-from .broker import BrokerQueue, _parse_job_name, _read_json
+from .atomicio import CorruptRecord, atomic_write_json, read_json
+from .broker import BrokerQueue, _parse_job_name, key_job_id
 from .cache import SCHEMA_TAG, ResultCache, scan_cache
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (sweeps import runtime)
     from ..experiments.sweeps.manifest import ManifestCell, SweepManifest
 
 #: Durable supervisor-state record version (``queue/supervisor.json``;
-#: v2: no ``min_workers``, no per-worker ``persistent`` flag).
-SUPERVISOR_SCHEMA = "supervisor-v2"
+#: v2: no ``min_workers``, no per-worker ``persistent`` flag; v3: the
+#: record carries a ``crc32``, and a damaged one reads as absent).
+SUPERVISOR_SCHEMA = "supervisor-v3"
 
 #: ``status --json`` snapshot format version (v2: the sweep section's
 #: ``cost_rank_corr`` / ``cost_rank_cells``; v3: the ``cache`` object
-#: holds only ``tag``/``records``/``size_bytes``/``stale_records``).
-STATUS_SCHEMA = "status-v3"
+#: holds only ``tag``/``records``/``size_bytes``/``stale_records``; v4:
+#: ``stale_records`` counts stale analytic tags too, everything
+#: ``runtime prune`` reclaims, and job ids come from the broker's
+#: :func:`~repro.runtime.broker.key_job_id`).
+STATUS_SCHEMA = "status-v4"
 
 #: Fewest completed cells over which the cost model's rank correlation
 #: is reported; below this it is ``None``.
@@ -409,8 +413,8 @@ class Supervisor:
 
 
 def cell_job_id(cell: ManifestCell) -> str:
-    """A manifest cell's broker job id (must match ``BrokerQueue.job_id``)."""
-    return f"{cell.workload}__s{cell.scale_tok}__{cell.digest[:16]}"
+    """A manifest cell's broker job id."""
+    return key_job_id((cell.workload, cell.scale_tok, cell.digest))
 
 
 def _queue_index(queue: BrokerQueue, now: float) -> dict[str, dict[str, Any]]:
@@ -651,7 +655,10 @@ def _worker_rows(queue: BrokerQueue, now: float) -> dict[str, dict[str, Any]]:
     for name in names:
         if not name.endswith(".json"):
             continue
-        record = _read_json(queue.done / name)
+        try:
+            record = queue.read_record(queue.done / name)
+        except CorruptRecord:
+            continue  # counted by the queue, never aggregated
         if record is None:
             continue
         worker = record.get("worker")
@@ -695,10 +702,10 @@ def _cache_stats(cache_dir: str | os.PathLike[str]) -> dict[str, Any]:
         "stale_records": 0,
     }
     for info in scan_cache(cache_dir):
-        if info.current:
+        if info.tag == SCHEMA_TAG:
             current["records"] = info.records
             current["size_bytes"] = info.size_bytes
-        else:
+        elif not info.current:
             current["stale_records"] += info.records
     return current
 
@@ -716,6 +723,17 @@ def _trace_stats(cache_dir: str | os.PathLike[str]) -> dict[str, Any]:
     return stats
 
 
+def read_supervisor_state(queue: BrokerQueue) -> dict[str, Any] | None:
+    """The durable supervisor state; ``None`` if absent, damaged or stale."""
+    try:
+        state = read_json(queue.root / "supervisor.json")
+    except CorruptRecord:
+        return None
+    if state is None or state.get("schema") != SUPERVISOR_SCHEMA:
+        return None
+    return state
+
+
 def build_status(
     cache_dir: str | os.PathLike[str],
     manifest_path: str | os.PathLike[str] | None = None,
@@ -731,7 +749,7 @@ def build_status(
     """
     now = time.time() if now is None else now
     queue = BrokerQueue(cache_dir)
-    supervisor_state = _read_json(queue.root / "supervisor.json")
+    supervisor_state = read_supervisor_state(queue)
     if manifest_path is not None:
         from ..experiments.sweeps.manifest import load_manifest
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..envopts import require_cache_dir
+from ..envopts import require_cache_dir, resolve
 from ..errors import ConfigError
 from .core import connect, db_path, read_status, refresh_warehouse
 from .queries import QUERIES
@@ -53,7 +53,13 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from ..experiments.sweeps import get_sweep
+
+    # Option errors reach main()'s exit-2 handler; query errors exit 1.
     cache_dir = require_cache_dir(args.cache_dir)
+    get_sweep(args.sweep)
+    resolve("REPRO_SCALE", args.scale)
+    resolve("REPRO_WORKLOAD_SET", args.workload_set)
     if not db_path(cache_dir).is_file():
         print(
             f"no warehouse under {cache_dir} "

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..runtime.cache import _record_crc
+from ..runtime.atomicio import CorruptRecord, read_json
+from ..runtime.cache import ANALYTIC_SCHEMA_TAG, SCHEMA_TAG, tag_tier
 from ..runtime.faultpoints import maybe_fault
 
 #: Bump on warehouse *database* format changes (tables, key shape).
@@ -144,10 +145,8 @@ def _content_digest(mechanism: str, raw: dict[str, object]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _record_cell(record: object, tag: str, fidelity: str) -> SourceCell | None:
+def _record_cell(record: dict, tag: str, fidelity: str) -> SourceCell | None:
     """Validate one on-disk record into a :class:`SourceCell`, or drop it."""
-    if not isinstance(record, dict):
-        return None
     if record.get("schema") != tag:
         return None
     workload = record.get("workload")
@@ -176,27 +175,21 @@ def _scan_tag_dir(
     tag_dir: Path, fidelity: str, cells: dict[CellKey, SourceCell]
 ) -> int:
     """Add every readable ``*.json`` record under one schema-tag directory
-    to ``cells``; returns how many exact records failed their ``crc32``."""
+    to ``cells``; returns how many records were damaged.
+
+    Records of stale tags written before the checksum existed carry no
+    ``crc32`` and are still consolidated; a current tag's must carry one.
+    """
     tag = tag_dir.name
     corrupt = 0
     for workload_dir in sorted(p for p in tag_dir.iterdir() if p.is_dir()):
         for path in sorted(workload_dir.glob("*.json")):
             try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue  # torn or foreign file: not a record
-            # Exact records carry the checksum ResultCache.get verifies.
-            # Analytic records, and exact ones under tags older than the
-            # checksum, carry none.
-            if (
-                fidelity == "exact"
-                and isinstance(record, dict)
-                and "crc32" in record
-                and record["crc32"] != _record_crc(record)
-            ):
+                record = read_json(path, current=(SCHEMA_TAG, ANALYTIC_SCHEMA_TAG))
+            except CorruptRecord:
                 corrupt += 1
                 continue
-            cell = _record_cell(record, tag, fidelity)
+            cell = _record_cell(record, tag, fidelity) if record else None
             if cell is not None:
                 cells[cell.key] = cell
     return corrupt
@@ -206,26 +199,22 @@ def scan_sources(
     cache_dir: str | os.PathLike[str],
 ) -> tuple[dict[CellKey, SourceCell], int]:
     """Every readable result record in a cache directory, both tiers, and
-    the number of exact records that failed their checksum.
+    the number of damaged records.
 
     Engine tags (``engine-v*``) contribute exact cells; analytic tags
     (``analytic-v*``) contribute estimated cells. Unreadable, damaged or
     wrongly-shaped records are skipped, never raised — the warehouse
     consolidates what is readable, exactly like the caches themselves.
     """
-    from ..analytic.store import _TAG_DIR_RE as ANALYTIC_TAG_RE
-    from ..runtime.cache import _TAG_DIR_RE as ENGINE_TAG_RE
-
     root = Path(cache_dir)
     cells: dict[CellKey, SourceCell] = {}
     corrupt = 0
     if not root.is_dir():
         return cells, corrupt
     for tag_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        if ENGINE_TAG_RE.match(tag_dir.name):
-            corrupt += _scan_tag_dir(tag_dir, "exact", cells)
-        elif ANALYTIC_TAG_RE.match(tag_dir.name):
-            _scan_tag_dir(tag_dir, "analytic", cells)
+        fidelity = tag_tier(tag_dir.name)
+        if fidelity is not None:
+            corrupt += _scan_tag_dir(tag_dir, fidelity, cells)
     return cells, corrupt
 
 

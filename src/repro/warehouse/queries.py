@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..analytic.model import combined_speedup_bound
-from ..analytic.store import ANALYTIC_SCHEMA_TAG
 from ..runtime import SimJob
+from ..runtime.cache import ANALYTIC_SCHEMA_TAG
 from ..runtime.cache import SCHEMA_TAG as ENGINE_SCHEMA_TAG
 from ..stats import geometric_mean
 

@@ -20,6 +20,8 @@ result-cache lifecycle for the persistent workload store: schema-tag
 directories with record counts and sizes, stale tags pruned. The cache
 directory comes from ``--cache-dir`` or ``REPRO_TRACE_STORE``/
 ``REPRO_CACHE_DIR`` — the same resolution :func:`load_workload` uses.
+A missing directory, an unknown profile or a bad option value prints
+one line and exits 2.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import dataclasses
 import sys
 
+from ..errors import ConfigError
 from .profiles import PROFILE_SETS, get_profile, workload_set
 from .tracestore import (
     TRACE_SCHEMA_TAG,
@@ -51,7 +54,7 @@ def _resolve_cache_dir(arg: str | None) -> str:
     # directory builds actually go to.
     cache_dir = arg or trace_store_dir()
     if not cache_dir:
-        raise SystemExit(
+        raise ConfigError(
             "no store directory: pass --cache-dir or set "
             "REPRO_TRACE_STORE/REPRO_CACHE_DIR"
         )
@@ -205,7 +208,12 @@ def main(argv: list[str] | None = None) -> int:
     p_sprune.set_defaults(func=_cmd_store_prune)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        result: int = args.func(args)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    return result
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ import math
 import pytest
 
 from repro.analytic import (
-    AnalyticStore,
     AnchorPoint,
     combined_speedup_bound,
     fit_series,
@@ -38,7 +37,7 @@ from repro.errors import ConfigError
 from repro.experiments.common import get_scale
 from repro.experiments.sweeps import get_sweep
 from repro.runtime import ExperimentRuntime, SimJob
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import ANALYTIC_SCHEMA_TAG, ResultCache
 
 WL = "apache"
 SCALE = 0.05
@@ -265,7 +264,7 @@ class TestCacheIsolation:
         records sees misses everywhere — estimates cannot shadow truth."""
         runtime, results, cache_dir = analytic_run
         exact_cache = ResultCache(cache_dir)
-        analytic_store = AnalyticStore(cache_dir)
+        analytic_store = ResultCache(cache_dir, ANALYTIC_SCHEMA_TAG)
         hit_analytic = hit_exact = 0
         for key, result in results.items():
             if not is_analytic(result):
@@ -277,7 +276,7 @@ class TestCacheIsolation:
 
     def test_exact_records_never_satisfy_analytic_store(self, analytic_run):
         runtime, results, cache_dir = analytic_run
-        analytic_store = AnalyticStore(cache_dir)
+        analytic_store = ResultCache(cache_dir, ANALYTIC_SCHEMA_TAG)
         for key, result in results.items():
             if is_analytic(result):
                 continue

@@ -221,13 +221,15 @@ class TestStaleSpecs:
     def test_stale_engine_schema_pending_spec_is_replaced_on_enqueue(self, tmp_path):
         import json
 
+        from repro.runtime.atomicio import atomic_write_json, read_json
+
         queue = BrokerQueue(tmp_path)
         job = _jobs(make_config("none"))[0]
         job_id = queue.enqueue(job)
         path = next(queue.pending.glob(f"{job_id}__*a0.json"))
-        stale = json.loads(path.read_text())
+        stale = read_json(path)
         stale["engine_schema"] = "engine-v0-000000000000"
-        path.write_text(json.dumps(stale))
+        atomic_write_json(path, stale)
         queue.enqueue(job)  # must notice the dead spec and write a fresh one
         spec = json.loads(path.read_text())
         from repro.runtime import SCHEMA_TAG
@@ -438,12 +440,12 @@ class TestRunWorker:
 class TestQueueWaitTelemetry:
     def _age_enqueue(self, queue: BrokerQueue, seconds: float) -> None:
         """Make the one pending spec look ``seconds`` old (spec + file)."""
-        import json
+        from repro.runtime.atomicio import atomic_write_json, read_json
 
         path = next(queue.pending.glob("*.json"))
-        spec = json.loads(path.read_text())
+        spec = read_json(path)
         spec["enqueued_at"] -= seconds
-        path.write_text(json.dumps(spec))
+        atomic_write_json(path, spec)
         _backdate(path, seconds=seconds)
 
     def test_first_attempt_wait_measures_from_enqueue(self, tmp_path):
@@ -509,13 +511,13 @@ class TestQueueWaitTelemetry:
 class TestStaleClaimedSpecs:
     def _plant_stale_claim(self, queue: BrokerQueue, job, age: float):
         """A claimed spec written by an old-schema worker that crashed."""
-        import json
+        from repro.runtime.atomicio import atomic_write_json
 
         queue.enqueue(job)
         claimed = queue.claim("w-old")
         spec = dict(claimed.spec)
         spec["engine_schema"] = "engine-v0-000000000000"
-        claimed.path.write_text(json.dumps(spec))
+        atomic_write_json(claimed.path, spec)
         _backdate(claimed.path, seconds=age)
         return claimed
 

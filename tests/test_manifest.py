@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.results import SimulationResult
@@ -21,6 +19,7 @@ from repro.experiments.sweeps.manifest import (
 )
 from repro.runtime import configure_runtime
 from repro.runtime import runner as runner_mod
+from repro.runtime.atomicio import atomic_write_json, read_json
 from repro.runtime.cache import SCHEMA_TAG, ResultCache
 from repro.workloads.workload import reset_trace_store
 
@@ -241,9 +240,9 @@ class TestCli:
     def test_resume_notes_engine_schema_drift(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, RSPEC, "mtiny", None)
         _cells_real_results(tmp_path, manifest)
-        record = json.loads(manifest.path.read_text())
+        record = read_json(manifest.path)
         record["engine_schema"] = "engine-v1-000000000000"
-        manifest.path.write_text(json.dumps(record))
+        atomic_write_json(manifest.path, record)
         assert main(["run", "--resume", str(manifest.path), "--no-table"]) == 0
         out = capsys.readouterr().out
         assert "written under engine schema" in out

@@ -137,14 +137,14 @@ class TestDiskCache:
     def test_mismatch_under_a_matching_checksum_is_corrupt(self, tmp_path):
         # A record rewritten whole (checksum included) for another schema
         # passes the crc32 but still fails the schema check.
-        from repro.runtime.cache import _record_crc
+        from repro.runtime.atomicio import record_crc
 
         cfg = make_config("none")
         ExperimentRuntime(cache_dir=tmp_path).run_one(WL, cfg, SCALE)
         path = next((tmp_path / SCHEMA_TAG).rglob("*.json"))
         record = json.loads(path.read_text())
         record["schema"] = "engine-v0"
-        record["crc32"] = _record_crc(record)
+        record["crc32"] = record_crc(record)
         path.write_text(json.dumps(record))
         fresh = ResultCache(tmp_path)
         assert fresh.get(WL, scale_token(SCALE), config_digest(cfg)) is None

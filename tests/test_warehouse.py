@@ -34,13 +34,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analytic.store import ANALYTIC_SCHEMA_TAG, AnalyticStore
 from repro.core.results import SimulationResult
 from repro.errors import ConfigError
 from repro.experiments.common import get_scale
 from repro.experiments.sweeps import get_sweep
 from repro.runtime import SimJob
-from repro.runtime.cache import SCHEMA_TAG, ResultCache, prune_cache
+from repro.runtime.cache import (
+    ANALYTIC_SCHEMA_TAG,
+    SCHEMA_TAG,
+    ResultCache,
+    prune_cache,
+)
 from repro.warehouse import (
     QUERY_NAMES,
     WAREHOUSE_SCHEMA,
@@ -398,7 +402,7 @@ class TestTierInterplay:
         ResultCache(tmp_path).put(
             "wl", SCALE_TOK, digest, _result("wl", 1000.0)
         )
-        AnalyticStore(tmp_path).put(
+        ResultCache(tmp_path, ANALYTIC_SCHEMA_TAG).put(
             "wl", SCALE_TOK, digest, _analytic_result("wl", 900.0, 0.05)
         )
         refresh_warehouse(tmp_path)
@@ -434,7 +438,7 @@ class TestTierInterplay:
 
     def test_analytic_only_cell_surfaces_its_bound(self, tmp_path):
         digest = "cd" * 32
-        AnalyticStore(tmp_path).put(
+        ResultCache(tmp_path, ANALYTIC_SCHEMA_TAG).put(
             "wl", SCALE_TOK, digest, _analytic_result("wl", 800.0, 0.0123)
         )
         refresh_warehouse(tmp_path)
@@ -455,7 +459,7 @@ class TestTierInterplay:
         scale = get_scale("quick")
         workloads = spec.workloads("paper")
         cache = ResultCache(tmp_path)
-        analytic = AnalyticStore(tmp_path)
+        analytic = ResultCache(tmp_path, ANALYTIC_SCHEMA_TAG)
         for point in spec.points(scale):
             for wl in workloads:
                 base_key = SimJob(wl, point.baseline(), scale.workload_scale).key
@@ -504,6 +508,15 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 self._main(removed, "--cache-dir", str(tmp_path))
             assert exc.value.code == 2
+
+    def test_bad_query_option_is_a_usage_error(self, tmp_path, capsys):
+        """An option error exits 2 like every CLI's; a query error exits 1."""
+        refresh_warehouse(tmp_path)
+        for bad in (["--scale", "bogus"], ["--workload-set", "bogus"]):
+            argv = ["contour", "smoke", "--cache-dir", str(tmp_path), *bad]
+            assert self._main(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "bogus" in err
 
     def test_sensitivity_rejects_axis_sweeps(self, tmp_path, capsys):
         refresh_warehouse(tmp_path)

@@ -49,11 +49,16 @@ class TestProfileCommands:
         assert "digest" in out
         assert "indirect_jump_frac" in out and "0.3" in out
 
-    def test_show_unknown_profile_errors(self):
-        from repro.errors import ConfigError
+    def test_bad_workload_set_env_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKLOAD_SET", "bogus")
+        assert main(["list"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "REPRO_WORKLOAD_SET" in err
 
-        with pytest.raises(ConfigError):
-            main(["show", "mysql"])
+    def test_show_unknown_profile_errors(self, capsys):
+        assert main(["show", "mysql"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown workload 'mysql'" in err
 
     def test_summarize_prints_calibration_stats(self, capsys):
         assert main(["summarize", "streaming", "--scale", "0.05"]) == 0
@@ -72,11 +77,12 @@ class TestStoreCommands:
         assert main(["store-list", "--cache-dir", str(tmp_path)]) == 0
         assert "empty" in capsys.readouterr().out
 
-    def test_store_list_requires_a_directory(self, monkeypatch):
+    def test_store_list_requires_a_directory(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        with pytest.raises(SystemExit):
-            main(["store-list"])
+        assert main(["store-list"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no store directory" in err
 
     def test_store_prune_nothing_stale(self, capsys, warm_store):
         assert main(["store-prune", "--cache-dir", str(warm_store)]) == 0
