@@ -15,13 +15,15 @@ directory a sweep is about to use doubles as a warm-up. CI runs it after
 the experiment smoke runs and appends the table to the step summary next
 to the result-cache hit counts.
 
-Each row also shows the record's size on disk and the live bytes per
-basic block that the loaded CFG keeps resident (``tracemalloc``, a
-separate uncounted load after the timed passes), and each pass prints
-the store's hit/miss/corrupt counts. The exit status is 1 when the warm
-loads were not faster in total, when any warm load missed or found a
-corrupt record (a stored build that cannot be read back), or when a
-loaded CFG keeps more than :data:`MAX_CFG_BYTES_PER_BLOCK` per block.
+Each row also shows the record's size on disk, the live bytes per basic
+block that the loaded CFG keeps resident and the live bytes per record
+of the loaded trace (``tracemalloc``, a separate uncounted load after
+the timed passes), and each pass prints the store's hit/miss/corrupt
+counts. The exit status is 1 when the warm loads were not faster in
+total, when any warm load missed or found a corrupt record (a stored
+build that cannot be read back), when a loaded CFG keeps more than
+:data:`MAX_CFG_BYTES_PER_BLOCK` per block, or when a loaded trace keeps
+more than :data:`MAX_TRACE_BYTES_PER_RECORD` per record.
 
 Usage::
 
@@ -50,9 +52,16 @@ from repro.workloads import (  # noqa: E402  (path bootstrap above)
     workload_set,
 )
 
-#: Live bytes per basic block a loaded CFG may keep; the same bound as
-#: ``tests/test_cfg_builder.py::MAX_BYTES_PER_BLOCK`` for a fresh build.
-MAX_CFG_BYTES_PER_BLOCK = 120
+#: Live bytes per basic block a loaded CFG may keep: the most any profile
+#: keeps at quick scale (mlserve, 84.8 B; its long blocks widen the pc
+#: index) plus 15%. ``tests/test_cfg_builder.py::MAX_BYTES_PER_BLOCK``
+#: bounds a fresh oracle build the same way.
+MAX_CFG_BYTES_PER_BLOCK = 98
+
+#: Live bytes per record a loaded trace may keep: 9 B of columns (a
+#: 4-byte start, a 2-byte size and three 1-byte fields), with the same
+#: bound as ``tests/test_cfg_builder.py::MAX_TRACE_BYTES_PER_RECORD``.
+MAX_TRACE_BYTES_PER_RECORD = 10
 
 
 def timed_load(name: str, scale: float) -> float:
@@ -63,8 +72,9 @@ def timed_load(name: str, scale: float) -> float:
     return time.perf_counter() - t0
 
 
-def cfg_bytes_per_block(cache_dir: str, name: str, scale: float) -> float:
-    """Live bytes per block of one CFG read from the store, trace dropped."""
+def live_bytes(cache_dir: str, name: str, scale: float) -> tuple[float, float]:
+    """Live bytes per block of one CFG and per record of its trace, as read
+    from the store."""
     store = TraceStore(cache_dir)  # its own counters: not a timed lookup
     profile = get_profile(name).scaled(scale)
     gc.collect()
@@ -72,14 +82,18 @@ def cfg_bytes_per_block(cache_dir: str, name: str, scale: float) -> float:
     try:
         built = store.get(profile, profile.default_trace_instrs)
         if built is None:
-            return float("nan")
-        cfg = built[0]
+            return float("nan"), float("nan")
+        cfg, trace = built
+        n_records = len(trace)
         del built
+        gc.collect()
+        both, _ = tracemalloc.get_traced_memory()
+        del trace
         gc.collect()
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return live / cfg.n_blocks
+    return live / cfg.n_blocks, (both - live) / n_records
 
 
 def lookups(store: TraceStore) -> tuple[int, int, int]:
@@ -129,15 +143,20 @@ def main(argv: list[str] | None = None) -> int:
         timed_load(name, args.scale) if was_hit else seconds
         for name, seconds, was_hit in zip(names, first, first_hit)
     ]
-    per_block = [cfg_bytes_per_block(args.cache_dir, name, args.scale) for name in names]
+    per_block, per_record = zip(
+        *(live_bytes(args.cache_dir, name, args.scale) for name in names)
+    )
 
     print(f"trace store at {args.cache_dir} (scale {args.scale}, set {args.set})")
     print(f"{'workload':<14s} {'cold build':>12s} {'warm load':>12s} {'speedup':>8s} "
-          f"{'record':>10s} {'cfg live':>11s}")
-    for name, cold_s, warm_s, size, live in zip(names, cold, warm, record_bytes, per_block):
+          f"{'record':>10s} {'cfg live':>11s} {'trace live':>12s}")
+    for name, cold_s, warm_s, size, live, rec in zip(
+        names, cold, warm, record_bytes, per_block, per_record
+    ):
         speedup = cold_s / warm_s if warm_s > 0 else float("inf")
         print(f"{name:<14s} {cold_s * 1e3:>10.1f}ms {warm_s * 1e3:>10.1f}ms "
-              f"{speedup:>7.1f}x {size / 1024:>8.1f}KB {live:>7.1f}B/bb")
+              f"{speedup:>7.1f}x {size / 1024:>8.1f}KB {live:>7.1f}B/bb "
+              f"{rec:>7.2f}B/rec")
     total_cold, total_warm = sum(cold), sum(warm)
     speedup = total_cold / total_warm if total_warm > 0 else float("inf")
     print(f"{'total':<14s} {total_cold * 1e3:>10.1f}ms {total_warm * 1e3:>10.1f}ms "
@@ -147,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     worst = max(per_block)
     print(f"cfg live bytes: max {worst:.1f} B per block "
           f"(bound {MAX_CFG_BYTES_PER_BLOCK})")
+    worst_record = max(per_record)
+    print(f"trace live bytes: max {worst_record:.2f} B per record "
+          f"(bound {MAX_TRACE_BYTES_PER_RECORD})")
     status = 0
     if total_warm >= total_cold:
         print("WARNING: warm loads were not faster than cold builds", file=sys.stderr)
@@ -156,6 +178,10 @@ def main(argv: list[str] | None = None) -> int:
         status = 1
     if not worst <= MAX_CFG_BYTES_PER_BLOCK:
         print("ERROR: a loaded CFG keeps more live bytes per block than the bound",
+              file=sys.stderr)
+        status = 1
+    if not worst_record <= MAX_TRACE_BYTES_PER_RECORD:
+        print("ERROR: a loaded trace keeps more live bytes per record than the bound",
               file=sys.stderr)
         status = 1
     return status

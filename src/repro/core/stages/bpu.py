@@ -21,13 +21,7 @@ from ...branch.btb import BTBEntry
 from ...branch.predictors.base import OraclePredictor
 from ...errors import SimulationError
 from ...frontend.predecode import boomerang_fill
-from ...workloads.trace import (
-    REC_KIND,
-    REC_NEXT,
-    REC_NINSTR,
-    REC_START,
-    REC_TAKEN,
-)
+from ...workloads.trace import COL_KIND, COL_NINSTR, COL_START, COL_TAKEN
 from .state import (
     CALL,
     CAUSE_BTB,
@@ -56,7 +50,6 @@ class BPUStage:
         "col_ninstr",
         "col_kind",
         "col_taken",
-        "col_next",
         "n_records",
         "cfg",
         "code_base",
@@ -80,13 +73,13 @@ class BPUStage:
     def __init__(self, ctx: StageContext):
         wl = ctx.workload
         # Hot per-prediction reads go straight at the trace columns: one
-        # C-level array index per field, no per-record tuple.
+        # C-level array index per field, no per-record tuple. A record's
+        # next pc is the following start (the column holds one more).
         columns = wl.trace.columns
-        self.col_start = columns[REC_START]
-        self.col_ninstr = columns[REC_NINSTR]
-        self.col_kind = columns[REC_KIND]
-        self.col_taken = columns[REC_TAKEN]
-        self.col_next = columns[REC_NEXT]
+        self.col_start = columns[COL_START]
+        self.col_ninstr = columns[COL_NINSTR]
+        self.col_kind = columns[COL_KIND]
+        self.col_taken = columns[COL_TAKEN]
         self.n_records = len(wl.trace)
         # Static block facts by row; a block start's row is
         # ``row_by_slot[(start - code_base) >> 2]``.
@@ -147,7 +140,7 @@ class BPUStage:
         n_instrs = self.col_ninstr[idx]
         kind = self.col_kind[idx]
         taken = self.col_taken[idx]
-        actual_next = self.col_next[idx]
+        actual_next = self.col_start[idx + 1]
         branch_pc = start + (n_instrs - 1) * 4
 
         if self.perfect_btb:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ...branch.btb import BTBEntry
-from ...workloads.trace import REC_ENTRY, REC_KIND, REC_NEXT
+from ...workloads.trace import COL_ENTRY, COL_KIND, COL_START
 from .state import (
     CAUSE_NONE,
     CONDK,
@@ -47,7 +47,7 @@ class FetchUnit:
         "prefetcher",
         "col_entry",
         "col_kind",
-        "col_next",
+        "col_start",
         "code_base",
         "row_by_slot",
         "cfg_target",
@@ -68,9 +68,9 @@ class FetchUnit:
         self._ftq_entries = ctx.ftq.entries
         self.prefetcher = ctx.prefetcher
         columns = ctx.workload.trace.columns
-        self.col_entry = columns[REC_ENTRY]
-        self.col_kind = columns[REC_KIND]
-        self.col_next = columns[REC_NEXT]
+        self.col_entry = columns[COL_ENTRY]
+        self.col_kind = columns[COL_KIND]
+        self.col_start = columns[COL_START]
         cfg = ctx.workload.cfg
         self.code_base = cfg.code_base
         self.row_by_slot = cfg.row_by_slot
@@ -142,7 +142,7 @@ class FetchUnit:
                 if learn and not wp:
                     kind = self.col_kind[tidx]
                     if kind == IND_JUMP or kind == IND_CALL:
-                        tgt = self.col_next[tidx]
+                        tgt = self.col_start[tidx + 1]  # the record's next pc
                     elif kind == RET:
                         tgt = 0
                     else:

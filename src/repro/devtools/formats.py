@@ -12,9 +12,10 @@ misreads (or silently orphans) old records.
 
 This module extracts those *format facts* straight from the AST:
 
-* literal constants (``_MAGIC``, ``_NAME_DIGEST_CHARS``, and the CFG
-  column layout ``CFG_ARRAYS`` that trace-store records hold as-is,
-  read from ``workloads/cfg.py``),
+* literal constants (``_MAGIC``, ``_NAME_DIGEST_CHARS``, and the trace
+  and CFG column layouts ``COLUMN_SPECS`` and ``CFG_ARRAYS`` that
+  trace-store records hold as-is, read from ``workloads/trace.py`` and
+  ``workloads/cfg.py``),
 * filename-grammar functions (``_job_filename`` / ``_parse_job_name`` /
   ``_path`` / ``manifest_path``),
   fingerprinted by a docstring-stripped
@@ -111,7 +112,10 @@ GROUPS: tuple[GroupSpec, ...] = (
         file="workloads/tracestore.py",
         tag_const="_SCHEMA_MAJOR",
         consts=("_MAGIC", "_NAME_DIGEST_CHARS", "_PREFIX"),
-        other_consts=(("workloads/cfg.py", "CFG_ARRAYS"),),
+        other_consts=(
+            ("workloads/trace.py", "COLUMN_SPECS"),
+            ("workloads/cfg.py", "CFG_ARRAYS"),
+        ),
         regexes=("_TAG_DIR_RE",),
         funcs=("_path",),
         dict_key_funcs=("put",),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from ..config import SimConfig
@@ -33,7 +33,8 @@ from ..core.mechanisms import MECHANISMS, make_config
 from ..core.results import SimulationResult
 from ..envopts import resolve
 from ..errors import ConfigError
-from ..runtime import SimJob, get_runtime
+from ..runtime import SimJob, config_digest, get_runtime
+from ..runtime.runner import run_key
 from ..stats import geometric_mean
 from .common import ExperimentResult, ExperimentScale, get_scale, workload_names
 
@@ -137,13 +138,14 @@ class SweepPoint:
             cfg = KNOBS[knob].apply(cfg, value)
         return cfg
 
+    def baseline_point(self) -> SweepPoint:
+        """The matched no-prefetch baseline as a point (shared knobs only)."""
+        shared = tuple((knob, value) for knob, value in self.settings if KNOBS[knob].shared)
+        return SweepPoint("none", shared)
+
     def baseline(self) -> SimConfig:
-        """The matched no-prefetch baseline (shared knobs only)."""
-        cfg = make_config("none")
-        for knob, value in self.settings:
-            if KNOBS[knob].shared:
-                cfg = KNOBS[knob].apply(cfg, value)
-        return cfg
+        """The matched no-prefetch baseline's config."""
+        return self.baseline_point().config()
 
 
 @dataclass(frozen=True)
@@ -187,18 +189,27 @@ class SweepResults:
     scale: ExperimentScale
     workloads: tuple[str, ...]
     by_key: Mapping[tuple[str, str, str], SimulationResult]
+    #: Config digest per point, each hashed on its first read. Baselines
+    #: are read through their baseline points, so points that share their
+    #: shared knobs share one baseline digest.
+    _digests: dict[SweepPoint, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def points(self) -> list[SweepPoint]:
         return self.spec.points(self.scale)
 
+    def _result(self, name: str, point: SweepPoint) -> SimulationResult:
+        digest = self._digests.get(point)
+        if digest is None:
+            digest = self._digests[point] = config_digest(point.config())
+        return self.by_key[run_key(name, self.scale.workload_scale, digest)]
+
     def __getitem__(self, cell: tuple[str, SweepPoint]) -> SimulationResult:
-        name, point = cell
-        return self.by_key[SimJob(name, point.config(), self.scale.workload_scale).key]
+        return self._result(*cell)
 
     def baseline(self, name: str, point: SweepPoint) -> SimulationResult:
-        return self.by_key[
-            SimJob(name, point.baseline(), self.scale.workload_scale).key
-        ]
+        return self._result(name, point.baseline_point())
 
     def speedups(self, point: SweepPoint) -> list[float]:
         """Per-workload speedup of ``point`` over its matched baseline."""

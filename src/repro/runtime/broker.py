@@ -263,9 +263,11 @@ class BrokerQueue:
     def __init__(
         self,
         cache_dir: str | os.PathLike,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        lease_seconds: float | None = None,
+        max_attempts: int | None = None,
     ):
+        """``None`` takes ``REPRO_BROKER_LEASE``/``REPRO_BROKER_MAX_ATTEMPTS``,
+        or their defaults; an explicit value beats the environment."""
         self.root = Path(cache_dir) / "queue"
         self.pending = self.root / "pending"
         self.claimed = self.root / "claimed"
@@ -771,8 +773,8 @@ class BrokerBackend:
     def __init__(
         self,
         cache_dir: str | os.PathLike,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        lease_seconds: float | None = None,
+        max_attempts: int | None = None,
         steal: bool = True,
         timeout: float | None = None,
         poll_seconds: float = DEFAULT_POLL_SECONDS,
@@ -927,11 +929,7 @@ def run_worker(
     """
     from ..workloads.workload import configure_trace_store
 
-    queue = BrokerQueue(
-        cache_dir,
-        resolve("REPRO_BROKER_LEASE", lease_seconds),
-        resolve("REPRO_BROKER_MAX_ATTEMPTS", max_attempts),
-    )
+    queue = BrokerQueue(cache_dir, lease_seconds, max_attempts)
     cache = ResultCache(cache_dir)
     # Share workload builds with everyone else using this cache dir
     # (unless REPRO_TRACE_STORE points the store somewhere specific).

@@ -77,11 +77,13 @@ class SimJob:
     @cached_property
     def key(self) -> RunKey:
         """Hashed once per job: the config is frozen, so the key is too."""
-        return (
-            self.workload,
-            scale_token(self.workload_scale),
-            config_digest(self.config),
-        )
+        return run_key(self.workload, self.workload_scale, config_digest(self.config))
+
+
+def run_key(workload: str, workload_scale: float, digest: str) -> RunKey:
+    """The key of ``workload`` at ``workload_scale`` under the config
+    whose :func:`~repro.runtime.confighash.config_digest` is ``digest``."""
+    return (workload, scale_token(workload_scale), digest)
 
 
 def execute_job(job: SimJob) -> SimulationResult:

@@ -227,11 +227,7 @@ class Supervisor:
     ):
         self.cache_dir = Path(cache_dir)
         self.options = options or supervisor_options()
-        self.queue = BrokerQueue(
-            cache_dir,
-            resolve("REPRO_BROKER_LEASE"),
-            resolve("REPRO_BROKER_MAX_ATTEMPTS"),
-        )
+        self.queue = BrokerQueue(cache_dir)
         self.worker_command = (
             list(worker_command) if worker_command is not None else None
         )

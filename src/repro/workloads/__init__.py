@@ -40,6 +40,11 @@ from .profiles import (
     workload_set,
 )
 from .trace import (
+    COL_ENTRY,
+    COL_KIND,
+    COL_NINSTR,
+    COL_START,
+    COL_TAKEN,
     COLUMN_SPECS,
     REC_ENTRY,
     REC_KIND,
@@ -86,6 +91,11 @@ __all__ = [
     "STREAMING",
     "ZEUS",
     "BranchKind",
+    "COL_ENTRY",
+    "COL_KIND",
+    "COL_NINSTR",
+    "COL_START",
+    "COL_TAKEN",
     "COLUMN_SPECS",
     "ControlFlowGraph",
     "EntryKind",

@@ -37,7 +37,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from ..config import INSTR_BYTES
 from ..errors import WorkloadError
@@ -131,24 +131,27 @@ class Function:
 #: owner ``i``'s items are ``[offsets[i], offsets[i + 1])`` of the next
 #: arrays. A ControlFlowGraph holds each as the attribute named with the
 #: dot replaced by an underscore (``block.start`` -> ``cfg.block_start``).
+#: Each holds its values at the narrowest fixed width they need: a pc is
+#: an unsigned 32-bit 'I' and a block size an unsigned 16-bit 'H'. A value
+#: outside its column's range raises :class:`~repro.errors.WorkloadError`.
 CFG_ARRAYS = (
-    ("block.start", "q"),
-    ("block.n_instrs", "i"),
+    ("block.start", "I"),
+    ("block.n_instrs", "H"),
     ("block.kind", "b"),
-    ("block.target", "q"),
+    ("block.target", "I"),
     ("block.func_id", "i"),
     ("block.bias", "d"),
     ("block.loop_mean", "d"),
-    ("block.corr_src", "q"),
+    ("block.corr_src", "I"),
     ("block.corr_invert", "b"),
     ("indirect.offsets", "i"),
-    ("indirect.target", "q"),
+    ("indirect.target", "I"),
     ("indirect.weight", "d"),
     ("func.id", "i"),
-    ("func.entry", "q"),
+    ("func.entry", "I"),
     ("func.layer", "i"),
     ("func.block_offsets", "i"),
-    ("func.block_starts", "q"),
+    ("func.block_starts", "I"),
 )
 
 _ARRAY_ATTRS = tuple(name.replace(".", "_") for name, _ in CFG_ARRAYS)
@@ -161,6 +164,25 @@ _BLOCK_ROW = attrgetter(*(f.name for f in fields(StaticBlock)))
 _INDIRECT_FIELD = [f.name for f in fields(StaticBlock)].index("indirect_targets")
 
 
+def _typed(name: str, typecode: str, values: Sequence[int | float]) -> array:
+    """``values`` as an array of ``typecode``; a value it cannot hold raises
+    :class:`~repro.errors.WorkloadError` naming the column and the value."""
+    try:
+        return array(typecode, values)
+    except OverflowError:
+        bits = 8 * array(typecode).itemsize
+        lo = 0 if typecode.isupper() else -(1 << bits - 1)  # 'I'/'H' are unsigned
+        bad = next(v for v in values if not lo <= v < lo + (1 << bits))
+        raise WorkloadError(
+            f"{name} value {bad} ({bad:#x}) does not fit {bits}-bit '{typecode}'"
+        ) from None
+
+
+def _check_span(lo: int, hi: int) -> None:
+    if hi - lo > _MAX_CODE_SPAN:
+        raise WorkloadError(f"code span {lo:#x}..{hi:#x} exceeds {_MAX_CODE_SPAN} bytes")
+
+
 def cfg_arrays(
     rows: Iterable[tuple], functions: Iterable[Function]
 ) -> list[array]:
@@ -168,24 +190,31 @@ def cfg_arrays(
 
     A row holds a block's fields in :class:`StaticBlock` declaration
     order; builders that make many blocks pass rows and skip the objects.
+    Block starts more than the code span apart are rejected first, so a
+    graph too wide to index fails as such before any column's width does.
     """
-    columns: list[Iterable[int | float]] = list(zip(*rows))
+    columns: list[Sequence[int | float]] = list(zip(*rows))
     if not columns:
         columns = [()] * len(fields(StaticBlock))
+    starts = columns[0]
+    if starts:
+        _check_span(min(starts), max(starts))
     indirect = columns.pop(_INDIRECT_FIELD)
     pairs = list(chain.from_iterable(indirect))
     funcs = list(functions)
     columns += [
-        accumulate(map(len, indirect), initial=0),
-        map(itemgetter(0), pairs),
-        map(itemgetter(1), pairs),
+        list(accumulate(map(len, indirect), initial=0)),
+        [target for target, _ in pairs],
+        [weight for _, weight in pairs],
         [f.func_id for f in funcs],
         [f.entry for f in funcs],
         [f.layer for f in funcs],
-        accumulate((f.n_blocks for f in funcs), initial=0),
-        chain.from_iterable(f.block_starts for f in funcs),
+        list(accumulate((f.n_blocks for f in funcs), initial=0)),
+        list(chain.from_iterable(f.block_starts for f in funcs)),
     ]
-    return [array(tc, column) for (_, tc), column in zip(CFG_ARRAYS, columns)]
+    return [
+        _typed(name, tc, column) for (name, tc), column in zip(CFG_ARRAYS, columns)
+    ]
 
 
 class ControlFlowGraph:
@@ -196,9 +225,12 @@ class ControlFlowGraph:
     in :data:`CFG_ARRAYS` order. Rows keep the order the blocks were
     given in, so a stored and reloaded graph iterates like the original.
     Block starts must be distinct and instruction-aligned relative to one
-    another, within a code span of at most 64 MiB; anything else raises
-    :class:`~repro.errors.WorkloadError`. The arrays are read-only by
-    convention: the indexes are built once, from their contents.
+    another, within a code span of at most 64 MiB, and every value must
+    fit its column's width (a pc below 2**32, a block size below 2**16);
+    anything else raises :class:`~repro.errors.WorkloadError`. Arrays of
+    another width are converted, those at the :data:`CFG_ARRAYS` widths
+    used as-is. The arrays are read-only by convention: the indexes are
+    built once, from their contents.
     """
 
     __slots__ = (
@@ -261,7 +293,7 @@ class ControlFlowGraph:
         entry: int,
         name: str = "synthetic",
     ) -> ControlFlowGraph:
-        """A graph over ``arrays`` (:data:`CFG_ARRAYS` order), used as-is."""
+        """A graph over ``arrays`` (:data:`CFG_ARRAYS` order and widths)."""
         cfg = cls.__new__(cls)
         cfg._load(arrays, function_names, entry, name)
         return cfg
@@ -269,8 +301,8 @@ class ControlFlowGraph:
     def _load(
         self, arrays: Sequence[array], function_names: list[str], entry: int, name: str
     ) -> None:
-        for attr, arr in zip(_ARRAY_ATTRS, arrays, strict=True):
-            setattr(self, attr, arr)
+        for attr, (column, tc), arr in zip(_ARRAY_ATTRS, CFG_ARRAYS, arrays, strict=True):
+            setattr(self, attr, arr if arr.typecode == tc else _typed(column, tc, arr))
         self.function_names = function_names
         self.entry = entry
         self.name = name
@@ -291,10 +323,7 @@ class ControlFlowGraph:
         if n:
             lo = min(base, branch_pcs[order[0]])
             hi = max(max(starts), branch_pcs[order[-1]])
-            if hi - lo > _MAX_CODE_SPAN:
-                raise WorkloadError(
-                    f"code span {lo:#x}..{hi:#x} exceeds {_MAX_CODE_SPAN} bytes"
-                )
+            _check_span(lo, hi)
             if len({start & (INSTR_BYTES - 1) for start in starts}) > 1:
                 bad = next(s for s in starts if (s - base) & (INSTR_BYTES - 1))
                 raise WorkloadError(f"block {bad:#x} is not instruction-aligned")

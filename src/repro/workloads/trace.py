@@ -5,16 +5,21 @@ Bernoulli conditional outcomes and sticky indirect-target selection — all
 driven by a private seeded PRNG, so the same workload always produces the
 same trace and every mechanism is evaluated on identical input.
 
-Traces are stored **columnar**: six parallel ``array`` columns (one per
-``REC_*`` field) instead of one Python tuple per record. A full-scale
-trace is a few flat megabytes of C integers rather than hundreds of
-megabytes of boxed tuples, the columns serialize as raw bytes (the
-:mod:`~repro.workloads.tracestore` record holds each column's buffer
-as-is), and forked pool workers share them
+Traces are stored **columnar**: five parallel ``array`` columns, each at
+the narrowest fixed width its values need (:data:`COLUMN_SPECS`: a pc in
+four bytes, a block size in two, the rest in one), instead of one Python
+tuple per record. A record's next pc is not stored: it is the next
+record's start, so the start column holds one more entry than the trace
+has records — the pc the walk stopped at — and record ``i``'s next pc is
+``start[i + 1]``. A full-scale trace is a few flat megabytes of C
+integers rather than hundreds of megabytes of boxed tuples, the columns
+serialize as raw bytes (the :mod:`~repro.workloads.tracestore` record
+holds each column's buffer as-is), and forked pool workers share them
 copy-on-write. The engine's hot per-prediction loop reads
-``trace.columns[REC_KIND]`` etc. directly (indexed reads, no per-record
-allocation); iterating a :class:`Trace` yields one record tuple at a time
-through a C-level ``zip`` over the columns.
+``trace.columns[COL_KIND]`` etc. directly (indexed reads, no per-record
+allocation); iterating a :class:`Trace` yields one six-field record tuple
+at a time (``REC_*`` order, the next pc rebuilt from the starts) through
+a C-level ``zip`` over the columns.
 
 Generation is **streaming**: the walker emits records through a
 :class:`TraceBuilder`, a bounded-memory emitter that buffers a small chunk
@@ -29,6 +34,7 @@ import random
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 
 from ..config import INSTR_BYTES
@@ -36,7 +42,7 @@ from ..errors import WorkloadError
 from .cfg import ControlFlowGraph, StaticBlock
 from .isa import BranchKind, EntryKind, block_of, blocks_spanned
 
-#: Column indexes of one trace record (also the ``trace.columns`` order).
+#: Field indexes of one trace record tuple (what iterating a Trace yields).
 REC_START = 0     #: basic-block start pc
 REC_NINSTR = 1    #: instructions in the block
 REC_KIND = 2      #: BranchKind of the terminating branch
@@ -48,15 +54,24 @@ REC_ENTRY = 5     #: EntryKind — how control arrived at this block
 #: entry_kind). The storage is columnar; this is the view/emit row type.
 TraceRecord = tuple[int, int, int, int, int, int]
 
-#: (name, array typecode) per column, in ``REC_*`` order. Typecodes are
-#: fixed-width on every supported platform ('q' = int64, 'i' = int32,
-#: 'b' = int8), so serialized columns are portable across processes.
+#: Indexes of the stored columns in ``trace.columns``. Every record field
+#: but the next pc is a column; the first four share their ``REC_*`` index.
+COL_START = 0     #: one entry per record, then the pc the walk stopped at
+COL_NINSTR = 1
+COL_KIND = 2
+COL_TAKEN = 3
+COL_ENTRY = 4
+
+#: (name, array typecode) per column, in ``COL_*`` order. Typecodes are
+#: fixed-width on every supported platform ('I' = uint32, 'H' = uint16,
+#: 'b' = int8), so serialized columns are portable across processes. A pc
+#: fits 'I' because :class:`~repro.workloads.cfg.ControlFlowGraph` stores
+#: its block starts at that width, and a block size fits 'H' likewise.
 COLUMN_SPECS: tuple[tuple[str, str], ...] = (
-    ("start", "q"),
-    ("ninstr", "i"),
+    ("start", "I"),
+    ("ninstr", "H"),
     ("kind", "b"),
     ("taken", "b"),
-    ("next", "q"),
     ("entry", "b"),
 )
 
@@ -69,7 +84,10 @@ _MAX_CALL_DEPTH = 64
 #: Records buffered by :class:`TraceBuilder` before a transpose flush.
 _EMIT_CHUNK = 16384
 
-_FIELD_GETTERS = tuple(itemgetter(i) for i in range(len(COLUMN_SPECS)))
+#: The record field each column holds, in ``COL_*`` order.
+_FIELD_GETTERS = tuple(
+    itemgetter(index) for index in (REC_START, REC_NINSTR, REC_KIND, REC_TAKEN, REC_ENTRY)
+)
 
 
 def _empty_columns() -> tuple[array, ...]:
@@ -78,7 +96,11 @@ def _empty_columns() -> tuple[array, ...]:
 
 @dataclass
 class Trace:
-    """A dynamic basic-block trace over a static CFG (columnar storage)."""
+    """A dynamic basic-block trace over a static CFG (columnar storage).
+
+    ``columns`` follow :data:`COLUMN_SPECS`; the start column holds one
+    entry more than the others, the next pc of the last record.
+    """
 
     cfg: ControlFlowGraph
     columns: tuple[array, ...]
@@ -90,20 +112,27 @@ class Trace:
             raise WorkloadError(
                 f"trace needs {len(COLUMN_SPECS)} columns, got {len(self.columns)}"
             )
-        n = len(self.columns[0])
-        if any(len(col) != n for col in self.columns):
-            raise WorkloadError("trace columns have unequal lengths")
+        n = len(self.columns[COL_KIND])
+        if not n:
+            raise WorkloadError("trace holds no records")
+        if len(self.columns[COL_START]) != n + 1 or any(
+            len(col) != n for col in self.columns[COL_NINSTR:]
+        ):
+            raise WorkloadError(
+                "trace columns need equal lengths plus the final next pc in start"
+            )
         if not self.n_instrs:
-            self.n_instrs = sum(self.columns[REC_NINSTR])
+            self.n_instrs = sum(self.columns[COL_NINSTR])
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self.columns[COL_KIND])
 
-    def __iter__(self) -> Iterator[tuple]:
-        return zip(*self.columns)
+    def __iter__(self) -> Iterator[TraceRecord]:
+        start, ninstr, kind, taken, entry = self.columns
+        return zip(start, ninstr, kind, taken, islice(start, 1, None), entry)
 
     def column(self, index: int) -> array:
-        """One raw column by its ``REC_*`` index."""
+        """One raw column by its ``COL_*`` index."""
         return self.columns[index]
 
     def block(self, record: TraceRecord) -> StaticBlock:
@@ -120,14 +149,18 @@ class TraceBuilder:
     Rows are buffered as plain tuples (one append per record — the cheap
     operation) and transposed into the ``array`` columns one chunk at a
     time, so at most :data:`_EMIT_CHUNK` boxed rows are ever live during
-    generation regardless of trace length.
+    generation regardless of trace length. A row's next pc is not
+    stored, since it is the following row's start; the last row's closes
+    the start column when the trace is built.
     """
 
-    __slots__ = ("_columns", "_buffer")
+    __slots__ = ("_columns", "_buffer", "_next")
 
     def __init__(self) -> None:
         self._columns = _empty_columns()
         self._buffer: list[TraceRecord] = []
+        #: Next pc of the last flushed row.
+        self._next: int | None = None
 
     def append(self, record: TraceRecord) -> None:
         """Emit one record row (``REC_*`` order)."""
@@ -142,16 +175,22 @@ class TraceBuilder:
 
     def _flush(self) -> None:
         buffer = self._buffer
+        if not buffer:
+            return
+        self._next = buffer[-1][REC_NEXT]
         for column, getter in zip(self._columns, _FIELD_GETTERS):
             column.extend(map(getter, buffer))
         buffer.clear()
 
     def __len__(self) -> int:
-        return len(self._columns[0]) + len(self._buffer)
+        return len(self._columns[COL_KIND]) + len(self._buffer)
 
     def build(self, cfg: ControlFlowGraph, seed: int, n_instrs: int = 0) -> Trace:
         """Finalize into an immutable-by-convention :class:`Trace`."""
         self._flush()
+        if self._next is None:
+            raise WorkloadError("trace holds no records")
+        self._columns[COL_START].append(self._next)
         return Trace(cfg=cfg, columns=self._columns, seed=seed, n_instrs=n_instrs)
 
 
@@ -179,10 +218,8 @@ def summarize(trace: Trace) -> TraceSummary:
     ``set``) replace the per-record Python loop wherever a field is
     consumed independently.
     """
-    col_start = trace.columns[REC_START]
-    col_ninstr = trace.columns[REC_NINSTR]
-    col_kind = trace.columns[REC_KIND]
-    col_taken = trace.columns[REC_TAKEN]
+    col_start, col_ninstr, col_kind, col_taken, _ = trace.columns
+    n = len(trace)
 
     kind_counts: dict[int, int] = {}
     for kind in BranchKind:
@@ -195,19 +232,18 @@ def summarize(trace: Trace) -> TraceSummary:
     cond_taken = sum(
         t for k, t in zip(col_kind, col_taken) if k == cond_kind
     )
-    unique_bbs = set(col_start)
+    unique_bbs = set(islice(col_start, n))  # not the final next pc
     unique_blocks: set[int] = set()
     for start, n_instr in zip(col_start, col_ninstr):
         unique_blocks.update(blocks_spanned(start, n_instr))
-    n = len(trace)
     return TraceSummary(
         n_records=n,
         n_instrs=trace.n_instrs,
-        avg_bb_instrs=trace.n_instrs / n if n else 0.0,
-        taken_rate=taken / n if n else 0.0,
-        cond_frac=cond / n if n else 0.0,
+        avg_bb_instrs=trace.n_instrs / n,  # a Trace holds at least one record
+        taken_rate=taken / n,
+        cond_frac=cond / n,
         cond_taken_rate=cond_taken / cond if cond else 0.0,
-        uncond_frac=(n - cond) / n if n else 0.0,
+        uncond_frac=(n - cond) / n,
         unique_basic_blocks=len(unique_bbs),
         unique_cache_blocks=len(unique_blocks),
         footprint_kb=len(unique_blocks) * 64 / 1024.0,
@@ -396,11 +432,7 @@ def taken_conditional_distances(trace: Trace) -> dict[int, int]:
     """
     histogram: dict[int, int] = {}
     cond_kind = int(BranchKind.COND)
-    columns = trace.columns
-    for start, n_instrs, kind, taken, next_pc in zip(
-        columns[REC_START], columns[REC_NINSTR], columns[REC_KIND],
-        columns[REC_TAKEN], columns[REC_NEXT],
-    ):
+    for start, n_instrs, kind, taken, next_pc, _ in trace:
         if kind != cond_kind or not taken:
             continue
         branch_pc = start + (n_instrs - 1) * INSTR_BYTES

@@ -6,7 +6,7 @@ profile, and before this store existed every pool worker (and every cold
 process) paid it again. The store persists one record per built workload::
 
     <cache_dir>/
-      <TRACE_SCHEMA_TAG>/                  # e.g. "trace-v3-<fingerprint>"
+      <TRACE_SCHEMA_TAG>/                  # e.g. "trace-v4-<fingerprint>"
         <profile>__<digest16>__L<len>.wkld
 
 keyed by an **exhaustive content digest of the frozen WorkloadProfile
@@ -26,7 +26,9 @@ carries the schema tag, the full profile digest, the requested length,
 the derived trace seed, the CFG's name, entry and function names, and
 one (name, typecode, nbytes) triple per array, so a record is
 self-describing. The arrays are ``array`` buffers written as-is, in
-:data:`_ARRAYS` order: the six trace columns, then the CFG's own columns
+:data:`_ARRAYS` order: the five trace columns
+(:data:`~repro.workloads.trace.COLUMN_SPECS`, no next pc: the start
+column ends with the last record's), then the CFG's own columns
 (:data:`~repro.workloads.cfg.CFG_ARRAYS`: one array per scalar
 :class:`~repro.workloads.cfg.StaticBlock` field, the indirect-target
 pools and the functions as offset-indexed flat arrays). A
@@ -71,7 +73,7 @@ from .profiles import WorkloadProfile
 from .trace import COLUMN_SPECS, Trace
 
 #: Bump on record *format* changes; semantic changes are fingerprinted.
-_SCHEMA_MAJOR = "trace-v3"
+_SCHEMA_MAJOR = "trace-v4"
 
 #: First bytes of every record file.
 _MAGIC = b"BWKLD2\n"
@@ -319,20 +321,21 @@ def _decode_record(
         offset += nbytes
         arrays.append(arr)
     _check(offset == len(blob), "record length")
-    columns = arrays[: len(COLUMN_SPECS)]
-    _check(len({len(col) for col in columns}) == 1, "trace column lengths")
     cfg = _decode_cfg(
         arrays[len(COLUMN_SPECS) :],
         header["cfg_name"],
         header["cfg_entry"],
         header["function_names"],
     )
-    trace = Trace(
-        cfg=cfg,
-        columns=tuple(columns),
-        seed=header["trace_seed"],
-        n_instrs=header["n_instrs"],
-    )
+    try:
+        trace = Trace(
+            cfg=cfg,
+            columns=tuple(arrays[: len(COLUMN_SPECS)]),
+            seed=header["trace_seed"],
+            n_instrs=header["n_instrs"],
+        )
+    except WorkloadError as exc:
+        raise CorruptRecord(f"trace columns: {exc}") from None
     return cfg, trace
 
 

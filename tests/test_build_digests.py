@@ -2,7 +2,8 @@
 
 ``tests/data/golden_build_digests.json`` holds, per build, one sha256 over
 the CFG (every :class:`StaticBlock` field in address order, the functions
-and the entry) and one over the raw bytes of the six trace columns. It
+and the entry) and one over the six trace record fields, each encoded as a
+column at the width it was pinned at (:data:`PINNED_TRACE_WIDTHS`). It
 covers all ten profiles at the quick scale, at their stock seeds and at
 two replaced seeds, so any change to the builder's or the walker's PRNG
 draw order, or to what a draw is used for, fails here exactly. The trace
@@ -20,6 +21,7 @@ import hashlib
 import json
 import pathlib
 import sys
+from array import array
 
 import pytest
 
@@ -62,11 +64,24 @@ def cfg_digest(cfg: ControlFlowGraph) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: Array typecode per trace record field (``REC_*`` order) at which the
+#: trace digests were taken. The trace stores narrower columns and no next
+#: pc; re-encoding at these widths keeps the digests comparable, so they
+#: pin the values whatever width the trace holds them at.
+PINNED_TRACE_WIDTHS = ("q", "i", "b", "b", "q", "b")
+
+
 def trace_digest(trace: Trace) -> str:
-    """sha256 over the raw bytes of the six trace columns, in column order."""
+    """sha256 over the six record fields as columns at the pinned widths.
+
+    The next pcs are rebuilt from the start column, whose last entry is
+    the next pc of the last record.
+    """
+    start, ninstr, kind, taken, entry = trace.columns
+    fields = (start[:-1], ninstr, kind, taken, start[1:], entry)
     digest = hashlib.sha256()
-    for column in trace.columns:
-        digest.update(column.tobytes())
+    for typecode, values in zip(PINNED_TRACE_WIDTHS, fields, strict=True):
+        digest.update(array(typecode, values).tobytes())
     return digest.hexdigest()
 
 

@@ -4,6 +4,7 @@ import bisect
 import gc
 import random
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.builder import _cum_weights, _weighted_pick, build_cfg, reachable_blocks
-from repro.workloads.cfg import ControlFlowGraph, Function, StaticBlock
+from repro.workloads.cfg import CFG_ARRAYS, ControlFlowGraph, Function, StaticBlock
 from repro.workloads.isa import BranchKind, block_of
 from repro.workloads.profiles import ALL_PROFILES, APACHE, get_profile
+from repro.workloads.trace import generate_trace
+from repro.workloads.tracestore import trace_seed
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +205,37 @@ class TestColumnarViews:
         with pytest.raises(WorkloadError, match="code span"):
             ControlFlowGraph(blocks, [], 0)
 
+    def test_pc_past_32_bits_rejected_naming_it(self):
+        # A small span, so only the column width can refuse it.
+        blocks = [
+            StaticBlock(1 << 32, 2, BranchKind.RET, 0, 0),
+            StaticBlock((1 << 32) + 8, 2, BranchKind.RET, 0, 0),
+        ]
+        with pytest.raises(WorkloadError, match=r"block\.start value 4294967296 "):
+            ControlFlowGraph(blocks, [], 1 << 32)
+
+    def test_target_past_32_bits_rejected_naming_it(self):
+        blocks = [StaticBlock(0x400000, 2, BranchKind.JUMP, 1 << 33, 0)]
+        with pytest.raises(WorkloadError, match=r"block\.target value 8589934592 "):
+            ControlFlowGraph(blocks, [], 0x400000)
+
+    def test_block_of_65536_instructions_rejected_naming_it(self):
+        blocks = [StaticBlock(0x400000, 1 << 16, BranchKind.RET, 0, 0)]
+        with pytest.raises(WorkloadError, match=r"block\.n_instrs value 65536 "):
+            ControlFlowGraph(blocks, [], 0x400000)
+
+    def test_from_arrays_converts_and_checks_wider_arrays(self, cfg):
+        wide = [
+            array("q" if tc == "I" else tc, arr)
+            for (_, tc), arr in zip(CFG_ARRAYS, cfg.arrays)
+        ]
+        again = ControlFlowGraph.from_arrays(wide, cfg.function_names, cfg.entry)
+        assert again.arrays == cfg.arrays
+        assert [arr.typecode for arr in again.arrays] == [tc for _, tc in CFG_ARRAYS]
+        wide[0][0] = 1 << 32
+        with pytest.raises(WorkloadError, match=r"block\.start value 4294967296 "):
+            ControlFlowGraph.from_arrays(wide, cfg.function_names, cfg.entry)
+
     def test_empty_graph(self):
         empty = ControlFlowGraph({}, [], 0)
         assert (empty.n_blocks, empty.code_bytes, len(empty.blocks)) == (0, 0, 0)
@@ -286,10 +320,14 @@ class TestColumnarIndexes:
         assert cfg.next_block_start(cfg.block_start[last - 1]) == cfg.block_start[last]
 
 
-#: Live bytes a resident CFG may keep per block (tracemalloc). Slotted
-#: StaticBlock objects in a dict kept ~265 B; the columns and both
-#: indexes keep ~80 B.
-MAX_BYTES_PER_BLOCK = 120
+#: Live bytes a resident CFG may keep per block (tracemalloc): this quick
+#: oracle build keeps 60.4 B (the columns and both indexes), plus 15%.
+MAX_BYTES_PER_BLOCK = 70
+
+#: Live bytes a quick trace may keep per record: 9 B of columns (a 4-byte
+#: start, a 2-byte size, three 1-byte fields, no stored next pc) plus the
+#: arrays' growth slack.
+MAX_TRACE_BYTES_PER_RECORD = 10
 
 
 def test_quick_build_retains_few_bytes_per_block():
@@ -303,6 +341,21 @@ def test_quick_build_retains_few_bytes_per_block():
         tracemalloc.stop()
     per_block = live / cfg.n_blocks
     assert per_block <= MAX_BYTES_PER_BLOCK, f"{per_block:.1f} B per block"
+
+
+def test_quick_trace_retains_few_bytes_per_record():
+    profile = get_profile("oracle").scaled(0.25)
+    cfg = build_cfg(profile)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = generate_trace(cfg, profile.default_trace_instrs, seed=trace_seed(profile))
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_record = live / len(trace)
+    assert per_record <= MAX_TRACE_BYTES_PER_RECORD, f"{per_record:.2f} B per record"
 
 
 class TestReachability:

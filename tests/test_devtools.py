@@ -354,6 +354,25 @@ class TestRPL004:
         ]
         assert "'trace-store'" in finding.message and "bump the tag" in finding.message
 
+    def test_trace_layout_change_is_trace_store_drift(self, tmp_path):
+        # The trace columns are written as-is too (workloads/trace.py).
+        store = '_SCHEMA_MAJOR = "trace-v1"\n_MAGIC = b"X"\n'
+        layout = 'COLUMN_SPECS = (("start", "I"), ("ninstr", "H"))\n'
+
+        def tree(root, trace_src):
+            return make_tree(
+                root, {"workloads/tracestore.py": store, "workloads/trace.py": trace_src}
+            )
+
+        baseline = tmp_path / "schema_baseline.json"
+        base_ctx = load_context(tree(tmp_path / "base", layout), schema_baseline=baseline)
+        write_baseline(baseline, format_facts(base_ctx))
+        changed = tree(tmp_path / "changed", layout.replace('"I"', '"q"'))
+        [finding] = [
+            f for f in run_lint(changed, schema_baseline=baseline) if f.code == "RPL004"
+        ]
+        assert "'trace-store'" in finding.message and "bump the tag" in finding.message
+
     def test_live_baseline_matches_tree(self):
         # The committed schema_baseline.json must track the committed
         # formats — this is the check CI leans on.

@@ -123,6 +123,16 @@ def test_unregistered_name_is_rejected():
             "0",
             ["repro.runtime", "serve", "smoke", "--cache-dir", "{cache}"],
         ),
+        (
+            "REPRO_BROKER_LEASE",
+            "bogus",
+            ["repro.runtime", "queue", "--cache-dir", "{cache}"],
+        ),
+        (
+            "REPRO_BROKER_MAX_ATTEMPTS",
+            "0",
+            ["repro.runtime", "queue", "--cache-dir", "{cache}"],
+        ),
     ],
 )
 def test_cli_reports_a_bad_option_in_one_line(tmp_path, variable, value, argv):
@@ -142,3 +152,14 @@ def test_cli_reports_a_bad_option_in_one_line(tmp_path, variable, value, argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and variable in lines[0], proc.stderr
+
+
+def test_broker_queue_reads_its_options_from_the_env(tmp_path, monkeypatch):
+    from repro.runtime.broker import BrokerQueue
+
+    monkeypatch.setenv("REPRO_BROKER_LEASE", "7.5")
+    monkeypatch.setenv("REPRO_BROKER_MAX_ATTEMPTS", "5")
+    queue = BrokerQueue(tmp_path)
+    assert (queue.lease_seconds, queue.max_attempts) == (7.5, 5)
+    explicit = BrokerQueue(tmp_path, lease_seconds=2.0, max_attempts=2)
+    assert (explicit.lease_seconds, explicit.max_attempts) == (2.0, 2)

@@ -245,6 +245,32 @@ class TestExhibitGrids:
         assert read == submitted
 
 
+    def test_render_hashes_each_distinct_config_once(self, monkeypatch):
+        from repro.core.results import SimulationResult
+        from repro.experiments import grid
+
+        spec = SWEEPS["dense-latency-btb"]
+        scale = get_scale("quick")
+        names = spec.workloads()
+        jobs = spec.jobs(scale, workloads=names)
+        result = SimulationResult("w", "m", {"cycles": 100, "retired_instrs": 150})
+        by_key = {job.key: result for job in jobs}
+        real = grid.config_digest
+        hashed: list[SimConfig] = []
+
+        def counting(config):
+            hashed.append(config)
+            return real(config)
+
+        monkeypatch.setattr(grid, "config_digest", counting)
+        table = spec.render(grid.SweepResults(spec, scale, names, by_key))
+        assert len(table.rows) == len(spec.points(scale)) * (len(names) + 1)
+        distinct = {job.key[2] for job in jobs}
+        assert len(distinct) == 120  # 80 points and their 40 baselines
+        assert len(hashed) <= len(distinct)
+        assert {real(config) for config in hashed} == distinct
+
+
 class TestSweepCLI:
     def test_list_and_show_run_cleanly(self, capsys):
         assert main(["list"]) == 0

@@ -13,6 +13,8 @@ from repro.workloads.builder import build_cfg
 from repro.workloads.isa import BranchKind, EntryKind
 from repro.workloads.profiles import APACHE, STREAMING, get_profile
 from repro.workloads.trace import (
+    COL_KIND,
+    COL_START,
     COLUMN_SPECS,
     REC_ENTRY,
     REC_KIND,
@@ -181,16 +183,19 @@ class TestSummary:
 
 class TestColumnarRepresentation:
     def test_columns_match_specs(self, trace):
+        assert [typecode for _, typecode in COLUMN_SPECS] == ["I", "H", "b", "b", "b"]
         assert len(trace.columns) == len(COLUMN_SPECS)
-        for column, (_, typecode) in zip(trace.columns, COLUMN_SPECS):
+        for index, (column, (_, typecode)) in enumerate(zip(trace.columns, COLUMN_SPECS)):
             assert isinstance(column, array)
             assert column.typecode == typecode
-            assert len(column) == len(trace)
+            # The start column closes with the last record's next pc.
+            assert len(column) == len(trace) + (index == COL_START)
 
     def test_len_and_iter_on_trace(self, trace):
-        assert len(trace) == len(trace.columns[REC_START])
+        assert len(trace) == len(trace.columns[COL_KIND])
         first = next(iter(trace))
-        assert first == tuple(col[0] for col in trace.columns)
+        start, ninstr, kind, taken, entry = trace.columns
+        assert first == (start[0], ninstr[0], kind[0], taken[0], start[1], entry[0])
         assert sum(1 for _ in trace) == len(trace)
 
     def test_column_accessor(self, trace):

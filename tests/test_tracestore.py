@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
+import zlib
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -22,9 +26,10 @@ from repro.workloads import (
     scan_trace_store,
 )
 from repro.workloads.builder import build_cfg
+from repro.workloads.cfg import CFG_ARRAYS
 from repro.workloads.isa import block_of
 from repro.workloads.trace import generate_trace
-from repro.workloads.tracestore import trace_seed
+from repro.workloads.tracestore import _MAGIC, _PREFIX, trace_seed
 from test_build_digests import cfg_digest, trace_digest
 
 SCALE = 0.05
@@ -191,6 +196,74 @@ class TestDamagedRecords:
         _, original = stored_record
         keep = data.draw(self._offsets(len(original)), label="keep")
         self._assert_corrupt(stored_record, small_build, original[:keep])
+
+
+#: The typecodes records held before columns were narrowed.
+_OLD_WIDTHS = {"I": "q", "H": "i"}
+
+
+def _write_old_width_record(cache_dir, profile, length, cfg, trace):
+    """Write ``(cfg, trace)`` as the previous record layout did: pcs in
+    'q', sizes in 'i', a stored next column, under the ``trace-v3`` tag."""
+    old_tag = re.sub(r"^trace-v\d+", "trace-v3", TRACE_SCHEMA_TAG)
+    start, ninstr, kind, taken, entry = trace.columns
+    named = [
+        ("trace.start", array("q", start[:-1])),
+        ("trace.ninstr", array("i", ninstr)),
+        ("trace.kind", kind),
+        ("trace.taken", taken),
+        ("trace.next", array("q", start[1:])),
+        ("trace.entry", entry),
+    ] + [
+        (name, array(_OLD_WIDTHS.get(tc, tc), arr))
+        for (name, tc), arr in zip(CFG_ARRAYS, cfg.arrays)
+    ]
+    header = json.dumps({
+        "schema": old_tag,
+        "profile_digest": profile_digest(profile),
+        "profile_name": profile.name,
+        "length": length,
+        "trace_seed": trace.seed,
+        "n_instrs": trace.n_instrs,
+        "cfg_name": cfg.name,
+        "cfg_entry": cfg.entry,
+        "function_names": cfg.function_names,
+        "arrays": [[name, arr.typecode, len(arr) * arr.itemsize] for name, arr in named],
+    }).encode()
+    crc = zlib.crc32(header)
+    for _, arr in named:
+        crc = zlib.crc32(arr, crc)
+    current = TraceStore(cache_dir)._path(profile.name, profile_digest(profile), length)
+    path = cache_dir / old_tag / current.name
+    path.parent.mkdir(parents=True)
+    path.write_bytes(
+        _MAGIC + _PREFIX.pack(len(header), crc) + header
+        + b"".join(arr.tobytes() for _, arr in named)
+    )
+    return path
+
+
+class TestOldWidthRecords:
+    def test_old_width_record_is_a_miss_not_corrupt(self, tmp_path, small_build):
+        profile, length, cfg, trace = small_build
+        old = _write_old_width_record(tmp_path, profile, length, cfg, trace)
+        store = TraceStore(tmp_path)
+        assert store.get(profile, length) is None
+        assert (store.hits, store.misses, store.corrupt) == (0, 1, 0)
+        (info,) = [i for i in scan_trace_store(tmp_path) if i.tag == old.parent.name]
+        assert not info.current and info.records == 1
+        assert [i.tag for i in prune_trace_store(tmp_path)] == [old.parent.name]
+
+    def test_record_holds_nine_bytes_per_trace_record(self, tmp_path, small_build):
+        profile, length, cfg, trace = small_build
+        store = TraceStore(tmp_path)
+        store.put(profile, length, cfg, trace)
+        (path,) = store.root.glob("*.wkld")
+        old = _write_old_width_record(tmp_path, profile, length, cfg, trace)
+        trace_bytes = sum(len(col) * col.itemsize for col in trace.columns)
+        assert trace_bytes == 9 * len(trace) + 4  # and the final next pc
+        # 14 B fewer per trace record than the 23 B layout, and the CFG shrinks too.
+        assert path.stat().st_size < old.stat().st_size - 14 * len(trace)
 
 
 class TestLoadWorkloadIntegration:
