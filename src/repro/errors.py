@@ -27,6 +27,16 @@ class BrokerError(ReproError):
     """Raised when the distributed job broker cannot complete a batch."""
 
 
+class CorruptRecord(Exception):
+    """A stored record exists but fails the named check in its message.
+
+    Raised by the record readers (:func:`repro.runtime.atomicio.read_json`
+    and the trace-store codec) and caught by the stores that call them,
+    which count it and answer a miss. It never crosses the library
+    boundary, so it is not a :class:`ReproError`.
+    """
+
+
 class UnknownMechanismError(ConfigError):
     """Raised when a mechanism name is not in the registry."""
 

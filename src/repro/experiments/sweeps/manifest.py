@@ -46,9 +46,9 @@ from typing import TYPE_CHECKING
 
 from ...config import SimConfig
 from ...envopts import resolve
-from ...errors import ConfigError
+from ...errors import ConfigError, CorruptRecord
 from ...runtime import SimJob, canonicalize, config_digest
-from ...runtime.atomicio import CorruptRecord, atomic_write_json, read_json
+from ...runtime.atomicio import atomic_write_json, read_json
 from ...runtime.broker import config_from_canonical
 from ...runtime.cache import SCHEMA_TAG, ResultCache
 from ..common import get_scale

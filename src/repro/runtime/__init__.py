@@ -5,8 +5,9 @@ Public surface:
 * :func:`config_digest` — exhaustive hash of a full ``SimConfig`` tree,
 * :class:`ResultCache` — persistent JSON result store (``SCHEMA_TAG``-versioned,
   one file per record),
-* :func:`scan_cache` / :func:`prune_cache` — cache lifecycle (also the
-  ``python -m repro.runtime list|prune`` CLI),
+* ``python -m repro.runtime list|prune`` — the lifecycle of every
+  store's schema tags (results, estimates, workload builds), built on
+  :mod:`repro.tagdirs`,
 * :class:`SimJob` / :class:`ExperimentRuntime` — memoized job execution,
 * :class:`ExecutorBackend` and the ``serial`` / ``pool`` / ``broker``
   backends (:data:`BACKEND_NAMES`, selected via ``REPRO_BACKEND``),
@@ -20,7 +21,7 @@ Public surface:
 """
 
 from .broker import BrokerBackend, BrokerQueue, run_worker
-from .cache import SCHEMA_TAG, CacheTagInfo, ResultCache, prune_cache, scan_cache
+from .cache import SCHEMA_TAG, ResultCache
 from .confighash import canonicalize, config_digest, scale_token
 from .executors import (
     BACKEND_NAMES,
@@ -56,7 +57,6 @@ __all__ = [
     "SCHEMA_TAG",
     "BrokerBackend",
     "BrokerQueue",
-    "CacheTagInfo",
     "ExecutorBackend",
     "ExperimentRuntime",
     "ProcessPoolBackend",
@@ -76,12 +76,10 @@ __all__ = [
     "execute_job",
     "get_runtime",
     "make_backend",
-    "prune_cache",
     "render_status",
     "resolve_options",
     "run_worker",
     "scale_token",
-    "scan_cache",
     "serve_sweep",
     "supervisor_options",
     "sweep_progress",

@@ -1,4 +1,4 @@
-"""Result-cache lifecycle and distributed-worker CLI.
+"""Store lifecycle and distributed-worker CLI.
 
 Usage::
 
@@ -12,14 +12,15 @@ Usage::
     python -m repro.runtime serve   SWEEP [--cache-dir DIR] [--scale S]
                                     [--workload-set W] [--max-workers N]
 
-``list`` shows every schema-tag directory in the on-disk result cache with
-its record count and size, marking the tag the running code would read
-(records under any other tag are unreachable — the engine fingerprint
-changed since they were written).
-Analytic-tier record tags (``analytic-v*`` — model-synthesized estimates,
-see ``repro.runtime.cache``) are listed alongside the exact engine's.
-``prune`` deletes those stale tags; pass ``--schema-tag`` to delete one
-specific tag instead (including a current one, to force cold runs).
+``list`` shows every schema-tag directory of every store in the cache
+directory — exact results (``engine-v*``), analytic estimates
+(``analytic-v*``) and built workloads (``trace-v*``) — with its tier,
+record count and size, marking the tags the running code reads (records
+under any other tag are unreachable: a source fingerprint changed since
+they were written; see :mod:`repro.tagdirs`). ``prune`` deletes every
+stale tag of every store in one call; pass ``--schema-tag`` to delete
+one specific tag instead (a current one included, to force cold runs or
+cold workload builds).
 
 ``worker`` starts a work-stealing broker worker against the queue under
 ``<cache-dir>/queue/`` (see ``docs/runtime.md``): it claims pending jobs
@@ -56,22 +57,14 @@ import sys
 
 from ..envopts import require_cache_dir
 from ..errors import ConfigError
+from ..tagdirs import fmt_size, prune_tags, scan_tags
 from .broker import BrokerQueue, run_worker
-from .cache import SCHEMA_TAG, prune_cache, scan_cache
-
-
-def _fmt_size(n: int) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if n < 1024 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
-        n /= 1024
-    return f"{n:.1f} GiB"
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
     cache_dir = require_cache_dir(args.cache_dir)
-    infos = scan_cache(cache_dir)
-    print(f"result cache at {cache_dir} (current tag: {SCHEMA_TAG})")
+    infos = scan_tags(cache_dir)
+    print(f"stores at {cache_dir}")
     if not infos:
         print("  empty")
         return 0
@@ -79,8 +72,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for info in infos:
         marker = "current" if info.current else "stale"
         print(
-            f"  {info.tag:<48s} {info.records:6d} records  "
-            f"{_fmt_size(info.size_bytes):>10s}  [{marker}]"
+            f"  {info.tier:<8s}  {info.tag:<24s} {info.records:6d} records  "
+            f"{fmt_size(info.size_bytes):>10s}  [{marker}]"
         )
         if not info.current:
             stale_records += info.records
@@ -94,7 +87,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     cache_dir = require_cache_dir(args.cache_dir)
-    targets = prune_cache(cache_dir, schema_tag=args.schema_tag, dry_run=True)
+    targets = prune_tags(cache_dir, schema_tag=args.schema_tag, dry_run=True)
     if not targets:
         target = args.schema_tag or "stale tags"
         print(f"nothing to prune ({target}) in {cache_dir}")
@@ -102,12 +95,12 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     if args.dry_run:
         removed = targets
     else:
-        removed = prune_cache(cache_dir, schema_tag=args.schema_tag)
+        removed = prune_tags(cache_dir, schema_tag=args.schema_tag)
     verb = "would remove" if args.dry_run else "removed"
     for info in removed:
         print(
             f"{verb} {info.tag}: {info.records} records, "
-            f"{_fmt_size(info.size_bytes)}"
+            f"{fmt_size(info.size_bytes)}"
         )
     failed = {t.tag for t in targets} - {r.tag for r in removed}
     for tag in sorted(failed):
@@ -167,17 +160,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runtime",
         description=(
-            "inspect and prune the on-disk simulation result cache, or run "
-            "a distributed broker worker"
+            "inspect and prune the on-disk stores (results, estimates, "
+            "workload builds), or run a distributed broker worker"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="show schema tags, record counts, sizes")
+    p_list = sub.add_parser("list", help="show every store's tags, records, sizes")
     p_list.add_argument("--cache-dir", help="cache directory (or REPRO_CACHE_DIR)")
     p_list.set_defaults(func=_cmd_list)
 
-    p_prune = sub.add_parser("prune", help="delete stale schema-tag records")
+    p_prune = sub.add_parser("prune", help="delete every store's stale schema tags")
     p_prune.add_argument("--cache-dir", help="cache directory (or REPRO_CACHE_DIR)")
     p_prune.add_argument(
         "--schema-tag",

@@ -40,12 +40,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Iterator
 
+from ..errors import CorruptRecord
+
 #: The key :func:`atomic_write_json` stamps on every record.
 CRC_KEY = "crc32"
-
-
-class CorruptRecord(Exception):
-    """A record file exists but is not a JSON object or fails its crc32."""
 
 
 @contextmanager

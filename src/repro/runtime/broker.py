@@ -68,8 +68,8 @@ from .. import config as config_module
 from ..config import SimConfig
 from ..core.results import SimulationResult
 from ..envopts import REPRO_ENV_OPTIONS, read_env, resolve
-from ..errors import BrokerError
-from .atomicio import CorruptRecord, atomic_write_json, read_json
+from ..errors import BrokerError, CorruptRecord
+from .atomicio import atomic_write_json, read_json
 from .cache import SCHEMA_TAG, ResultCache
 from .confighash import canonicalize, config_digest
 from .faultpoints import maybe_fault
@@ -294,6 +294,23 @@ class BrokerQueue:
     def job_id(job: SimJob) -> str:
         return key_job_id(job.key)
 
+    def list_jobs(self, directory: Path) -> list[tuple[str, str, int | None, int]]:
+        """``(filename, job id, cost, attempts)`` of every spec in ``directory``.
+
+        One ``listdir`` of ``pending/`` or ``claimed/``, parsed by the
+        queue filename grammar; temp files and foreign clutter are
+        skipped, and an unreadable directory lists nothing.
+        """
+        try:
+            names = os.listdir(directory)
+        except OSError:
+            return []
+        return [
+            (name, *parsed)
+            for name in names
+            if name.endswith(".json") and (parsed := _parse_job_name(name))
+        ]
+
     def read_record(self, path: Path) -> dict | None:
         """The queue record at ``path``; ``None`` when absent.
 
@@ -375,15 +392,8 @@ class BrokerQueue:
         visible = False
         now = time.time()
         for directory in (self.pending, self.claimed):
-            try:
-                names = os.listdir(directory)
-            except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                parsed = _parse_job_name(name)
-                if parsed is None or parsed[0] != job_id:
+            for name, listed_id, _, _ in self.list_jobs(directory):
+                if listed_id != job_id:
                     continue
                 if self._dead_spec(directory / name):
                     if directory is self.pending:
@@ -404,22 +414,15 @@ class BrokerQueue:
 
     # --------------------------------------------------------------- claim
 
-    def _claim_order(self, names: list[str]) -> list[tuple[str, str, int | None, int]]:
-        """Parsed pending candidates in longest-first claim order.
+    def _claim_order(self) -> list[tuple[str, str, int | None, int]]:
+        """Pending jobs, from one ``listdir``, in longest-first claim order.
 
         Sorted by estimated cost, descending, so the slowest jobs — the
         ones that would otherwise anchor the batch's tail — start first.
         Jobs without a cost estimate come after every costed job, in
         name order.
         """
-        candidates = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            parsed = _parse_job_name(name)
-            if parsed is None:
-                continue  # temp file or foreign clutter, not a job
-            candidates.append((name, *parsed))
+        candidates = self.list_jobs(self.pending)
         candidates.sort(key=lambda c: (c[2] is None, -(c[2] or 0), c[0]))
         return candidates
 
@@ -432,11 +435,7 @@ class BrokerQueue:
         stealer won the race, in which case the next candidate is tried.
         """
         self._ensure_dirs()
-        try:
-            names = os.listdir(self.pending)
-        except OSError:
-            return None
-        for name, job_id, _cost, attempts in self._claim_order(names):
+        for name, job_id, _cost, attempts in self._claim_order():
             src = self.pending / name
             dst = self.claimed / name
             now = time.time()
@@ -582,16 +581,8 @@ class BrokerQueue:
         same job id. Returns how many jobs changed state.
         """
         recovered = 0
-        try:
-            names = sorted(os.listdir(self.claimed))
-        except OSError:
-            return 0
         now = time.time()
-        for name in names:
-            parsed = name.endswith(".json") and _parse_job_name(name)
-            if not parsed:
-                continue  # temp file or foreign clutter, not a job
-            job_id, cost, attempts = parsed
+        for name, job_id, cost, attempts in sorted(self.list_jobs(self.claimed)):
             path = self.claimed / name
             if self.read_done(job_id) is not None:
                 # Completed but the worker died before releasing its claim.
@@ -670,18 +661,18 @@ class BrokerQueue:
         return self._read_or_none(self.failed / f"{job_id}.json")
 
     def counts(self) -> dict[str, int]:
-        """Per-state queue sizes (for status displays and smoke checks)."""
-        out: dict[str, int] = {}
-        for state, directory in (
-            ("pending", self.pending),
-            ("claimed", self.claimed),
-            ("done", self.done),
-            ("failed", self.failed),
-        ):
+        """Per-state queue sizes (for status displays and smoke checks).
+
+        Done and failed records are named by bare job id, so those two
+        states count ``*.json`` files instead of parsing spec names.
+        """
+        out = {
+            "pending": len(self.list_jobs(self.pending)),
+            "claimed": len(self.list_jobs(self.claimed)),
+        }
+        for state, directory in (("done", self.done), ("failed", self.failed)):
             try:
-                out[state] = sum(
-                    1 for n in os.listdir(directory) if n.endswith(".json")
-                )
+                out[state] = sum(n.endswith(".json") for n in os.listdir(directory))
             except OSError:
                 out[state] = 0
         return out
@@ -896,14 +887,6 @@ class BrokerBackend:
 DRAIN_LEASE_WAIT_FACTOR = 2.0
 
 
-def _peer_claims(queue: BrokerQueue) -> bool:
-    """Does any claim file exist? (An idle caller holds none itself.)"""
-    try:
-        return any(name.endswith(".json") for name in os.listdir(queue.claimed))
-    except OSError:
-        return False
-
-
 def run_worker(
     cache_dir: str | os.PathLike,
     worker_id: str | None = None,
@@ -949,7 +932,7 @@ def run_worker(
             if idle_since is None:
                 idle_since = now
             idle_limit = max_idle
-            if drain and idle_limit is not None and _peer_claims(queue):
+            if drain and idle_limit is not None and queue.list_jobs(queue.claimed):
                 # Jobs leased by peers are not "queue empty": wait for
                 # the lease verdict (completion or expiry-and-recovery)
                 # before concluding there is nothing left to drain.

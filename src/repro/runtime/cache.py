@@ -29,12 +29,14 @@ manual major tag plus a fingerprint of the simulator-side source tree
 (everything under ``repro`` except the ``experiments``/``runtime``/
 ``analysis``/``analytic``/``warehouse`` layers, which consume raw
 results and cannot affect the cached counters themselves, the
-``devtools`` linter and the ``__main__.py`` command-line entry points).
+``devtools`` linter, the ``__main__.py`` command-line entry points and
+the ``envopts``/``tagdirs`` modules).
 Any change to engine semantics, counters, workload generation or config
 defaults therefore orphans old records without anyone having to remember
 a version bump — the same no-hand-maintained-list principle as the
 config digest. Stale-tag records are simply never read (they live under
-the old tag's directory) and can be deleted at leisure.
+the old tag's directory) and ``python -m repro.runtime prune`` deletes
+them with every other store's stale tags (:mod:`repro.tagdirs`).
 :data:`ANALYTIC_SCHEMA_TAG` fingerprints the analytic package and
 :data:`SCHEMA_TAG`: an estimate calibrated against a dead engine
 version is itself dead.
@@ -42,15 +44,14 @@ version is itself dead.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
-import shutil
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.results import SimulationResult
-from .atomicio import CorruptRecord, atomic_write_json, read_json
+from ..errors import CorruptRecord
+from ..tagdirs import PKG_ROOT, source_fingerprint
+from .atomicio import atomic_write_json, read_json
 
 #: Bump on cache *record format* changes; semantic changes are fingerprinted.
 _SCHEMA_MAJOR = "engine-v3"
@@ -76,47 +77,41 @@ _NON_SEMANTIC_DIRS = (
     "devtools",
 )
 
-#: The ``repro`` package directory whose sources are fingerprinted.
-_PKG_ROOT = Path(__file__).resolve().parents[1]
+#: Top-level modules that cannot change a result either: ``envopts.py``
+#: (every option that selects work reaches a job's config digest or
+#: workload name, so no option default can change a result) and
+#: ``tagdirs.py`` (the stores' lifecycle code only lists and deletes tag
+#: directories).
+_NON_SEMANTIC_FILES = ("envopts.py", "tagdirs.py")
 
 
-def _source_fingerprint(pkg_root: Path = _PKG_ROOT) -> str:
-    """Hash every simulator-side source file under the ``repro`` package.
+def _engine_sources(pkg_root: Path = PKG_ROOT) -> list[Path]:
+    """Every simulator-side source file under the ``repro`` package.
 
     Command-line entry points (``__main__.py``) are skipped wherever they
-    live: they parse flags and print, and never feed a simulation. So is
-    ``envopts.py``: every option that selects work reaches a job's config
-    digest or workload name, so no option default can change a result.
+    live: they parse flags and print, and never feed a simulation.
     """
-    digest = hashlib.sha256()
-    for path in sorted(pkg_root.rglob("*.py")):
+    sources: list[Path] = []
+    for path in pkg_root.rglob("*.py"):
         rel = path.relative_to(pkg_root)
-        if (
+        if not (
             rel.parts[0] in _NON_SEMANTIC_DIRS
             or path.name == "__main__.py"
-            or str(rel) == "envopts.py"
+            or rel.as_posix() in _NON_SEMANTIC_FILES
         ):
-            continue
-        digest.update(str(rel).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:12]
-
-
-def _analytic_fingerprint(pkg_root: Path = _PKG_ROOT) -> str:
-    """Hash the exact engine's tag and the analytic package's source."""
-    digest = hashlib.sha256()
-    digest.update(SCHEMA_TAG.encode())
-    for path in sorted((pkg_root / "analytic").glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:12]
+            sources.append(path)
+    return sources
 
 
 #: Versions every record; recomputed from source so it can never go stale.
-SCHEMA_TAG = f"{_SCHEMA_MAJOR}-{_source_fingerprint()}"
+SCHEMA_TAG = f"{_SCHEMA_MAJOR}-{source_fingerprint(_engine_sources())}"
 
 #: Versions every analytic record; never equal to an engine tag.
-ANALYTIC_SCHEMA_TAG = f"{_ANALYTIC_MAJOR}-{_analytic_fingerprint()}"
+#: It fingerprints the analytic package salted with :data:`SCHEMA_TAG`.
+ANALYTIC_SCHEMA_TAG = (
+    f"{_ANALYTIC_MAJOR}-"
+    f"{source_fingerprint((PKG_ROOT / 'analytic').glob('*.py'), salt=SCHEMA_TAG)}"
+)
 
 #: Digest prefix length used in filenames (full digest verified on read).
 _NAME_DIGEST_CHARS = 16
@@ -201,112 +196,8 @@ class ResultCache:
         self.stores += 1
 
 
-# ---------------------------------------------------------------------------
-# Cache lifecycle (the ``python -m repro.runtime`` list/prune CLI)
-# ---------------------------------------------------------------------------
-
-
-#: Shapes of a directory name this cache could have written (any major
-#: tag followed by the 12-hex-digit source fingerprint), one per tier.
-#: ``scan_cache`` and ``prune_cache`` only ever look at — and delete —
-#: matching directories, so pointing the CLI at a directory that merely
-#: *contains* a cache (or at something else entirely) can never touch
-#: foreign data.
+#: Shapes of a directory name this cache could have written (a major tag
+#: and the 12-hex-digit source fingerprint), one per tier; the lifecycle
+#: in :mod:`repro.tagdirs` only ever scans or deletes matching directories.
 _TAG_DIR_RE = re.compile(r"^engine-v\d+-[0-9a-f]{12}$")
 _ANALYTIC_TAG_DIR_RE = re.compile(r"^analytic-v\d+-[0-9a-f]{12}$")
-
-
-def tag_tier(name: str) -> str | None:
-    """``"exact"`` or ``"analytic"`` for a tag directory name, else ``None``."""
-    if _TAG_DIR_RE.match(name):
-        return "exact"
-    if _ANALYTIC_TAG_DIR_RE.match(name):
-        return "analytic"
-    return None
-
-
-@dataclass(frozen=True)
-class CacheTagInfo:
-    """Aggregate of one schema-tag directory inside a cache dir."""
-
-    tag: str
-    #: Record files (``*.json``) under this tag.
-    records: int
-    #: Bytes of every regular file under this tag — what ``prune`` frees.
-    size_bytes: int
-    #: True when the tag is :data:`SCHEMA_TAG` or :data:`ANALYTIC_SCHEMA_TAG`.
-    current: bool
-
-
-def scan_cache(cache_dir: str | os.PathLike) -> list[CacheTagInfo]:
-    """Record counts and sizes of every tag directory, both tiers.
-
-    Only directories whose name has a tier's tag shape are considered;
-    anything else living next to the cache is ignored. Tags sort
-    current-first then by name, so a stale-tag listing reads off the top
-    of the output. A missing directory is an empty cache. ``size_bytes``
-    counts every regular file, records or not, so a tag holding only
-    leftovers still shows the space ``prune`` reclaims.
-    """
-    root = Path(cache_dir)
-    infos: list[CacheTagInfo] = []
-    if not root.is_dir():
-        return infos
-    for tag_dir in sorted(
-        p for p in root.iterdir() if p.is_dir() and tag_tier(p.name) is not None
-    ):
-        records = 0
-        size = 0
-        for path in tag_dir.rglob("*"):
-            if not path.is_file():
-                continue
-            if path.suffix == ".json":
-                records += 1
-            try:
-                size += path.stat().st_size
-            except OSError:
-                pass
-        infos.append(
-            CacheTagInfo(
-                tag=tag_dir.name,
-                records=records,
-                size_bytes=size,
-                current=tag_dir.name in (SCHEMA_TAG, ANALYTIC_SCHEMA_TAG),
-            )
-        )
-    infos.sort(key=lambda i: (not i.current, i.tag))
-    return infos
-
-
-def prune_cache(
-    cache_dir: str | os.PathLike,
-    schema_tag: str | None = None,
-    dry_run: bool = False,
-) -> list[CacheTagInfo]:
-    """Delete stale tag directories; returns what was (or would be) removed.
-
-    Without ``schema_tag`` every tag except the running code's current
-    two (:data:`SCHEMA_TAG`, :data:`ANALYTIC_SCHEMA_TAG`) is removed —
-    the normal "collect garbage after a few engine changes" call. With
-    ``schema_tag`` only that tag is removed (including a current one, for
-    a forced cold run). ``dry_run`` only reports. A tag whose directory
-    survives the deletion attempt (e.g. a read-only mount) is *not*
-    reported as removed, so callers never claim to have reclaimed space
-    they did not.
-    """
-    root = Path(cache_dir)
-    removed: list[CacheTagInfo] = []
-    for info in scan_cache(cache_dir):
-        if schema_tag is None:
-            if info.current:
-                continue
-        elif info.tag != schema_tag:
-            continue
-        if dry_run:
-            removed.append(info)
-            continue
-        tag_dir = root / info.tag
-        shutil.rmtree(tag_dir, ignore_errors=True)
-        if not tag_dir.exists():
-            removed.append(info)
-    return removed

@@ -66,10 +66,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ..envopts import REPRO_ENV_OPTIONS, exported, read_env, resolve
-from ..errors import ConfigError
-from .atomicio import CorruptRecord, atomic_write_json, read_json
-from .broker import BrokerQueue, _parse_job_name, key_job_id
-from .cache import SCHEMA_TAG, ResultCache, scan_cache
+from ..errors import ConfigError, CorruptRecord
+from ..tagdirs import fmt_size, scan_tags
+from .atomicio import atomic_write_json, read_json
+from .broker import BrokerQueue, key_job_id
+from .cache import SCHEMA_TAG, ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (sweeps import runtime)
     from ..experiments.sweeps.manifest import ManifestCell, SweepManifest
@@ -151,19 +152,7 @@ def pending_costs(queue: BrokerQueue) -> list[int | None]:
     its ``__w`` weight token, so sizing the fleet needs no spec reads.
     Jobs without an estimate read as ``None``.
     """
-    try:
-        names = os.listdir(queue.pending)
-    except OSError:
-        return []
-    out: list[int | None] = []
-    for name in names:
-        if not name.endswith(".json"):
-            continue
-        parsed = _parse_job_name(name)
-        if parsed is None:
-            continue
-        out.append(parsed[1])
-    return out
+    return [cost for _, _, cost, _ in queue.list_jobs(queue.pending)]
 
 
 def desired_workers(
@@ -420,17 +409,7 @@ def _queue_index(queue: BrokerQueue, now: float) -> dict[str, dict[str, Any]]:
         ("pending", queue.pending),
         ("claimed", queue.claimed),
     ):
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            continue
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            parsed = _parse_job_name(name)
-            if parsed is None:
-                continue
-            job_id, cost, attempts = parsed
+        for name, job_id, cost, attempts in queue.list_jobs(directory):
             entry: dict[str, Any] = {
                 "state": state,
                 "attempts": attempts,
@@ -690,33 +669,25 @@ def _claim_rows(queue: BrokerQueue, now: float) -> list[dict[str, Any]]:
     return rows
 
 
-def _cache_stats(cache_dir: str | os.PathLike[str]) -> dict[str, Any]:
-    current = {
-        "tag": SCHEMA_TAG,
-        "records": 0,
-        "size_bytes": 0,
-        "stale_records": 0,
-    }
-    for info in scan_cache(cache_dir):
-        if info.tag == SCHEMA_TAG:
-            current["records"] = info.records
-            current["size_bytes"] = info.size_bytes
-        elif not info.current:
-            current["stale_records"] += info.records
-    return current
+def _store_stats(
+    cache_dir: str | os.PathLike[str],
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The status ``cache`` and ``traces`` objects, from one tag scan.
 
-
-def _trace_stats(cache_dir: str | os.PathLike[str]) -> dict[str, Any]:
-    from ..workloads.tracestore import scan_trace_store
-
-    stats = {"records": 0, "size_bytes": 0, "stale_records": 0}
-    for info in scan_trace_store(cache_dir):
-        if info.current:
+    Each holds its store's current tag's records and bytes and the
+    records under its stale tags; the cache's stale count takes in stale
+    analytic tags too.
+    """
+    cache = {"tag": SCHEMA_TAG, "records": 0, "size_bytes": 0, "stale_records": 0}
+    traces = {"records": 0, "size_bytes": 0, "stale_records": 0}
+    for info in scan_tags(cache_dir):
+        stats = traces if info.tier == "trace" else cache
+        if not info.current:
+            stats["stale_records"] += info.records
+        elif info.tier != "analytic":
             stats["records"] = info.records
             stats["size_bytes"] = info.size_bytes
-        else:
-            stats["stale_records"] += info.records
-    return stats
+    return cache, traces
 
 
 def read_supervisor_state(queue: BrokerQueue) -> dict[str, Any] | None:
@@ -746,6 +717,7 @@ def build_status(
     now = time.time() if now is None else now
     queue = BrokerQueue(cache_dir)
     supervisor_state = read_supervisor_state(queue)
+    cache, traces = _store_stats(cache_dir)
     if manifest_path is not None:
         from ..experiments.sweeps.manifest import load_manifest
 
@@ -773,8 +745,8 @@ def build_status(
         "queue": queue.counts(),
         "claims": _claim_rows(queue, now),
         "workers": _worker_rows(queue, now),
-        "cache": _cache_stats(cache_dir),
-        "traces": _trace_stats(cache_dir),
+        "cache": cache,
+        "traces": traces,
         "supervisor": supervisor_state,
         "sweep": sweep,
     }
@@ -788,14 +760,6 @@ def _fmt_duration(seconds: float) -> str:
         return f"{minutes}m{secs:02d}s"
     hours, minutes = divmod(minutes, 60)
     return f"{hours}h{minutes:02d}m"
-
-
-def _fmt_bytes(n: float) -> str:
-    for unit in ("B", "KiB", "MiB"):
-        if n < 1024:
-            return f"{n:.0f} {unit}" if unit == "B" else f"{n:.1f} {unit}"
-        n /= 1024
-    return f"{n:.1f} GiB"
 
 
 def render_status(status: dict[str, Any]) -> str:
@@ -835,7 +799,7 @@ def render_status(status: dict[str, Any]) -> str:
     cache = status["cache"]
     lines.append(
         f"cache       {cache['records']} records, "
-        f"{_fmt_bytes(cache['size_bytes'])}"
+        f"{fmt_size(cache['size_bytes'])}"
         + (
             f", {cache['stale_records']} stale"
             if cache["stale_records"]
@@ -845,7 +809,7 @@ def render_status(status: dict[str, Any]) -> str:
     traces = status["traces"]
     lines.append(
         f"traces      {traces['records']} records, "
-        f"{_fmt_bytes(traces['size_bytes'])}"
+        f"{fmt_size(traces['size_bytes'])}"
     )
     sup = status["supervisor"]
     if sup is not None:

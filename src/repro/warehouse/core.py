@@ -39,10 +39,11 @@ import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import ConfigError
-from ..runtime.atomicio import CorruptRecord, read_json
-from ..runtime.cache import ANALYTIC_SCHEMA_TAG, SCHEMA_TAG, tag_tier
+from ..errors import ConfigError, CorruptRecord
+from ..runtime.atomicio import read_json
+from ..runtime.cache import ANALYTIC_SCHEMA_TAG, SCHEMA_TAG
 from ..runtime.faultpoints import maybe_fault
+from ..tagdirs import tag_tier
 
 #: Bump on warehouse *database* format changes (tables, key shape).
 WAREHOUSE_SCHEMA = "warehouse-v3"
@@ -195,7 +196,7 @@ def _scan_tag_dir(
     return corrupt
 
 
-def scan_sources(
+def read_sources(
     cache_dir: str | os.PathLike[str],
 ) -> tuple[dict[CellKey, SourceCell], int]:
     """Every readable result record in a cache directory, both tiers, and
@@ -213,7 +214,7 @@ def scan_sources(
         return cells, corrupt
     for tag_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         fidelity = tag_tier(tag_dir.name)
-        if fidelity is not None:
+        if fidelity in ("exact", "analytic"):
             corrupt += _scan_tag_dir(tag_dir, fidelity, cells)
     return cells, corrupt
 
@@ -281,7 +282,7 @@ def refresh_warehouse(cache_dir: str | os.PathLike[str]) -> RefreshStats:
     snapshot intact, and a re-run against unchanged stores reports zero
     changes.
     """
-    source, corrupt = scan_sources(cache_dir)
+    source, corrupt = read_sources(cache_dir)
     conn = connect(cache_dir)
     try:
         conn.execute("BEGIN IMMEDIATE")

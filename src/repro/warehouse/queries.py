@@ -8,9 +8,10 @@ simulation runs here: the grid geometry comes from the sweep registry
 and every key is answered by a warehouse lookup.
 
 Tier isolation is enforced in the lookup SQL: among the rows for a
-key, ``exact`` cells always outrank ``analytic`` ones (an estimate can
-never shadow a measured result), current-schema rows outrank stale ones,
-and ties break deterministically. Cells that used any analytic estimate
+key, only rows under the running code's schema tags answer (a stale
+tag's row was computed by other code), and ``exact`` cells always
+outrank ``analytic`` ones (an estimate can never shadow a measured
+result). Cells that used any analytic estimate
 are marked with ``~`` and the table footer reports the worst combined
 relative-error bound (:func:`repro.analytic.model.combined_speedup_bound`),
 so an estimated number is never presented as a measured one.
@@ -63,16 +64,16 @@ def lookup_cell(
 ) -> CellView | None:
     """The best row for one content-addressed key.
 
-    Preference order: exact over analytic (the tier-isolation invariant,
-    at the SQL layer), current schema tags over stale ones, then the
-    lexically-latest tag — every clause deterministic, so repeated
-    queries over the same snapshot are bit-identical.
+    Only rows under the running code's tags answer: a row of a stale
+    engine or model tag was computed by other code, so a key with only
+    stale rows has no answer. Of the (at most two) current rows, exact
+    beats analytic — the tier-isolation invariant, at the SQL layer.
     """
     row = conn.execute(
         "SELECT mechanism, ipc, fidelity, analytic_rel_err_bound FROM cells"
         " WHERE workload = ? AND scale = ? AND config_digest = ?"
-        " ORDER BY (fidelity = 'exact') DESC, (schema_tag IN (?, ?)) DESC,"
-        " schema_tag DESC LIMIT 1",
+        " AND schema_tag IN (?, ?)"
+        " ORDER BY (fidelity = 'exact') DESC LIMIT 1",
         (workload, scale, digest, ENGINE_SCHEMA_TAG, ANALYTIC_SCHEMA_TAG),
     ).fetchone()
     if row is None:

@@ -13,8 +13,8 @@ public surface is:
 * :class:`ControlFlowGraph` / :func:`build_cfg` — the static program model,
 * :func:`generate_trace` / :class:`Trace` — deterministic columnar traces,
 * :class:`TraceStore` / :func:`profile_digest` — the persistent
-  content-addressed workload store (``python -m repro.workloads`` is its
-  lifecycle CLI).
+  content-addressed workload store (its tags are listed and pruned with
+  every other store's by ``python -m repro.runtime list|prune``).
 """
 
 from .builder import build_cfg, reachable_blocks
@@ -59,14 +59,7 @@ from .trace import (
     summarize,
     taken_conditional_distances,
 )
-from .tracestore import (
-    TRACE_SCHEMA_TAG,
-    TraceStore,
-    TraceStoreTagInfo,
-    profile_digest,
-    prune_trace_store,
-    scan_trace_store,
-)
+from .tracestore import TRACE_SCHEMA_TAG, TraceStore, profile_digest
 from .workload import (
     Workload,
     clear_workload_cache,
@@ -105,7 +98,6 @@ __all__ = [
     "Trace",
     "TraceBuilder",
     "TraceStore",
-    "TraceStoreTagInfo",
     "TraceSummary",
     "Workload",
     "WorkloadProfile",
@@ -124,10 +116,8 @@ __all__ = [
     "load_workload",
     "profile_digest",
     "profile_names",
-    "prune_trace_store",
     "reachable_blocks",
     "reset_trace_store",
-    "scan_trace_store",
     "summarize",
     "taken_conditional_distances",
     "workload_set",

@@ -1,27 +1,20 @@
-"""Workload-layer CLI: profile inspection and trace-store lifecycle.
+"""Workload-layer CLI: profile inspection.
 
 Usage::
 
     python -m repro.workloads list        [--set paper|extended|all]
     python -m repro.workloads show        <profile>
     python -m repro.workloads summarize   <profile> [--scale S] [--length N]
-    python -m repro.workloads store-list  [--cache-dir DIR]
-    python -m repro.workloads store-prune [--cache-dir DIR] [--schema-tag TAG]
-                                          [--dry-run]
 
 ``list`` tabulates a profile set (default: the ``REPRO_WORKLOAD_SET``
 selection); ``show`` dumps every parameter of one profile plus its content
 digest; ``summarize`` builds the workload and prints its
 :class:`~repro.workloads.trace.TraceSummary` calibration statistics — the
-numbers the golden summary fixtures pin.
+numbers the golden summary fixtures pin. An unknown profile or a bad
+option value prints one line and exits 2.
 
-``store-list``/``store-prune`` mirror the ``python -m repro.runtime``
-result-cache lifecycle for the persistent workload store: schema-tag
-directories with record counts and sizes, stale tags pruned. The cache
-directory comes from ``--cache-dir`` or ``REPRO_TRACE_STORE``/
-``REPRO_CACHE_DIR`` — the same resolution :func:`load_workload` uses.
-A missing directory, an unknown profile or a bad option value prints
-one line and exits 2.
+The persistent workload store's ``trace-v*`` tags are listed and pruned
+with every other store's by ``python -m repro.runtime list|prune``.
 """
 
 from __future__ import annotations
@@ -32,36 +25,7 @@ import sys
 
 from ..errors import ConfigError
 from .profiles import PROFILE_SETS, get_profile, workload_set
-from .tracestore import (
-    TRACE_SCHEMA_TAG,
-    profile_digest,
-    prune_trace_store,
-    scan_trace_store,
-)
-from .workload import trace_store_dir
-
-
-def _fmt_size(n: int) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if n < 1024 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
-        n /= 1024
-    return f"{n:.1f} GiB"
-
-
-def _resolve_cache_dir(arg: str | None) -> str:
-    # Same resolution load_workload uses, so the CLI always inspects the
-    # directory builds actually go to.
-    cache_dir = arg or trace_store_dir()
-    if not cache_dir:
-        raise ConfigError(
-            "no store directory: pass --cache-dir or set "
-            "REPRO_TRACE_STORE/REPRO_CACHE_DIR"
-        )
-    return cache_dir
-
-
-# ------------------------------------------------------------------ profiles
+from .tracestore import profile_digest
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -115,60 +79,10 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-# ----------------------------------------------------------------- the store
-
-
-def _cmd_store_list(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    infos = scan_trace_store(cache_dir)
-    print(f"trace store at {cache_dir} (current tag: {TRACE_SCHEMA_TAG})")
-    if not infos:
-        print("  empty")
-        return 0
-    stale_records = 0
-    for info in infos:
-        marker = "current" if info.current else "stale"
-        print(
-            f"  {info.tag:<32s} {info.records:6d} workloads  "
-            f"{_fmt_size(info.size_bytes):>10s}  [{marker}]"
-        )
-        if not info.current:
-            stale_records += info.records
-    if stale_records:
-        print(
-            f"  {stale_records} stale workloads reclaimable via "
-            f"`python -m repro.workloads store-prune`"
-        )
-    return 0
-
-
-def _cmd_store_prune(args: argparse.Namespace) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    targets = prune_trace_store(cache_dir, schema_tag=args.schema_tag, dry_run=True)
-    if not targets:
-        target = args.schema_tag or "stale tags"
-        print(f"nothing to prune ({target}) in {cache_dir}")
-        return 0
-    if args.dry_run:
-        removed = targets
-    else:
-        removed = prune_trace_store(cache_dir, schema_tag=args.schema_tag)
-    verb = "would remove" if args.dry_run else "removed"
-    for info in removed:
-        print(
-            f"{verb} {info.tag}: {info.records} workloads, "
-            f"{_fmt_size(info.size_bytes)}"
-        )
-    failed = {t.tag for t in targets} - {r.tag for r in removed}
-    for tag in sorted(failed):
-        print(f"failed to remove {tag} (permissions?)", file=sys.stderr)
-    return 1 if failed else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads",
-        description="inspect workload profiles and the persistent trace store",
+        description="inspect workload profiles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -191,21 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sum.add_argument("--scale", type=float, default=1.0)
     p_sum.add_argument("--length", type=int, default=None, help="trace instructions")
     p_sum.set_defaults(func=_cmd_summarize)
-
-    p_slist = sub.add_parser("store-list", help="show trace-store tags and sizes")
-    p_slist.add_argument("--cache-dir", help="store directory (or env)")
-    p_slist.set_defaults(func=_cmd_store_list)
-
-    p_sprune = sub.add_parser("store-prune", help="delete stale trace-store tags")
-    p_sprune.add_argument("--cache-dir", help="store directory (or env)")
-    p_sprune.add_argument(
-        "--schema-tag",
-        help="prune exactly this tag instead of every non-current tag",
-    )
-    p_sprune.add_argument(
-        "--dry-run", action="store_true", help="report without deleting"
-    )
-    p_sprune.set_defaults(func=_cmd_store_prune)
 
     args = parser.parse_args(argv)
     try:

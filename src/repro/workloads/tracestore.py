@@ -58,15 +58,14 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass
 from operator import le
 from pathlib import Path
 
-from ..errors import WorkloadError
+from ..errors import CorruptRecord, WorkloadError
+from ..tagdirs import PKG_ROOT, source_fingerprint
 from .cfg import CFG_ARRAYS, ControlFlowGraph
 from .isa import BranchKind
 from .profiles import WorkloadProfile
@@ -105,27 +104,18 @@ _KIND_BY_VALUE = {int(kind): kind for kind in BranchKind}
 #: How many leading CFG arrays hold one entry per block.
 _N_BLOCK_ARRAYS = sum(name.startswith("block.") for name, _ in CFG_ARRAYS)
 
-#: The ``repro`` package directory whose sources are fingerprinted.
-_PKG_ROOT = Path(__file__).resolve().parents[1]
-
-
-def _source_fingerprint(pkg_root: Path = _PKG_ROOT) -> str:
-    """Hash every source file that can change a built workload.
+def _trace_sources(pkg_root: Path = PKG_ROOT) -> list[Path]:
+    """Every source file that can change a built workload.
 
     The workload CLI (``__main__.py``) only inspects and prints, so it is
     left out: editing it must not orphan stored builds.
     """
-    pkg_dir = pkg_root / "workloads"
-    digest = hashlib.sha256()
-    paths = [p for p in sorted(pkg_dir.glob("*.py")) if p.name != "__main__.py"]
-    for path in paths + [pkg_root / "config.py"]:
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:12]
+    workloads = (pkg_root / "workloads").glob("*.py")
+    return [p for p in workloads if p.name != "__main__.py"] + [pkg_root / "config.py"]
 
 
 #: Versions every record; recomputed from source so it can never go stale.
-TRACE_SCHEMA_TAG = f"{_SCHEMA_MAJOR}-{_source_fingerprint()}"
+TRACE_SCHEMA_TAG = f"{_SCHEMA_MAJOR}-{source_fingerprint(_trace_sources())}"
 
 
 def profile_digest(profile: WorkloadProfile) -> str:
@@ -147,10 +137,6 @@ def profile_digest(profile: WorkloadProfile) -> str:
 def trace_seed(profile: WorkloadProfile) -> int:
     """The derived walker seed :func:`load_workload` uses for ``profile``."""
     return profile.seed * 7919 + 1
-
-
-class CorruptRecord(Exception):
-    """A stored record failed the named check in its message."""
 
 
 def _check(ok: bool, what: str) -> None:
@@ -367,83 +353,6 @@ def _decode_cfg(
         raise CorruptRecord(f"block starts: {exc}") from None
 
 
-# ---------------------------------------------------------------------------
-# Store lifecycle (the ``python -m repro.workloads`` store-list/store-prune
-# CLI) — same shape as the result-cache lifecycle in repro.runtime.cache.
-# ---------------------------------------------------------------------------
-
-
-#: Shape of a directory name this store could have written. Lifecycle
-#: helpers only ever look at — and delete — matching directories, so a
-#: cache dir shared with the result cache (or anything else) is safe.
+#: Shape of a directory name this store could have written; the lifecycle
+#: in :mod:`repro.tagdirs` only ever scans or deletes matching directories.
 _TAG_DIR_RE = re.compile(r"^trace-v\d+-[0-9a-f]{12}$")
-
-
-@dataclass(frozen=True)
-class TraceStoreTagInfo:
-    """Aggregate of one schema-tag directory inside a store dir."""
-
-    tag: str
-    records: int
-    size_bytes: int
-    #: True when the tag matches the running code's :data:`TRACE_SCHEMA_TAG`.
-    current: bool
-
-
-def scan_trace_store(cache_dir: str | os.PathLike) -> list[TraceStoreTagInfo]:
-    """Per-schema-tag workload-record counts and sizes under ``cache_dir``."""
-    root = Path(cache_dir)
-    infos: list[TraceStoreTagInfo] = []
-    if not root.is_dir():
-        return infos
-    for tag_dir in sorted(
-        p for p in root.iterdir() if p.is_dir() and _TAG_DIR_RE.match(p.name)
-    ):
-        records = 0
-        size = 0
-        for path in tag_dir.glob("*.wkld"):
-            records += 1
-            try:
-                size += path.stat().st_size
-            except OSError:
-                pass
-        infos.append(
-            TraceStoreTagInfo(
-                tag=tag_dir.name,
-                records=records,
-                size_bytes=size,
-                current=tag_dir.name == TRACE_SCHEMA_TAG,
-            )
-        )
-    infos.sort(key=lambda i: (not i.current, i.tag))
-    return infos
-
-
-def prune_trace_store(
-    cache_dir: str | os.PathLike,
-    schema_tag: str | None = None,
-    dry_run: bool = False,
-) -> list[TraceStoreTagInfo]:
-    """Delete stale trace-store tags; returns what was (or would be) removed.
-
-    Without ``schema_tag`` every tag except the running code's
-    :data:`TRACE_SCHEMA_TAG` is removed; with it only that tag is removed
-    (including the current one, to force cold builds). A tag whose
-    directory survives the deletion attempt is not reported as removed.
-    """
-    root = Path(cache_dir)
-    removed: list[TraceStoreTagInfo] = []
-    for info in scan_trace_store(root):
-        if schema_tag is None:
-            if info.current:
-                continue
-        elif info.tag != schema_tag:
-            continue
-        if dry_run:
-            removed.append(info)
-            continue
-        tag_dir = root / info.tag
-        shutil.rmtree(tag_dir, ignore_errors=True)
-        if not tag_dir.exists():
-            removed.append(info)
-    return removed

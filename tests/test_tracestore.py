@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.tagdirs import prune_tags, scan_tags
 from repro.workloads import (
     TRACE_SCHEMA_TAG,
     TraceStore,
@@ -21,9 +22,7 @@ from repro.workloads import (
     get_trace_store,
     load_workload,
     profile_digest,
-    prune_trace_store,
     reset_trace_store,
-    scan_trace_store,
 )
 from repro.workloads.builder import build_cfg
 from repro.workloads.cfg import CFG_ARRAYS
@@ -250,9 +249,9 @@ class TestOldWidthRecords:
         store = TraceStore(tmp_path)
         assert store.get(profile, length) is None
         assert (store.hits, store.misses, store.corrupt) == (0, 1, 0)
-        (info,) = [i for i in scan_trace_store(tmp_path) if i.tag == old.parent.name]
+        (info,) = [i for i in scan_tags(tmp_path) if i.tag == old.parent.name]
         assert not info.current and info.records == 1
-        assert [i.tag for i in prune_trace_store(tmp_path)] == [old.parent.name]
+        assert [i.tag for i in prune_tags(tmp_path)] == [old.parent.name]
 
     def test_record_holds_nine_bytes_per_trace_record(self, tmp_path, small_build):
         profile, length, cfg, trace = small_build
@@ -346,7 +345,7 @@ class TestLoadWorkloadIntegration:
 class TestLifecycle:
     def test_scan_counts_current_tag(self, store_dir):
         load_workload("zeus", scale=SCALE)
-        infos = scan_trace_store(store_dir)
+        infos = scan_tags(store_dir)
         assert [i.tag for i in infos] == [TRACE_SCHEMA_TAG]
         assert infos[0].current and infos[0].records == 1
         assert infos[0].size_bytes > 0
@@ -355,14 +354,16 @@ class TestLifecycle:
         (store_dir / "engine-v1-0123456789ab").mkdir()  # result-cache tag
         (store_dir / "random-stuff").mkdir()
         load_workload("zeus", scale=SCALE)
-        assert [i.tag for i in scan_trace_store(store_dir)] == [TRACE_SCHEMA_TAG]
+        infos = scan_tags(store_dir)
+        assert [i.tag for i in infos if i.tier == "trace"] == [TRACE_SCHEMA_TAG]
+        assert [i.tier for i in infos] == ["trace", "exact"]
 
     def test_prune_removes_stale_keeps_current(self, store_dir):
         load_workload("zeus", scale=SCALE)
         stale = store_dir / "trace-v0-000000000000"
         stale.mkdir()
         (stale / "old.wkld").write_bytes(b"x")
-        removed = prune_trace_store(store_dir)
+        removed = prune_tags(store_dir)
         assert [i.tag for i in removed] == ["trace-v0-000000000000"]
         assert not stale.exists()
         assert (store_dir / TRACE_SCHEMA_TAG).exists()
@@ -370,12 +371,12 @@ class TestLifecycle:
     def test_prune_dry_run_deletes_nothing(self, store_dir):
         stale = store_dir / "trace-v0-000000000000"
         stale.mkdir()
-        removed = prune_trace_store(store_dir, dry_run=True)
+        removed = prune_tags(store_dir, dry_run=True)
         assert [i.tag for i in removed] == ["trace-v0-000000000000"]
         assert stale.exists()
 
     def test_prune_specific_tag_can_force_cold(self, store_dir):
         load_workload("zeus", scale=SCALE)
-        removed = prune_trace_store(store_dir, schema_tag=TRACE_SCHEMA_TAG)
+        removed = prune_tags(store_dir, schema_tag=TRACE_SCHEMA_TAG)
         assert [i.tag for i in removed] == [TRACE_SCHEMA_TAG]
-        assert scan_trace_store(store_dir) == []
+        assert scan_tags(store_dir) == []

@@ -15,8 +15,9 @@ The contracts under test, in order:
   full grid, bit-identically whether or not the cache also holds files
   that are not records (a legacy ``shard.jsonl``, its lock file).
 * **Tier interplay** — analytic cells surface their
-  ``analytic_rel_err_bound`` and can never shadow an exact row, and a
-  current-tag row outranks a stale-tag one (enforced by the lookup SQL).
+  ``analytic_rel_err_bound`` and can never shadow an exact row, and only
+  current-tag rows answer a lookup: a key held only under a stale tag
+  renders ``—`` (enforced by the lookup SQL).
 * **CLI** — ``refresh``/``status`` round-trip; the query subcommands need
   an existing warehouse.
 
@@ -39,12 +40,8 @@ from repro.errors import ConfigError
 from repro.experiments.common import get_scale
 from repro.experiments.sweeps import get_sweep
 from repro.runtime import SimJob
-from repro.runtime.cache import (
-    ANALYTIC_SCHEMA_TAG,
-    SCHEMA_TAG,
-    ResultCache,
-    prune_cache,
-)
+from repro.runtime.cache import ANALYTIC_SCHEMA_TAG, SCHEMA_TAG, ResultCache
+from repro.tagdirs import prune_tags
 from repro.warehouse import (
     QUERY_NAMES,
     WAREHOUSE_SCHEMA,
@@ -54,7 +51,7 @@ from repro.warehouse import (
     read_status,
     refresh_warehouse,
 )
-from repro.warehouse.queries import QUERIES, render_contour
+from repro.warehouse.queries import MISSING, QUERIES, render_contour
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -74,16 +71,22 @@ def _result(workload: str, cycles: float, mechanism: str = "fdip") -> Simulation
     )
 
 
-def _put_stale(cache_dir: Path, workload: str, digest: str, cycles: float) -> None:
+def _put_stale(
+    cache_dir: Path,
+    workload: str,
+    digest: str,
+    cycles: float,
+    scale_tok: str = SCALE_TOK,
+) -> None:
     """A loose record under a stale (pruneable) engine schema tag."""
-    path = cache_dir / STALE_TAG / workload / f"s{SCALE_TOK}__{digest[:16]}.json"
+    path = cache_dir / STALE_TAG / workload / f"s{scale_tok}__{digest[:16]}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(
             {
                 "schema": STALE_TAG,
                 "workload": workload,
-                "scale": SCALE_TOK,
+                "scale": scale_tok,
                 "config_digest": digest,
                 "mechanism": "fdip",
                 "raw": {"cycles": cycles, "retired_instrs": 1500.0},
@@ -187,7 +190,7 @@ class TestConsolidationStateMachine:
                 _put_stale(cache_dir, "wlA", digest, cycles)
                 expected[("wlA", SCALE_TOK, digest, STALE_TAG)] = cycles
             elif action == "prune-stale":
-                prune_cache(cache_dir)
+                prune_tags(cache_dir)
                 for key in [k for k in expected if k[3] == STALE_TAG]:
                     graveyard[key] = expected.pop(key)
             elif action == "re-put" and graveyard:
@@ -219,7 +222,7 @@ class TestConsolidationStateMachine:
     def test_pruned_tag_rows_are_removed(self, tmp_path):
         _put_stale(Path(tmp_path), "wl", "a" * 64, 777.0)
         assert refresh_warehouse(tmp_path).inserted == 1
-        prune_cache(tmp_path)
+        prune_tags(tmp_path)
         stats = refresh_warehouse(tmp_path)
         assert (stats.removed, stats.changes) == (1, 1)
         assert _cells(tmp_path) == {}
@@ -435,6 +438,42 @@ class TestTierInterplay:
             assert view.ipc == 1500.0 / 1000.0  # the current tag's record
         finally:
             conn.close()
+
+    def test_stale_only_key_renders_missing(self, tmp_path):
+        """A key with rows under a stale engine tag only has no answer.
+
+        35 of the 36 smoke keys hold current records with equal cycles;
+        nutch/fdip at LLC 30 exists only under a stale tag, with half the
+        cycles. Read from there it would put 2^(1/6) = 1.1225 in the fdip
+        row at 30, a number no current engine produced.
+        """
+        spec = get_sweep("smoke")
+        scale = get_scale("quick")
+        cache = ResultCache(tmp_path)
+        for point in spec.points(scale):
+            for wl in spec.workloads("paper"):
+                base_key = SimJob(wl, point.baseline(), scale.workload_scale).key
+                cache.put(*base_key, _result(wl, 1000.0, mechanism="none"))
+                mech_key = SimJob(wl, point.config(), scale.workload_scale).key
+                if (wl, point.mechanism, point.settings) == (
+                    "nutch",
+                    "fdip",
+                    (("llc_latency", 30),),
+                ):
+                    workload, scale_tok, digest = mech_key
+                    _put_stale(tmp_path, workload, digest, 500.0, scale_tok)
+                else:
+                    cache.put(*mech_key, _result(wl, 1000.0))
+        refresh_warehouse(tmp_path)
+        conn = connect(tmp_path)
+        try:
+            assert read_status(conn).cells == 36
+            out = render_contour(conn, "smoke", scale="quick")
+        finally:
+            conn.close()
+        assert "1.1225" not in out
+        assert f"| 30 | {MISSING} | 1.0000 |" in out
+        assert "| 70 | 1.0000 | 1.0000 |" in out
 
     def test_analytic_only_cell_surfaces_its_bound(self, tmp_path):
         digest = "cd" * 32

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.runtime.__main__ import main as runtime_main
 from repro.workloads import (
     TRACE_SCHEMA_TAG,
     clear_workload_cache,
@@ -68,31 +69,41 @@ class TestProfileCommands:
 
 
 class TestStoreCommands:
+    """The trace store's lifecycle is ``python -m repro.runtime list|prune``,
+    which covers every store; ``python -m repro.workloads`` has none."""
+
+    def test_no_store_subcommands(self, capsys):
+        for command in ("store-list", "store-prune"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_store_list_shows_current_tag(self, capsys, warm_store):
-        assert main(["store-list", "--cache-dir", str(warm_store)]) == 0
+        assert runtime_main(["list", "--cache-dir", str(warm_store)]) == 0
         out = capsys.readouterr().out
         assert TRACE_SCHEMA_TAG in out and "current" in out
 
     def test_store_list_empty(self, capsys, tmp_path):
-        assert main(["store-list", "--cache-dir", str(tmp_path)]) == 0
+        assert runtime_main(["list", "--cache-dir", str(tmp_path)]) == 0
         assert "empty" in capsys.readouterr().out
 
     def test_store_list_requires_a_directory(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert main(["store-list"]) == 2
+        assert runtime_main(["list"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "no store directory" in err
+        assert err.count("\n") == 1 and "no cache directory" in err
 
     def test_store_prune_nothing_stale(self, capsys, warm_store):
-        assert main(["store-prune", "--cache-dir", str(warm_store)]) == 0
+        assert runtime_main(["prune", "--cache-dir", str(warm_store)]) == 0
         assert "nothing to prune" in capsys.readouterr().out
 
     def test_store_prune_removes_stale_tag(self, capsys, warm_store):
         stale = warm_store / "trace-v0-000000000000"
         stale.mkdir()
         (stale / "old.wkld").write_bytes(b"x")
-        assert main(["store-prune", "--cache-dir", str(warm_store)]) == 0
+        assert runtime_main(["prune", "--cache-dir", str(warm_store)]) == 0
         assert "removed trace-v0-000000000000" in capsys.readouterr().out
         assert not stale.exists()
         assert (warm_store / TRACE_SCHEMA_TAG).exists()
@@ -100,11 +111,12 @@ class TestStoreCommands:
     def test_store_prune_dry_run(self, capsys, warm_store):
         stale = warm_store / "trace-v0-000000000000"
         stale.mkdir()
-        assert main(["store-prune", "--cache-dir", str(warm_store), "--dry-run"]) == 0
+        argv = ["prune", "--cache-dir", str(warm_store), "--dry-run"]
+        assert runtime_main(argv) == 0
         assert "would remove" in capsys.readouterr().out
         assert stale.exists()
 
     def test_env_resolution(self, capsys, warm_store, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(warm_store))
-        assert main(["store-list"]) == 0
+        assert runtime_main(["list"]) == 0
         assert TRACE_SCHEMA_TAG in capsys.readouterr().out
