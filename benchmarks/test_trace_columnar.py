@@ -23,7 +23,7 @@ import time
 from repro.workloads.builder import build_cfg
 from repro.workloads.profiles import ALL_PROFILES
 from repro.workloads.trace import generate_trace, summarize
-from repro.workloads.tracestore import trace_seed
+from repro.workloads.workload import trace_seed
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from tuple_baseline import tuple_summarize, tuple_walk  # noqa: E402

@@ -7,58 +7,46 @@ Each module exposes ``run(scale_name=None, ...) -> ExperimentResult`` and a
 analysis) and the storage table (analytic) run no simulations and stay
 plain modules. ``python -m repro.experiments`` runs the whole set. Scale
 via ``REPRO_SCALE`` = ``quick`` | ``default`` | ``full``.
+
+Every name below resolves on first use: importing
+:mod:`repro.experiments.common` (scales, workload names, result tables)
+loads no exhibit, no sweep grid and nothing of :mod:`repro.runtime`.
+:data:`EXPERIMENTS` (exhibit id -> module, in
+:mod:`~repro.experiments.exhibits`) imports every exhibit module.
 """
 
 from __future__ import annotations
 
-from . import (
-    ablations,
-    branch_distance,
-    btb_size_sweep,
-    coverage_vs_latency,
-    crossbar,
-    miss_breakdown,
-    opportunity,
-    speedup,
-    squashes,
-    stall_coverage,
-    storage_costs,
-    sweeps,
-    throttle_sweep,
-)
-from .common import (
-    SCALES,
-    ExperimentResult,
-    ExperimentScale,
-    get_scale,
-    workload_names,
-)
-from .sweeps import SWEEPS, SweepSpec, get_sweep
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-#: Exhibit id -> experiment module, in paper order.
-EXPERIMENTS = {
-    "figure1": opportunity,
-    "figure2": coverage_vs_latency,
-    "figure3": miss_breakdown,
-    "figure4": branch_distance,
-    "figure5": btb_size_sweep,
-    "figure7": squashes,
-    "figure8": stall_coverage,
-    "figure9": speedup,
-    "figure10": throttle_sweep,
-    "figure11": crossbar,
-    "storage": storage_costs,
-    "ablations": ablations,
+if TYPE_CHECKING:
+    from .common import (
+        SCALES,
+        ExperimentResult,
+        ExperimentScale,
+        get_scale,
+        workload_names,
+    )
+    from .exhibits import EXPERIMENTS
+    from .sweeps import SWEEPS, SweepSpec, get_sweep
+
+#: Public name -> the submodule that defines it, imported on first use.
+_LAZY = {
+    **dict.fromkeys(
+        ("SCALES", "ExperimentResult", "ExperimentScale", "get_scale", "workload_names"),
+        "common",
+    ),
+    "EXPERIMENTS": "exhibits",
+    **dict.fromkeys(("SWEEPS", "SweepSpec", "get_sweep"), "sweeps"),
 }
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "ExperimentScale",
-    "SCALES",
-    "SWEEPS",
-    "SweepSpec",
-    "get_scale",
-    "get_sweep",
-    "workload_names",
-]
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

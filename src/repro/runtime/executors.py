@@ -38,9 +38,7 @@ every valid name.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from ..envopts import REPRO_ENV_OPTIONS, exported, resolve
@@ -107,6 +105,11 @@ class ProcessPoolBackend:
 
         self._used_pool = False
         if self.max_workers > 1 and len(jobs) > 1:
+            # Imported here, not at module load: a process that never
+            # fans out (a serial run, a broker worker) never loads them.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:

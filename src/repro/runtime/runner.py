@@ -52,7 +52,6 @@ from ..errors import ConfigError
 from ..workloads.workload import configure_trace_store, load_workload
 from .cache import ANALYTIC_SCHEMA_TAG, ResultCache
 from .confighash import config_digest, scale_token
-from .executors import make_backend
 
 #: Keys are (workload name, scale token, config digest).
 RunKey = tuple[str, str, str]
@@ -407,6 +406,8 @@ class ExperimentRuntime:
 
         Returns one result per pending job, in ``pending`` order.
         """
+        from .executors import make_backend
+
         jobs = [job for _, job in pending]
         executor = make_backend(self.backend, jobs=self.jobs, cache_dir=self.cache_dir)
         results = executor.run_batch(jobs)

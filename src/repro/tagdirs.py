@@ -18,10 +18,9 @@ name (:func:`tag_tier`), the per-tag scan (:func:`scan_tags`), the prune
 (:func:`prune_tags`) and the size formatter. ``python -m repro.runtime
 list|prune`` and the ``status`` dashboard are built on them.
 
-Only stdlib is imported at module load: :mod:`repro.workloads.tracestore`
-imports this module, and :mod:`repro.runtime` imports the workloads
-package, so the stores' tags and regexes are read on first use
-(:func:`_tiers`). This file is outside every store's fingerprint, like
+Only stdlib is imported at module load: both stores import this module
+for :func:`source_fingerprint`, so their tags and regexes are read on
+first use (:func:`_tiers`). This file is outside every store's fingerprint, like
 ``envopts.py``: an edit to lifecycle code never orphans a record.
 """
 

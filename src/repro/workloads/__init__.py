@@ -5,8 +5,8 @@ workloads (see "The workload layer" in docs/architecture.md). The
 public surface is:
 
 * :func:`load_workload` / :class:`Workload` — build a ready-to-simulate
-  workload from a named profile (memoized by content digest, optionally
-  persisted via the trace store),
+  workload from a named profile (memoized by profile content and trace
+  length, optionally persisted via the trace store),
 * :data:`ALL_PROFILES` (six Table II equivalents),
   :data:`EXTENDED_PROFILES` (four extra scenarios), :func:`workload_set` /
   ``REPRO_WORKLOAD_SET``, :func:`get_profile`,
@@ -14,8 +14,13 @@ public surface is:
 * :func:`generate_trace` / :class:`Trace` — deterministic columnar traces,
 * :class:`TraceStore` / :func:`profile_digest` — the persistent
   content-addressed workload store (its tags are listed and pruned with
-  every other store's by ``python -m repro.runtime list|prune``).
+  every other store's by ``python -m repro.runtime list|prune``). Its
+  names load :mod:`~repro.workloads.tracestore` on first use, so a
+  process that configures no store never imports it.
 """
+
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from .builder import build_cfg, reachable_blocks
 from .cfg import ControlFlowGraph, Function, StaticBlock
@@ -59,7 +64,6 @@ from .trace import (
     summarize,
     taken_conditional_distances,
 )
-from .tracestore import TRACE_SCHEMA_TAG, TraceStore, profile_digest
 from .workload import (
     Workload,
     clear_workload_cache,
@@ -68,6 +72,21 @@ from .workload import (
     load_workload,
     reset_trace_store,
 )
+
+if TYPE_CHECKING:
+    from .tracestore import TRACE_SCHEMA_TAG, TraceStore, profile_digest
+
+#: Public name -> the submodule that defines it, imported on first use.
+_LAZY = dict.fromkeys(("TRACE_SCHEMA_TAG", "TraceStore", "profile_digest"), "tracestore")
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ALL_PROFILES",

@@ -65,6 +65,8 @@ from operator import le
 from pathlib import Path
 
 from ..errors import CorruptRecord, WorkloadError
+from ..runtime.atomicio import atomic_writer
+from ..runtime.confighash import canonicalize
 from ..tagdirs import PKG_ROOT, source_fingerprint
 from .cfg import CFG_ARRAYS, ControlFlowGraph
 from .isa import BranchKind
@@ -123,20 +125,12 @@ def profile_digest(profile: WorkloadProfile) -> str:
 
     Every field of the frozen dataclass contributes (nested tuples
     included), so profiles that differ anywhere — not just by name — can
-    never collide. Deferred import: ``repro.runtime`` imports this package
-    back, and the function is never called at import time.
+    never collide.
     """
-    from ..runtime.confighash import canonicalize
-
     payload = json.dumps(
         canonicalize(profile), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def trace_seed(profile: WorkloadProfile) -> int:
-    """The derived walker seed :func:`load_workload` uses for ``profile``."""
-    return profile.seed * 7919 + 1
 
 
 def _check(ok: bool, what: str) -> None:
@@ -172,15 +166,9 @@ class TraceStore:
         self,
         profile: WorkloadProfile,
         length: int,
-        digest: str | None = None,
     ) -> tuple[ControlFlowGraph, Trace] | None:
-        """Return the stored (cfg, trace) build, or ``None`` on miss.
-
-        ``digest`` lets callers that already computed the profile digest
-        (``load_workload`` memoizes it) skip recomputing it here.
-        """
-        if digest is None:
-            digest = profile_digest(profile)
+        """Return the stored (cfg, trace) build, or ``None`` on miss."""
+        digest = profile_digest(profile)
         try:
             blob = self._path(profile.name, digest, length).read_bytes()
         except OSError:
@@ -203,16 +191,9 @@ class TraceStore:
         length: int,
         cfg: ControlFlowGraph,
         trace: Trace,
-        digest: str | None = None,
     ) -> None:
         """Atomically persist one built workload record."""
-        # Deferred for the same reason as profile_digest's confighash
-        # import: ``repro.runtime`` imports this package back, and the
-        # method is never called at import time.
-        from ..runtime.atomicio import atomic_writer
-
-        if digest is None:
-            digest = profile_digest(profile)
+        digest = profile_digest(profile)
         arrays = [*trace.columns, *cfg.arrays]
         header = json.dumps(
             {

@@ -4,14 +4,18 @@
 experiments and examples. Three layers are checked in order, mirroring the
 result-side :class:`repro.runtime.ExperimentRuntime`:
 
-1. an **in-process memo**, keyed by the *content digest* of the frozen
-   profile tree plus the trace length — never by profile name, so a
-   caller-constructed profile that shares a name with a stock one can
-   never be served the wrong build;
+1. an **in-process memo**, keyed by the frozen profile itself plus the
+   trace length. :class:`~repro.workloads.profiles.WorkloadProfile`
+   hashes and compares every field, so the key is the profile's content,
+   never its name: a caller-constructed profile that shares a name with
+   a stock one can never be served the wrong build;
 2. an optional **persistent trace store**
    (:class:`~repro.workloads.tracestore.TraceStore`) shared across
    processes and pool workers — a cold full-scale sweep builds each
-   workload once on disk instead of once per worker;
+   workload once on disk instead of once per worker. Its records are
+   keyed by the profile's content digest, which is computed only when a
+   store is configured; the store module is imported on first use, so a
+   process that only simulates never loads it;
 3. an actual build: :func:`~repro.workloads.builder.build_cfg` plus the
    streaming trace walker.
 
@@ -26,14 +30,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from ..envopts import read_env, resolve
 from .builder import build_cfg
 from .cfg import ControlFlowGraph
 from .profiles import WorkloadProfile, get_profile
 from .trace import Trace, generate_trace
-from .tracestore import TraceStore, profile_digest, trace_seed
+
+if TYPE_CHECKING:  # pragma: no cover - imported on first use, see get_trace_store
+    from .tracestore import TraceStore
 
 
 @dataclass(frozen=True)
@@ -54,15 +60,17 @@ class Workload:
         return int(self.trace.n_instrs * self.profile.warmup_frac)
 
 
-#: Keys are (profile content digest, trace length) — see module docstring.
-_CACHE: dict[tuple[str, int], Workload] = {}
+#: Keys are (profile, trace length): the frozen profile compares every
+#: field, so equal keys mean equal content — see module docstring.
+_CACHE: dict[tuple[WorkloadProfile, int], Workload] = {}
 
 #: Cap on memoized workloads; builds are deterministic so eviction is safe.
 _CACHE_LIMIT = 32
 
-#: Profiles are frozen/hashable and digesting walks the whole tree, so the
-#: digest itself is memoized by profile equality.
-_profile_digest_cached = lru_cache(maxsize=256)(profile_digest)
+
+def trace_seed(profile: WorkloadProfile) -> int:
+    """The derived walker seed :func:`load_workload` uses for ``profile``."""
+    return profile.seed * 7919 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +98,14 @@ def configure_trace_store(cache_dir: str | os.PathLike | None) -> None:
 
 
 def reset_trace_store() -> None:
-    """Return to environment-variable resolution (tests use this)."""
+    """Return to environment-variable resolution (tests use this).
+
+    Also drops the per-directory stores, so a store resolved afterwards
+    counts its hits, misses and stores from zero.
+    """
     global _STORE_DIR
     _STORE_DIR = _UNSET
+    _STORES.clear()
 
 
 def trace_store_dir() -> str | None:
@@ -132,6 +145,8 @@ def get_trace_store() -> TraceStore | None:
         return None
     store = _STORES.get(cache_dir)
     if store is None:
+        from .tracestore import TraceStore
+
         store = _STORES[cache_dir] = TraceStore(cache_dir)
     return store
 
@@ -151,7 +166,7 @@ def load_workload(
     ``scale`` shrinks footprint and trace length together — used by tests
     and quick benchmark modes. ``n_instrs`` overrides the (scaled) default
     trace length. Scale needs no separate key component: scaling rewrites
-    profile fields, which changes the content digest.
+    profile fields, so a scaled profile is a different key.
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
@@ -159,21 +174,20 @@ def load_workload(
         profile = profile.scaled(scale)
     length = n_instrs if n_instrs is not None else profile.default_trace_instrs
 
-    digest = _profile_digest_cached(profile)
-    key = (digest, length)
+    key = (profile, length)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
 
     store = get_trace_store()
-    built = store.get(profile, length, digest=digest) if store is not None else None
+    built = store.get(profile, length) if store is not None else None
     if built is not None:
         cfg, trace = built
     else:
         cfg = build_cfg(profile)
         trace = generate_trace(cfg, length, seed=trace_seed(profile))
         if store is not None:
-            store.put(profile, length, cfg, trace, digest=digest)
+            store.put(profile, length, cfg, trace)
 
     workload = Workload(profile=profile, cfg=cfg, trace=trace)
     if len(_CACHE) >= _CACHE_LIMIT:

@@ -28,7 +28,8 @@ import pytest
 from repro.workloads import ControlFlowGraph, Trace, WorkloadProfile, workload_set
 from repro.workloads.builder import build_cfg
 from repro.workloads.trace import generate_trace
-from repro.workloads.tracestore import TraceStore, trace_seed
+from repro.workloads.tracestore import TraceStore
+from repro.workloads.workload import trace_seed
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_build_digests.json"
 

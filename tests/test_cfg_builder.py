@@ -17,7 +17,7 @@ from repro.workloads.cfg import CFG_ARRAYS, ControlFlowGraph, Function, StaticBl
 from repro.workloads.isa import BranchKind, block_of
 from repro.workloads.profiles import ALL_PROFILES, APACHE, get_profile
 from repro.workloads.trace import generate_trace
-from repro.workloads.tracestore import trace_seed
+from repro.workloads.workload import trace_seed
 
 
 @pytest.fixture(scope="module")

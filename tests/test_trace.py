@@ -27,7 +27,7 @@ from repro.workloads.trace import (
     summarize,
     taken_conditional_distances,
 )
-from repro.workloads.tracestore import trace_seed
+from repro.workloads.workload import trace_seed
 
 
 @pytest.fixture(scope="module")

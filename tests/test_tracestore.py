@@ -28,7 +28,8 @@ from repro.workloads.builder import build_cfg
 from repro.workloads.cfg import CFG_ARRAYS
 from repro.workloads.isa import block_of
 from repro.workloads.trace import generate_trace
-from repro.workloads.tracestore import _MAGIC, _PREFIX, trace_seed
+from repro.workloads.tracestore import _MAGIC, _PREFIX
+from repro.workloads.workload import trace_seed
 from test_build_digests import cfg_digest, trace_digest
 
 SCALE = 0.05
@@ -289,6 +290,41 @@ class TestLoadWorkloadIntegration:
         # And the memo returns each its own build, in either order.
         assert load_workload(custom) is custom_wl
         assert load_workload(stock) is stock_wl
+
+    def test_memo_serves_an_equal_profile(self):
+        """Two separately scaled copies of one profile are one memo key."""
+        first = load_workload(get_profile("apache").scaled(0.25))
+        assert load_workload(get_profile("apache").scaled(0.25)) is first
+
+    def test_memo_tells_seeds_apart(self):
+        stock = get_profile("apache").scaled(SCALE)
+        reseeded = replace(stock, seed=stock.seed + 1)
+        stock_wl, reseeded_wl = load_workload(stock), load_workload(reseeded)
+        assert reseeded_wl is not stock_wl
+        assert reseeded_wl.trace.columns != stock_wl.trace.columns
+
+    def test_reload_hits_the_record_under_the_profile_digest(self, store_dir):
+        profile = get_profile("streaming").scaled(SCALE)
+        first = load_workload(profile)
+        (record,) = (store_dir / TRACE_SCHEMA_TAG).glob("*.wkld")
+        assert profile_digest(profile)[:16] in record.name
+        clear_workload_cache()
+        second = load_workload(profile)
+        store = get_trace_store()
+        assert (store.hits, store.misses, store.stores) == (1, 1, 1)
+        assert second is not first
+        assert second.trace.columns == first.trace.columns
+
+    def test_reset_starts_a_fresh_store(self, store_dir):
+        """After a reset, a re-configured directory counts from zero."""
+        load_workload("streaming", scale=SCALE)
+        reset_trace_store()
+        prune_tags(store_dir, schema_tag=TRACE_SCHEMA_TAG)  # cold again
+        clear_workload_cache()
+        configure_trace_store(store_dir)
+        load_workload("streaming", scale=SCALE)
+        store = get_trace_store()
+        assert (store.hits, store.misses, store.stores) == (0, 1, 1)
 
     def test_disabled_without_configuration(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
